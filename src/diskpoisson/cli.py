@@ -37,6 +37,7 @@ from .elliptic import ellipticity_report
 from .kernel import (
     BoundaryData,
     QuadSpec,
+    _uniform_thetas,
     circle_poisson_values,
     poisson_integral,
     read_boundary_csv,
@@ -163,7 +164,7 @@ def _parse_cutoffs(raw: str) -> tuple:
     return cut
 
 
-def _parse_points(raw_points: Sequence[str]) -> np.ndarray:
+def _parse_points(raw_points: Sequence[str], r_max: float) -> np.ndarray:
     pts = []
     for raw in raw_points:
         toks = raw.split(",")
@@ -175,7 +176,9 @@ def _parse_points(raw_points: Sequence[str]) -> np.ndarray:
             raise UsageError(f"each --point must be 'r,theta' with real entries, got {raw!r}")
         _require(r >= 0.0, f"point radius must be nonnegative, got {r}")
         pts.append(r * complex(math.cos(theta), math.sin(theta)))
-    return np.asarray(pts, dtype=complex)
+    pts = np.asarray(pts, dtype=complex)
+    _require(float(np.max(np.abs(pts))) <= r_max, f"eval points must satisfy |z| <= r_max = {r_max}")
+    return pts
 
 
 def _load_boundary(cfg: RunConfig) -> tuple:
@@ -258,9 +261,7 @@ def _cmd_eval(cfg: RunConfig) -> int:
         if use_grid:
             fld = deriv_field(cfg.alpha, F, q, n_thetas=cfg.extras["grid_thetas"])
         else:
-            pts = _parse_points(raw_points)
-            _require(float(np.max(np.abs(pts))) <= q.r_max,
-                     f"eval points must satisfy |z| <= r_max = {q.r_max}")
+            pts = _parse_points(raw_points, q.r_max)
             dz = np.empty(len(pts), dtype=complex)
             dzbar = np.empty(len(pts), dtype=complex)
             for i, z in enumerate(pts):
@@ -272,22 +273,21 @@ def _cmd_eval(cfg: RunConfig) -> int:
         return 0
 
     if use_grid:
+        # A CSV boundary is swept at its own sample count, whatever --nodes says.
         n_th = cfg.extras["grid_thetas"]
-        _require(q.angular_nodes % n_th == 0,
-                 "grid-thetas must divide nodes")
-        stride = q.angular_nodes // n_th
+        _require(F.n_samples % n_th == 0,
+                 f"grid-thetas must divide the boundary's {F.n_samples} samples")
+        stride = F.n_samples // n_th
+        thetas = _uniform_thetas(n_th)
         rows = []
         for r in q.radial_grid:
             vals = circle_poisson_values(cfg.alpha, F, float(r), q)[::stride]
-            thetas = 2.0 * np.pi * np.arange(n_th) / n_th
             rows.extend(
                 {"r": float(r), "theta": float(t), "re": float(v.real), "im": float(v.imag)}
                 for t, v in zip(thetas, vals)
             )
     else:
-        pts = _parse_points(raw_points)
-        _require(float(np.max(np.abs(pts))) <= q.r_max,
-                 f"eval points must satisfy |z| <= r_max = {q.r_max}")
+        pts = _parse_points(raw_points, q.r_max)
         rows = []
         for z in pts:
             v = poisson_integral(cfg.alpha, F, complex(z), q)
@@ -307,7 +307,7 @@ def _cmd_eval(cfg: RunConfig) -> int:
                              repr(row["re"]), repr(row["im"])])
         _emit(buf.getvalue(), cfg.output)
     else:
-        _emit_json({"alpha": cfg.alpha, "nodes": cfg.nodes, "values": rows}, cfg)
+        _emit_json({"alpha": cfg.alpha, "nodes": F.n_samples, "values": rows}, cfg)
     return 0
 
 
@@ -470,24 +470,12 @@ def _cmd_example(cfg: RunConfig) -> int:
     return 0
 
 
-def _identity_fields(radii: Sequence[float], n_thetas: int = 64) -> list:
-    fields = []
-    pts: list = []
-    for r in radii:
-        thetas = 2.0 * np.pi * np.arange(n_thetas) / n_thetas
-        pts = pts + list(r * np.exp(1j * thetas))
-        arr = np.asarray(pts, dtype=complex)
-        fields.append(DerivField.from_wirtinger(
-            arr, np.ones(len(arr), dtype=complex), np.zeros(len(arr), dtype=complex)))
-    return fields
-
-
 def _nested_fields(builder, radii: Sequence[float], n_thetas: int = 64) -> list:
     """Nested polar-circle fields: field k covers radii[:k+1]."""
     fields = []
     pts: list = []
+    thetas = _uniform_thetas(n_thetas)
     for r in radii:
-        thetas = 2.0 * np.pi * np.arange(n_thetas) / n_thetas
         pts = pts + list(r * np.exp(1j * thetas))
         fields.append(builder(np.asarray(pts, dtype=complex)))
     return fields
@@ -510,7 +498,11 @@ def _ellipticity_summaries(k_list: Sequence[float]) -> list:
                        (0.9, 0.99, 0.999)), k_list)
     out.append({"example": "log-series", "report": asdict(rep)})
 
-    rep = ellipticity_report(_identity_fields((0.25, 0.5, 0.75)), k_list)
+    def identity(pts):
+        return DerivField.from_wirtinger(pts, np.ones(len(pts), dtype=complex),
+                                         np.zeros(len(pts), dtype=complex))
+
+    rep = ellipticity_report(_nested_fields(identity, (0.25, 0.5, 0.75)), k_list)
     out.append({"example": "identity", "report": asdict(rep)})
     return out
 
@@ -599,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", action="store_true",
                     help="evaluate on the full polar grid")
     sp.add_argument("--grid-thetas", type=int, default=64,
-                    help="output angles per circle (must divide --nodes)")
+                    help="output angles per circle (must divide the CSV's sample count)")
     sp.add_argument("--field", action="store_true",
                     help="emit all four partial derivatives as CSV")
     sp.add_argument("--format", choices=("json", "csv"), default=None,

@@ -9,8 +9,11 @@ finite as r -> 1. The Wirtinger derivatives follow from the polar frame:
     df/dz    = (r df/dr - i df/dtheta) / (2 z)
     df/dzbar = (r df/dr + i df/dtheta) / (2 conj(z))
 
-At the origin the polar frame degenerates; df/dz and df/dzbar fall back to
-central finite differences there and the point is flagged.
+Every dF/dt here is kernel.boundary_derivative(F), computed once per
+boundary: circle_derivs sweeps its samples, and the pointwise J2 rotates
+them with the same code that rotates F. At the origin the polar frame
+degenerates; df/dz and df/dzbar fall back to central finite differences
+there and the point is flagged.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ from .kernel import (
     AlphaParam,
     BoundaryData,
     QuadSpec,
+    _on_quad_grid,
+    _under_resolved,
     as_alpha,
     boundary_derivative,
     kernel_K,
@@ -67,19 +72,25 @@ def J1(a, F: BoundaryData, z, q: QuadSpec) -> complex:
     return a.alpha * poisson_integral(a, F, z, q)
 
 
-def _shifted_samples(F: BoundaryData, theta: float, deriv: bool) -> np.ndarray:
-    """Samples of F (or dF/dt) at the rotated grid t_j + theta."""
-    if deriv and F.closed_form_deriv is not None:
-        return np.asarray(F.closed_form_deriv(F.thetas + theta), dtype=complex)
-    if not deriv and F.closed_form is not None:
+def _shifted_samples(F: BoundaryData, theta: float) -> np.ndarray:
+    """Samples of F at the rotated grid t_j + theta."""
+    if F.closed_form is not None:
         return np.asarray(F.closed_form(F.thetas + theta), dtype=complex)
-    coeffs = np.fft.fft(F.values)
     ks = np.fft.fftfreq(F.n_samples, d=1.0 / F.n_samples)
-    if deriv:
-        ks_d = ks.copy()
-        ks_d[F.n_samples // 2] = 0.0
-        coeffs = 1j * ks_d * coeffs
-    return np.fft.ifft(coeffs * np.exp(1j * ks * theta))
+    return np.fft.ifft(np.fft.fft(F.values) * np.exp(1j * ks * theta))
+
+
+def _j2_weights(a: AlphaParam, r: float, t: np.ndarray):
+    """(c1, k1, c2, k2): prefactors and real kernels of the two J2 integrals on the grid t."""
+    dpow = np.abs(1.0 - r * np.exp(1j * t)) ** (a.alpha + 2.0)
+    w_a = (1.0 - r * r) ** a.alpha
+    return (-(a.c_alpha * w_a / np.pi), r * np.sin(t) / dpow,
+            -(a.alpha * a.c_alpha * w_a / (2.0 * np.pi)), (1.0 - r * np.cos(t)) / dpow)
+
+
+def _wirtinger_pair(rdr, dth, z):
+    """(df/dz, df/dzbar) from r df/dr and df/dtheta at z != 0 (scalar or array)."""
+    return (rdr - 1j * dth) / (2.0 * z), (rdr + 1j * dth) / (2.0 * z.conjugate())
 
 
 def J2(a, F: BoundaryData, z: complex, q: QuadSpec) -> complex:
@@ -95,20 +106,14 @@ def J2(a, F: BoundaryData, z: complex, q: QuadSpec) -> complex:
     r = abs(z)
     if r > q.r_max:
         raise ValueError(f"evaluation point must satisfy |z| <= r_max = {q.r_max}")
-    if F.closed_form is not None and F.n_samples != q.angular_nodes:
-        F = F.resample(q.angular_nodes)
+    F = _on_quad_grid(F, q)
     theta = math.atan2(z.imag, z.real)
-    t = F.thetas
-    n = F.n_samples
-    dpow = np.abs(1.0 - r * np.exp(1j * t)) ** (a.alpha + 2.0)
-    k1 = r * np.sin(t) / dpow
-    k2 = (1.0 - r * np.cos(t)) / dpow
-    fdot = _shifted_samples(F, theta, deriv=True)
-    fval = _shifted_samples(F, theta, deriv=False)
-    w_a = (1.0 - r * r) ** a.alpha
-    dt = 2.0 * np.pi / n
-    term1 = -(a.c_alpha * w_a / np.pi) * np.sum(fdot * k1) * dt
-    term2 = -(a.alpha * a.c_alpha * w_a / (2.0 * np.pi)) * np.sum(fval * k2) * dt
+    c1, k1, c2, k2 = _j2_weights(a, r, F.thetas)
+    fdot = _shifted_samples(boundary_derivative(F), theta)
+    fval = _shifted_samples(F, theta)
+    dt = 2.0 * np.pi / F.n_samples
+    term1 = c1 * np.sum(fdot * k1) * dt
+    term2 = c2 * np.sum(fval * k2) * dt
     return complex(term1 + term2)
 
 
@@ -137,8 +142,7 @@ def dz_dzbar_f(a, F: BoundaryData, z: complex, q: QuadSpec) -> tuple[complex, co
         dy = (fyp - fym) / (2.0 * h)
         return (dx - 1j * dy) / 2.0, (dx + 1j * dy) / 2.0
     rdr = J1(a, F, z, q) + J2(a, F, z, q)
-    dth = dtheta_f(a, F, z, q)
-    return (rdr - 1j * dth) / (2.0 * z), (rdr + 1j * dth) / (2.0 * z.conjugate())
+    return _wirtinger_pair(rdr, dtheta_f(a, F, z, q), z)
 
 
 def fd_check(a, F: BoundaryData, z: complex, h: float, q: QuadSpec) -> float:
@@ -207,29 +211,24 @@ def circle_derivs(a, F: BoundaryData, r: float, q: QuadSpec):
     operators use, so a full circle costs a handful of FFTs.
     """
     a = as_alpha(a)
-    if F.closed_form is not None and F.n_samples != q.angular_nodes:
-        F = F.resample(q.angular_nodes)
+    F = _on_quad_grid(F, q)
     if not 0.0 <= r <= q.r_max:
         raise ValueError(f"radius must lie in [0, r_max = {q.r_max}]")
     t = F.thetas
     n = F.n_samples
-    fdot = _shifted_samples(F, 0.0, deriv=True)
     fhat = np.fft.fft(F.values)
-    fdot_hat = np.fft.fft(fdot)
+    fdot_hat = np.fft.fft(boundary_derivative(F).values)
 
     kern_hat = np.fft.fft(kernel_K(a, r * np.exp(1j * t)))
     dth = np.fft.ifft(kern_hat * fdot_hat) / n
     j1 = a.alpha * np.fft.ifft(kern_hat * fhat) / n
 
-    dpow = np.abs(1.0 - r * np.exp(1j * t)) ** (a.alpha + 2.0)
-    k1_hat = np.fft.fft(r * np.sin(t) / dpow)
-    k2_hat = np.fft.fft((1.0 - r * np.cos(t)) / dpow)
-    w_a = (1.0 - r * r) ** a.alpha
+    c1, k1, c2, k2 = _j2_weights(a, r, t)
     dt = 2.0 * np.pi / n
     # sum_j g(t_j + theta) k(t_j) over the grid is the cross-correlation of
     # g with the (real) kernel k, evaluated at theta.
-    term1 = -(a.c_alpha * w_a / np.pi) * dt * np.fft.ifft(fdot_hat * np.conj(k1_hat))
-    term2 = -(a.alpha * a.c_alpha * w_a / (2.0 * np.pi)) * dt * np.fft.ifft(fhat * np.conj(k2_hat))
+    term1 = c1 * dt * np.fft.ifft(fdot_hat * np.conj(np.fft.fft(k1)))
+    term2 = c2 * dt * np.fft.ifft(fhat * np.conj(np.fft.fft(k2)))
     return dth, j1 + term1 + term2
 
 
@@ -295,8 +294,7 @@ def deriv_field(a, F: BoundaryData, q: QuadSpec, n_thetas: int = 256) -> DerivFi
     under_resolved; the origin uses the finite-difference fallback.
     """
     a = as_alpha(a)
-    if F.closed_form is not None and F.n_samples != q.angular_nodes:
-        F = F.resample(q.angular_nodes)
+    F = _on_quad_grid(F, q)
     n = F.n_samples
     if n % n_thetas != 0:
         raise ValueError("n_thetas must divide the angular node count")
@@ -318,14 +316,13 @@ def deriv_field(a, F: BoundaryData, q: QuadSpec, n_thetas: int = 256) -> DerivFi
         dth, rdr = circle_derivs(a, F, r, q)
         dth, rdr = dth[sel], rdr[sel]
         zs = r * np.exp(1j * thetas_out)
-        dz = (rdr - 1j * dth) / (2.0 * zs)
-        dzbar = (rdr + 1j * dth) / (2.0 * np.conj(zs))
+        dz, dzbar = _wirtinger_pair(rdr, dth, zs)
         points.append(zs)
         dth_all.append(dth)
         dr_all.append(rdr / r)
         dz_all.append(dz)
         dzbar_all.append(dzbar)
-        point_flag = FLAG_UNDER_RESOLVED if n < 8.0 / (1.0 - r) else FLAG_NONE
+        point_flag = FLAG_UNDER_RESOLVED if _under_resolved(n, r) else FLAG_NONE
         flags.extend([point_flag] * len(zs))
     return DerivField(
         np.concatenate(points),

@@ -11,14 +11,18 @@ Quadrature is the composite trapezoid rule on the uniform periodic grid,
 which is spectrally accurate for smooth integrands. Circle sweeps reuse
 the same sums as a cyclic convolution (FFT), which is algebraically the
 same trapezoid sum evaluated at every grid angle at once.
+
+boundary_derivative is the only code that computes dF/dtheta, once per
+BoundaryData (memoized): every sweep, pointwise operator and certificate
+on that grid reads the same samples.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -72,8 +76,12 @@ _UNIFORM_TOL = 1e-12
 _NODE_AGREEMENT_TOL = 1e-12
 
 
+@lru_cache(maxsize=64)
 def _uniform_thetas(n: int) -> np.ndarray:
-    return 2.0 * np.pi * np.arange(n) / n
+    """The grid 2 pi j / n, one shared read-only array per node count."""
+    thetas = 2.0 * np.pi * np.arange(n) / n
+    thetas.flags.writeable = False
+    return thetas
 
 
 @dataclass(frozen=True)
@@ -113,6 +121,7 @@ class BoundaryData:
             if np.max(np.abs(exact - values)) > _NODE_AGREEMENT_TOL * scale:
                 raise ValueError("samples disagree with the closed form at the nodes")
         object.__setattr__(self, "_resample_cache", {})
+        object.__setattr__(self, "_derivative", None)
 
     @classmethod
     def from_function(
@@ -135,28 +144,19 @@ class BoundaryData:
     def n_samples(self) -> int:
         return len(self.thetas)
 
-    def _fourier_coeffs(self) -> tuple[np.ndarray, np.ndarray]:
-        # Coefficients c_k of the trigonometric interpolant, k in fft order.
-        n = self.n_samples
-        coeffs = np.fft.fft(self.values) / n
-        ks = np.fft.fftfreq(n, d=1.0 / n)
-        return coeffs, ks
-
     def eval(self, thetas: np.ndarray) -> np.ndarray:
         """Evaluate F at arbitrary angles: closed form, else trigonometric interpolant."""
         thetas = np.asarray(thetas, dtype=float)
         if self.closed_form is not None:
             return np.asarray(self.closed_form(thetas), dtype=complex)
-        coeffs, ks = self._fourier_coeffs()
+        n = self.n_samples
+        coeffs = np.fft.fft(self.values) / n
+        ks = np.fft.fftfreq(n, d=1.0 / n)
         return np.exp(1j * np.outer(thetas, ks)) @ coeffs
 
     def eval_deriv(self, thetas: np.ndarray) -> np.ndarray:
-        """Evaluate dF/dtheta at arbitrary angles."""
-        thetas = np.asarray(thetas, dtype=float)
-        if self.closed_form_deriv is not None:
-            return np.asarray(self.closed_form_deriv(thetas), dtype=complex)
-        coeffs, ks = self._fourier_coeffs()
-        return np.exp(1j * np.outer(thetas, ks)) @ (1j * ks * coeffs)
+        """Evaluate dF/dtheta at arbitrary angles: boundary_derivative(self).eval."""
+        return boundary_derivative(self).eval(thetas)
 
     def resample(self, n: int) -> "BoundaryData":
         """Return the same boundary function on an n-node grid (memoized)."""
@@ -225,18 +225,26 @@ def kernel_K(a, z) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def _check_resolution(n: int, radii: np.ndarray) -> bool:
+def _under_resolved(n: int, r: float) -> bool:
+    """True when n angular nodes are too few for the kernel peak, of width 1-r."""
+    return r < 1.0 and n < 8.0 / (1.0 - r)
+
+
+def _check_resolution(n: int, radii: np.ndarray) -> None:
     """Warn when the kernel peak width 1-r is under-resolved by n nodes."""
     rmax = float(np.max(radii)) if radii.size else 0.0
-    if rmax < 1.0 and n < 8.0 / (1.0 - rmax):
+    if _under_resolved(n, rmax):
         warnings.warn(
             f"angular grid of {n} nodes under-resolves the kernel at r={rmax:.6g} "
             f"(want N >= {8.0 / (1.0 - rmax):.0f})",
             ResolutionWarning,
             stacklevel=3,
         )
-        return True
-    return False
+
+
+def _on_quad_grid(F: BoundaryData, q: QuadSpec) -> BoundaryData:
+    """F at q.angular_nodes when it has a closed form; sampled data stays native."""
+    return F if F.closed_form is None else F.resample(q.angular_nodes)
 
 
 def poisson_integral(a, F: BoundaryData, z, q: QuadSpec) -> complex:
@@ -248,16 +256,13 @@ def poisson_integral(a, F: BoundaryData, z, q: QuadSpec) -> complex:
     N < 8/(1-|z|).
     """
     a = as_alpha(a)
-    if F.closed_form is not None and F.n_samples != q.angular_nodes:
-        F = F.resample(q.angular_nodes)
+    F = _on_quad_grid(F, q)
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
     radii = np.abs(z_arr)
     if np.any(radii > q.r_max):
         raise ValueError(f"evaluation points must satisfy |z| <= r_max = {q.r_max}")
     _check_resolution(F.n_samples, radii)
-    w = z_arr[:, None] * np.exp(-1j * F.thetas[None, :])
-    r2 = (w.real**2 + w.imag**2)
-    weights = a.c_alpha * (1.0 - r2) ** (a.alpha + 1.0) / np.abs(1.0 - w) ** (a.alpha + 2.0)
+    weights = kernel_K(a, z_arr[:, None] * np.exp(-1j * F.thetas[None, :]))
     out = weights @ F.values / F.n_samples
     return complex(out[0]) if np.isscalar(z) or np.asarray(z).ndim == 0 else out
 
@@ -270,8 +275,7 @@ def circle_poisson_values(a, F: BoundaryData, r: float, q: QuadSpec) -> np.ndarr
     aligned with the boundary grid angles.
     """
     a = as_alpha(a)
-    if F.closed_form is not None and F.n_samples != q.angular_nodes:
-        F = F.resample(q.angular_nodes)
+    F = _on_quad_grid(F, q)
     if not 0.0 <= r <= q.r_max:
         raise ValueError(f"radius must lie in [0, r_max = {q.r_max}]")
     _check_resolution(F.n_samples, np.asarray([r]))
@@ -284,32 +288,39 @@ _ALIAS_ENERGY_TOL = 1e-8
 
 
 def boundary_derivative(F: BoundaryData) -> BoundaryData:
-    """Angular derivative of boundary data.
+    """Angular derivative of boundary data, computed once per BoundaryData.
 
     Samples the closed-form derivative when available; otherwise
     differentiates the trigonometric interpolant (exact for band-limited
     data, Nyquist bin dropped). Warns when the top-frequency band holds
-    more than 1e-8 of the total energy, the aliasing-risk regime.
+    more than 1e-8 of the total energy, the aliasing-risk regime. The
+    result is memoized on F; threads racing on a fresh F only compute the
+    same samples twice.
     """
+    if F._derivative is None:
+        object.__setattr__(F, "_derivative", _derivative(F))
+    return F._derivative
+
+
+def _derivative(F: BoundaryData) -> BoundaryData:
     n = F.n_samples
     if F.closed_form_deriv is not None:
         return BoundaryData.from_function(F.closed_form_deriv, n,
                                           flagged_nodes=F.flagged_nodes)
-    coeffs = np.fft.fft(F.values) / n
-    total = float(np.sum(np.abs(coeffs) ** 2))
-    top = float(np.abs(coeffs[n // 2]) ** 2 + np.abs(coeffs[n // 2 - 1]) ** 2
-                + np.abs(coeffs[n // 2 + 1]) ** 2)
+    fhat = np.fft.fft(F.values)
+    energy = np.abs(fhat) ** 2
+    total = float(np.sum(energy))
+    top = float(energy[n // 2] + energy[n // 2 - 1] + energy[n // 2 + 1])
     if total > 0.0 and top > _ALIAS_ENERGY_TOL * total:
         warnings.warn(
             "top-frequency energy suggests under-sampled boundary data; "
             "spectral derivative may alias",
             UserWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     ks = np.fft.fftfreq(n, d=1.0 / n)
     ks[n // 2] = 0.0  # no defensible one-sided derivative at the Nyquist bin
-    dvalues = np.fft.ifft(1j * ks * coeffs * n)
-    return BoundaryData(F.thetas, dvalues)
+    return BoundaryData(F.thetas, np.fft.ifft(1j * ks * fhat))
 
 
 def write_boundary_csv(path: str, F: BoundaryData) -> None:

@@ -23,8 +23,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .kernel import BoundaryData, QuadSpec, as_alpha, circle_poisson_values
-from .derivs import circle_derivs, dz_dzbar_f
+from .kernel import BoundaryData, QuadSpec, _uniform_thetas, as_alpha, circle_poisson_values
+from .derivs import _wirtinger_pair, circle_derivs, dz_dzbar_f
 
 __all__ = [
     "NormEstimate",
@@ -114,7 +114,7 @@ class KernelQuantity:
             return circle_poisson_values(self.a, self.F, r, q)
         if r == 0.0:
             dz0, dzbar0 = dz_dzbar_f(self.a, self.F, 0.0, q)
-            thetas = 2.0 * np.pi * np.arange(q.angular_nodes) / q.angular_nodes
+            thetas = _uniform_thetas(q.angular_nodes)
             if self.quantity == "dz":
                 return np.full(q.angular_nodes, dz0)
             if self.quantity == "dzbar":
@@ -127,18 +127,14 @@ class KernelQuantity:
             return dth
         if self.quantity == "dr":
             return rdr / r
-        n = len(dth)
-        zs = r * np.exp(2j * np.pi * np.arange(n) / n)
-        if self.quantity == "dz":
-            return (rdr - 1j * dth) / (2.0 * zs)
-        return (rdr + 1j * dth) / (2.0 * np.conj(zs))
+        dz, dzbar = _wirtinger_pair(rdr, dth, r * np.exp(1j * _uniform_thetas(len(dth))))
+        return dz if self.quantity == "dz" else dzbar
 
 
 def _circle_samples(f, r: float, q: QuadSpec) -> np.ndarray:
     if hasattr(f, "circle_values"):
         return f.circle_values(r, q)
-    thetas = 2.0 * np.pi * np.arange(q.angular_nodes) / q.angular_nodes
-    return np.asarray(f(r * np.exp(1j * thetas)))
+    return np.asarray(f(r * np.exp(1j * _uniform_thetas(q.angular_nodes))))
 
 
 def _circle_means(f, radii, p: float, q: QuadSpec):

@@ -23,6 +23,7 @@ exercised qualitatively by the divergence probes instead.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, asdict
 from typing import Optional
@@ -30,9 +31,9 @@ from typing import Optional
 import numpy as np
 
 from .specfun import gamma
-from .kernel import BoundaryData, QuadSpec, as_alpha, boundary_derivative
+from .kernel import (BoundaryData, QuadSpec, _uniform_thetas, as_alpha,
+                     boundary_derivative, circle_poisson_values)
 from .derivs import circle_derivs
-from .kernel import circle_poisson_values
 from .norms import lp_norm_circle, integral_mean
 
 __all__ = [
@@ -129,7 +130,7 @@ def check_kernel_mean_bound(alpha: float, r: float, q: QuadSpec,
         raise ValueError(f"kernel mean bound needs alpha > 0, got {alpha!r}")
     if not 0.0 <= r < 1.0:
         raise ValueError(f"radius must lie in [0, 1), got {r!r}")
-    t = 2.0 * np.pi * np.arange(q.angular_nodes) / q.angular_nodes
+    t = _uniform_thetas(q.angular_nodes)
     lhs = float(np.mean((1.0 - r * r) ** alpha / np.abs(1.0 - r * np.exp(1j * t)) ** (alpha + 1.0)))
     rhs = gamma(alpha) / gamma((alpha + 1.0) / 2.0) ** 2
     return CertificationRecord(
@@ -153,7 +154,7 @@ def check_distance_integral_bound(alpha: float, r: float, q: QuadSpec,
         raise ValueError(f"distance integral bound needs alpha in (-1, 0), got {alpha!r}")
     if not 0.5 <= r < 1.0:
         raise ValueError(f"radius must lie in [1/2, 1), got {r!r}")
-    t = 2.0 * np.pi * np.arange(q.angular_nodes) / q.angular_nodes
+    t = _uniform_thetas(q.angular_nodes)
     lhs = float(np.mean(np.abs(1.0 - r * np.exp(1j * t)) ** (-(alpha + 1.0))) * 2.0 * np.pi)
     rhs = (3.0 ** ((alpha + 1.0) / 2.0) / 2.0 ** (alpha - 1.0)
            * gamma(-alpha) * gamma(0.5) / gamma(0.5 - alpha))
@@ -178,6 +179,18 @@ def _resolved_nodes(base: int, r: float) -> int:
     return n
 
 
+def _resolved_sweeps(F: BoundaryData, q: QuadSpec):
+    """Yield (F_n, q_n, radii): the radial grid split by the node count n that sweeps it.
+
+    Closed-form data gets _resolved_nodes per radius; sampled data stays native.
+    """
+    def nodes(r):
+        return _resolved_nodes(q.angular_nodes, r) if F.closed_form is not None else F.n_samples
+    for n, radii in itertools.groupby(q.radial_grid, key=nodes):
+        q_n = QuadSpec(angular_nodes=n, r_max=q.r_max, radial_grid=q.radial_grid, tol=q.tol)
+        yield F.resample(n), q_n, [float(r) for r in radii]
+
+
 def check_angular_derivative_bound(a, F: BoundaryData, p: float, q: QuadSpec,
                                    slack: float = 1e-6,
                                    label: Optional[str] = None) -> CertificationRecord:
@@ -192,21 +205,14 @@ def check_angular_derivative_bound(a, F: BoundaryData, p: float, q: QuadSpec,
     p = float(p)
     if not (1.0 <= p < math.inf):
         raise ValueError(f"p must be finite and >= 1, got {p!r}")
-    can_resample = F.closed_form is not None
     max_ratio = 0.0
-    cache: dict = {}
-    for r in q.radial_grid:
-        n_eff = _resolved_nodes(q.angular_nodes, r) if can_resample else F.n_samples
-        if n_eff not in cache:
-            F_eff = F.resample(n_eff) if can_resample else F
-            q_eff = QuadSpec(angular_nodes=n_eff, r_max=q.r_max,
-                             radial_grid=q.radial_grid, tol=q.tol)
-            cache[n_eff] = (F_eff, q_eff, lp_norm_circle(boundary_derivative(F_eff), p))
-        F_eff, q_eff, rhs_eff = cache[n_eff]
-        dth, _ = circle_derivs(a, F_eff, float(r), q_eff)
-        mean = integral_mean(dth, float(r), p)
-        if rhs_eff > 0.0:
-            max_ratio = max(max_ratio, mean / rhs_eff)
+    for F_n, q_n, radii in _resolved_sweeps(F, q):
+        rhs_n = lp_norm_circle(boundary_derivative(F_n), p)
+        for r in radii:
+            dth, _ = circle_derivs(a, F_n, r, q_n)
+            mean = integral_mean(dth, r, p)
+            if rhs_n > 0.0:
+                max_ratio = max(max_ratio, mean / rhs_n)
     return CertificationRecord(
         check="angular_derivative_bound",
         params={"alpha": a.alpha, "p": p, "boundary": label or "unnamed",
@@ -226,19 +232,11 @@ def check_scaled_kernel_bound(a, F: BoundaryData, q: QuadSpec,
     positive kernel, so the bound is the maximum principle scaled by alpha.
     """
     a = as_alpha(a)
-    can_resample = F.closed_form is not None
     sup_j1 = 0.0
-    cache: dict = {}
-    for r in q.radial_grid:
-        n_eff = _resolved_nodes(q.angular_nodes, r) if can_resample else F.n_samples
-        if n_eff not in cache:
-            F_eff = F.resample(n_eff) if can_resample else F
-            q_eff = QuadSpec(angular_nodes=n_eff, r_max=q.r_max,
-                             radial_grid=q.radial_grid, tol=q.tol)
-            cache[n_eff] = (F_eff, q_eff)
-        F_eff, q_eff = cache[n_eff]
-        vals = circle_poisson_values(a, F_eff, float(r), q_eff)
-        sup_j1 = max(sup_j1, float(np.max(np.abs(a.alpha * vals))))
+    for F_n, q_n, radii in _resolved_sweeps(F, q):
+        for r in radii:
+            vals = circle_poisson_values(a, F_n, r, q_n)
+            sup_j1 = max(sup_j1, float(np.max(np.abs(a.alpha * vals))))
     rhs = abs(a.alpha) * float(np.max(np.abs(F.values)))
     return CertificationRecord(
         check="scaled_kernel_bound",

@@ -8,7 +8,7 @@ import pytest
 
 from diskpoisson.cli import THREADS_ENV, main
 from diskpoisson.derivs import read_deriv_csv
-from diskpoisson.kernel import read_boundary_csv
+from diskpoisson.kernel import QuadSpec, circle_poisson_values, read_boundary_csv
 from diskpoisson.mappings import HypMonomial
 
 
@@ -190,6 +190,39 @@ class TestEval:
         )
         assert code == 2
         assert "CSV only" in err
+
+    def test_grid_strides_by_the_csv_sample_count(self, capsys, tmp_path):
+        # No --nodes: the 8192-sample CSV is swept at 8192 nodes, and each row
+        # must hold the value at the angle it is labelled with.
+        path = tmp_path / "phase8192.csv"
+        assert main(["example", "--id", "4.2", "--samples", "8192", "--export", str(path),
+                     "--output", str(tmp_path / "ignore.json")]) == 0
+        code, out, _ = run_cli(
+            capsys,
+            ["eval", "--alpha", "-0.5", "--boundary", str(path), "--grid",
+             "--grid-thetas", "16", "--r-max", "0.9"],
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["nodes"] == 8192
+        F = read_boundary_csv(str(path))
+        q = QuadSpec(r_max=0.9)
+        sweeps = {float(r): circle_poisson_values(-0.5, F, float(r), q) for r in q.radial_grid}
+        assert len(data["values"]) == 16 * len(sweeps)
+        for row in data["values"]:
+            j = round(row["theta"] * 8192 / (2.0 * math.pi))
+            assert F.thetas[j] == pytest.approx(row["theta"], abs=1e-12)
+            want = sweeps[row["r"]][j]
+            assert abs(complex(row["re"], row["im"]) - want) < 1e-12
+
+    def test_grid_thetas_checked_against_csv_not_nodes(self, capsys, monomial_csv):
+        code, _, err = run_cli(
+            capsys,
+            ["eval", "--alpha", "-0.5", "--boundary", monomial_csv,
+             "--grid", "--grid-thetas", "4096", "--nodes", "4096"],
+        )
+        assert code == 2
+        assert "divide" in err
 
     def test_grid_thetas_must_divide(self, capsys, monomial_csv):
         code, _, err = run_cli(

@@ -323,6 +323,24 @@ class TestBoundaryDerivative:
         with pytest.warns(UserWarning, match="alias"):
             boundary_derivative(F)
 
+    def test_computed_once_per_boundary(self):
+        F = BoundaryData.from_function(harmonic_mix, 64, deriv=harmonic_mix_deriv)
+        assert boundary_derivative(F) is boundary_derivative(F)
+        G = BoundaryData.from_samples(F.thetas, F.values)
+        assert boundary_derivative(G) is boundary_derivative(G)
+
+    def test_eval_deriv_reads_the_same_derivative(self):
+        # Energy in the Nyquist bin: the one derivative path drops it, and
+        # eval_deriv must agree with it at the nodes.
+        n = 32
+        thetas = 2.0 * np.pi * np.arange(n) / n
+        F = BoundaryData.from_samples(thetas, np.exp(3j * thetas) + np.cos(16.0 * thetas))
+        with pytest.warns(UserWarning, match="alias"):
+            got = F.eval_deriv(F.thetas)
+        want = boundary_derivative(F).values
+        assert np.max(np.abs(want - 3j * np.exp(3j * thetas))) < 1e-12
+        assert np.max(np.abs(got - want)) < 1e-12
+
 
 class TestCsvRoundTrip:
     def test_bit_exact(self, tmp_path):

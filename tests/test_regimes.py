@@ -1,11 +1,14 @@
 """Regime classification and explicit-constant inequality certification."""
 
 import math
+import sys
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from diskpoisson.kernel import BoundaryData, QuadSpec
+from diskpoisson.kernel import BoundaryData, QuadSpec, radial_grid
 from diskpoisson.regimes import (
     DISTANCE_INTEGRAL_GRID,
     KERNEL_MEAN_GRID,
@@ -158,6 +161,48 @@ class TestAngularDerivativeBound:
         rec = check_angular_derivative_bound(-0.5, F, 1.0, q_small)
         assert rec.holds
         assert rec.params["nodes"] == n
+
+    def test_closed_form_derivative_sampled_per_node_count_not_per_circle(self):
+        def evaluations(n_radii):
+            seen = []
+
+            def dfn(th):
+                seen.append(len(th))
+                return 1j * np.exp(1j * np.asarray(th))
+
+            F = BoundaryData.from_function(lambda th: np.exp(1j * np.asarray(th)), 64,
+                                           deriv=dfn)
+            q_small = QuadSpec(angular_nodes=64, r_max=0.99,
+                               radial_grid=radial_grid(0.99, n_radii))
+            assert check_angular_derivative_bound(0.0, F, 2.0, q_small).holds
+            return Counter(seen)
+
+        few, many = evaluations(8), evaluations(32)
+        # Both grids are swept at 64 ... 4096 nodes; four times the circles
+        # must not cost one more evaluation at any node count.
+        assert sorted(few) == [64, 128, 256, 512, 1024, 2048, 4096]
+        assert few == many
+
+    def test_threads_sharing_one_boundary_agree(self):
+        # As in `verify --threads`, jobs share one F with its resample cache
+        # and memoized derivatives; racing fills must not change a record.
+        def make():
+            return BoundaryData.from_function(lambda th: np.exp(2j * np.asarray(th)), 64,
+                                              deriv=lambda th: 2j * np.exp(2j * np.asarray(th)))
+
+        q_small = QuadSpec(angular_nodes=64, r_max=0.99, radial_grid=radial_grid(0.99, 8))
+        want = check_angular_derivative_bound(-0.5, make(), 2.0, q_small).lhs
+        F = make()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(check_angular_derivative_bound, -0.5, F, 2.0, q_small)
+                           for _ in range(12)]
+                got = [f.result(timeout=60).lhs for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want] * 12
 
     def test_p_must_be_finite(self, q):
         F = BoundaryData.from_function(lambda th: np.exp(1j * np.asarray(th)), 2048)
