@@ -722,10 +722,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ns = ap.parse_args(argv)
         cfg = _config_from_args(ns)
         return run(cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, FileNotFoundError) as exc:
+    except (UsageError, ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

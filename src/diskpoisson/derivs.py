@@ -9,11 +9,12 @@ finite as r -> 1. The Wirtinger derivatives follow from the polar frame:
     df/dz    = (r df/dr - i df/dtheta) / (2 z)
     df/dzbar = (r df/dr + i df/dtheta) / (2 conj(z))
 
-Every dF/dt here is kernel.boundary_derivative(F), computed once per
-boundary: circle_derivs sweeps its samples, and the pointwise J2 rotates
-them with the same code that rotates F. At the origin the polar frame
-degenerates; df/dz and df/dzbar fall back to central finite differences
-there and the point is flagged.
+Every dF/dt here is kernel.boundary_derivative(F), and every spectrum of
+F or dF/dt is the one memoized on it. A circle of df/dtheta is one kernel
+sweep of dF/dt; circle_derivs takes J1 from the same kernel spectrum and
+J2 by correlating both spectra, and the pointwise J2 rotates dF/dt with
+the code that rotates F. At the origin the polar frame degenerates; df/dz
+and df/dzbar fall back to central finite differences, flagging the point.
 """
 
 from __future__ import annotations
@@ -29,11 +30,12 @@ from .kernel import (
     AlphaParam,
     BoundaryData,
     QuadSpec,
+    _circle_kernel,
     _on_quad_grid,
+    _sweep,
     _under_resolved,
     as_alpha,
     boundary_derivative,
-    kernel_K,
     poisson_integral,
 )
 
@@ -77,7 +79,7 @@ def _shifted_samples(F: BoundaryData, theta: float) -> np.ndarray:
     if F.closed_form is not None:
         return np.asarray(F.closed_form(F.thetas + theta), dtype=complex)
     ks = np.fft.fftfreq(F.n_samples, d=1.0 / F.n_samples)
-    return np.fft.ifft(np.fft.fft(F.values) * np.exp(1j * ks * theta))
+    return np.fft.ifft(F._spectrum() * np.exp(1j * ks * theta))
 
 
 def _j2_weights(a: AlphaParam, r: float, t: np.ndarray):
@@ -204,32 +206,29 @@ def sine_moment_exact(alpha: float, r: float) -> float:
     return (2.0 / alpha) * ((1.0 + r) ** alpha - (1.0 - r) ** alpha)
 
 
+def _circle_dtheta(a, F: BoundaryData, r: float, q: QuadSpec) -> np.ndarray:
+    """df/dtheta at every grid angle of |z| = r: one sweep of dF/dt, no warning."""
+    _, F, kern_hat = _circle_kernel(a, F, r, q)
+    return _sweep(kern_hat, boundary_derivative(F))
+
+
 def circle_derivs(a, F: BoundaryData, r: float, q: QuadSpec):
     """(df/dtheta, r df/dr) at every grid angle of the circle |z| = r.
 
     Cyclic-convolution evaluation of the same trapezoid sums the pointwise
-    operators use, so a full circle costs a handful of FFTs.
+    operators use: one kernel spectrum serves df/dtheta and J1, and J2
+    correlates the memoized spectra of F and dF/dt with its two kernels.
     """
-    a = as_alpha(a)
-    F = _on_quad_grid(F, q)
-    if not 0.0 <= r <= q.r_max:
-        raise ValueError(f"radius must lie in [0, r_max = {q.r_max}]")
-    t = F.thetas
-    n = F.n_samples
-    fhat = np.fft.fft(F.values)
-    fdot_hat = np.fft.fft(boundary_derivative(F).values)
-
-    kern_hat = np.fft.fft(kernel_K(a, r * np.exp(1j * t)))
-    dth = np.fft.ifft(kern_hat * fdot_hat) / n
-    j1 = a.alpha * np.fft.ifft(kern_hat * fhat) / n
-
-    c1, k1, c2, k2 = _j2_weights(a, r, t)
-    dt = 2.0 * np.pi / n
+    a, F, kern_hat = _circle_kernel(a, F, r, q)
+    dF = boundary_derivative(F)
+    j1 = _sweep(kern_hat, F, a.alpha)
+    c1, k1, c2, k2 = _j2_weights(a, r, F.thetas)
+    dt = 2.0 * np.pi / F.n_samples
     # sum_j g(t_j + theta) k(t_j) over the grid is the cross-correlation of
     # g with the (real) kernel k, evaluated at theta.
-    term1 = c1 * dt * np.fft.ifft(fdot_hat * np.conj(np.fft.fft(k1)))
-    term2 = c2 * dt * np.fft.ifft(fhat * np.conj(np.fft.fft(k2)))
-    return dth, j1 + term1 + term2
+    term1 = c1 * dt * np.fft.ifft(dF._spectrum() * np.conj(np.fft.fft(k1)))
+    term2 = c2 * dt * np.fft.ifft(F._spectrum() * np.conj(np.fft.fft(k2)))
+    return _sweep(kern_hat, dF), j1 + term1 + term2
 
 
 @dataclass
@@ -302,36 +301,20 @@ def deriv_field(a, F: BoundaryData, q: QuadSpec, n_thetas: int = 256) -> DerivFi
     sel = np.arange(0, n, stride)
     thetas_out = F.thetas[sel]
 
-    points, dth_all, dr_all, dz_all, dzbar_all, flags = [], [], [], [], [], []
+    columns, flags = [], []  # one (points, dtheta, dr, dz, dzbar) per circle
     for r in q.radial_grid:
         if r == 0.0:
             dz0, dzbar0 = dz_dzbar_f(a, F, 0.0, q)
-            points.append(np.array([0.0 + 0.0j]))
-            dth_all.append(np.array([0.0 + 0.0j]))
-            dr_all.append(np.array([complex(math.nan, math.nan)]))
-            dz_all.append(np.array([dz0]))
-            dzbar_all.append(np.array([dzbar0]))
+            columns.append(([0j], [0j], [complex(math.nan, math.nan)], [dz0], [dzbar0]))
             flags.append(FLAG_ORIGIN)
             continue
         dth, rdr = circle_derivs(a, F, r, q)
         dth, rdr = dth[sel], rdr[sel]
         zs = r * np.exp(1j * thetas_out)
-        dz, dzbar = _wirtinger_pair(rdr, dth, zs)
-        points.append(zs)
-        dth_all.append(dth)
-        dr_all.append(rdr / r)
-        dz_all.append(dz)
-        dzbar_all.append(dzbar)
+        columns.append((zs, dth, rdr / r, *_wirtinger_pair(rdr, dth, zs)))
         point_flag = FLAG_UNDER_RESOLVED if _under_resolved(n, r) else FLAG_NONE
         flags.extend([point_flag] * len(zs))
-    return DerivField(
-        np.concatenate(points),
-        np.concatenate(dth_all),
-        np.concatenate(dr_all),
-        np.concatenate(dz_all),
-        np.concatenate(dzbar_all),
-        flags,
-    )
+    return DerivField(*(np.concatenate(col) for col in zip(*columns)), flags)
 
 
 _DERIV_CSV_HEADER = [

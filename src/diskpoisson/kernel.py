@@ -8,18 +8,19 @@ plus optional closed-form evaluators), quadrature configuration, the
 integral operator itself, and boundary differentiation.
 
 Quadrature is the composite trapezoid rule on the uniform periodic grid,
-which is spectrally accurate for smooth integrands. Circle sweeps reuse
-the same sums as a cyclic convolution (FFT), which is algebraically the
-same trapezoid sum evaluated at every grid angle at once.
-
-boundary_derivative is the only code that computes dF/dtheta, once per
-BoundaryData (memoized): every sweep, pointwise operator and certificate
-on that grid reads the same samples.
+which is spectrally accurate for smooth integrands. A circle sweep is the
+same trapezoid sums at every grid angle at once: one cyclic convolution,
+the kernel's spectrum times the boundary's. Everything derived from a
+BoundaryData's samples (its resamples; boundary_derivative, the only code
+computing dF/dtheta; the spectrum fft(values), the only FFT of boundary
+samples) is computed once and memoized on it.
 """
 
 from __future__ import annotations
 
 import csv
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -76,12 +77,26 @@ _UNIFORM_TOL = 1e-12
 _NODE_AGREEMENT_TOL = 1e-12
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @lru_cache(maxsize=64)
 def _uniform_thetas(n: int) -> np.ndarray:
     """The grid 2 pi j / n, one shared read-only array per node count."""
-    thetas = 2.0 * np.pi * np.arange(n) / n
-    thetas.flags.writeable = False
-    return thetas
+    return _read_only(2.0 * np.pi * np.arange(n) / n)
+
+
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def _warn(message: str, category=UserWarning) -> None:
+    """warnings.warn attributed to the first caller outside this package."""
+    frame, level = sys._getframe(), 1
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
 
 
 @dataclass(frozen=True)
@@ -109,6 +124,8 @@ class BoundaryData:
             raise ValueError(f"boundary data needs an even node count >= 16, got {n}")
         if len(values) != n:
             raise ValueError("thetas and values length mismatch")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("boundary samples must be finite")
         expected = _uniform_thetas(n)
         if np.max(np.abs(thetas - expected)) > _UNIFORM_TOL:
             raise ValueError(
@@ -120,8 +137,7 @@ class BoundaryData:
             scale = max(1.0, float(np.max(np.abs(exact))))
             if np.max(np.abs(exact - values)) > _NODE_AGREEMENT_TOL * scale:
                 raise ValueError("samples disagree with the closed form at the nodes")
-        object.__setattr__(self, "_resample_cache", {})
-        object.__setattr__(self, "_derivative", None)
+        object.__setattr__(self, "_derived", {})
 
     @classmethod
     def from_function(
@@ -150,9 +166,8 @@ class BoundaryData:
         if self.closed_form is not None:
             return np.asarray(self.closed_form(thetas), dtype=complex)
         n = self.n_samples
-        coeffs = np.fft.fft(self.values) / n
         ks = np.fft.fftfreq(n, d=1.0 / n)
-        return np.exp(1j * np.outer(thetas, ks)) @ coeffs
+        return np.exp(1j * np.outer(thetas, ks)) @ (self._spectrum() / n)
 
     def eval_deriv(self, thetas: np.ndarray) -> np.ndarray:
         """Evaluate dF/dtheta at arbitrary angles: boundary_derivative(self).eval."""
@@ -164,13 +179,19 @@ class BoundaryData:
             return self
         if self.closed_form is None:
             raise ValueError("cannot resample sampled-only boundary data")
-        cached = self._resample_cache.get(n)
-        if cached is None:
-            cached = BoundaryData.from_function(
-                self.closed_form, n, deriv=self.closed_form_deriv
-            )
-            self._resample_cache[n] = cached
-        return cached
+        return self._memo(n, lambda: BoundaryData.from_function(
+            self.closed_form, n, deriv=self.closed_form_deriv))
+
+    def _memo(self, key, make):
+        """make() for key (node count of a resample, "derivative" or "spectrum"), kept
+        on this BoundaryData. Threads racing on a fresh key may each compute it, but
+        setdefault hands all of them the one value stored first."""
+        value = self._derived.get(key)
+        return value if value is not None else self._derived.setdefault(key, make())
+
+    def _spectrum(self) -> np.ndarray:
+        """fft(values), read-only: the one FFT of these samples."""
+        return self._memo("spectrum", lambda: _read_only(np.fft.fft(self.values)))
 
 
 def radial_grid(r_max: float = 0.999, n: int = 64) -> np.ndarray:
@@ -230,16 +251,11 @@ def _under_resolved(n: int, r: float) -> bool:
     return r < 1.0 and n < 8.0 / (1.0 - r)
 
 
-def _check_resolution(n: int, radii: np.ndarray) -> None:
+def _check_resolution(n: int, r: float) -> None:
     """Warn when the kernel peak width 1-r is under-resolved by n nodes."""
-    rmax = float(np.max(radii)) if radii.size else 0.0
-    if _under_resolved(n, rmax):
-        warnings.warn(
-            f"angular grid of {n} nodes under-resolves the kernel at r={rmax:.6g} "
-            f"(want N >= {8.0 / (1.0 - rmax):.0f})",
-            ResolutionWarning,
-            stacklevel=3,
-        )
+    if _under_resolved(n, r):
+        _warn(f"angular grid of {n} nodes under-resolves the kernel at r={r:.6g} "
+              f"(want N >= {8.0 / (1.0 - r):.0f})", ResolutionWarning)
 
 
 def _on_quad_grid(F: BoundaryData, q: QuadSpec) -> BoundaryData:
@@ -261,10 +277,26 @@ def poisson_integral(a, F: BoundaryData, z, q: QuadSpec) -> complex:
     radii = np.abs(z_arr)
     if np.any(radii > q.r_max):
         raise ValueError(f"evaluation points must satisfy |z| <= r_max = {q.r_max}")
-    _check_resolution(F.n_samples, radii)
+    _check_resolution(F.n_samples, float(np.max(radii, initial=0.0)))
     weights = kernel_K(a, z_arr[:, None] * np.exp(-1j * F.thetas[None, :]))
     out = weights @ F.values / F.n_samples
     return complex(out[0]) if np.isscalar(z) or np.asarray(z).ndim == 0 else out
+
+
+def _circle_kernel(a, F: BoundaryData, r: float, q: QuadSpec):
+    """(a, F on the quadrature grid, kernel spectrum at radius r): the silent sweep preamble."""
+    a = as_alpha(a)
+    F = _on_quad_grid(F, q)
+    if not 0.0 <= r <= q.r_max:
+        raise ValueError(f"radius must lie in [0, r_max = {q.r_max}]")
+    return a, F, np.fft.fft(kernel_K(a, r * np.exp(1j * F.thetas)))
+
+
+def _sweep(kern_hat: np.ndarray, G: BoundaryData, scale: float = 1.0) -> np.ndarray:
+    """scale (1/N) sum_j kern(theta - t_j) G(t_j) at every grid angle theta: the trapezoid
+    sums as one cyclic convolution of the two spectra. scale multiplies before the 1/N,
+    so scaled sweeps (J1 = alpha K_a[F]) round as they did when written out inline."""
+    return scale * np.fft.ifft(kern_hat * G._spectrum()) / G.n_samples
 
 
 def circle_poisson_values(a, F: BoundaryData, r: float, q: QuadSpec) -> np.ndarray:
@@ -274,14 +306,9 @@ def circle_poisson_values(a, F: BoundaryData, r: float, q: QuadSpec) -> np.ndarr
     poisson_integral would compute at z = r e^{i theta_j}; returns an array
     aligned with the boundary grid angles.
     """
-    a = as_alpha(a)
-    F = _on_quad_grid(F, q)
-    if not 0.0 <= r <= q.r_max:
-        raise ValueError(f"radius must lie in [0, r_max = {q.r_max}]")
-    _check_resolution(F.n_samples, np.asarray([r]))
-    kern = kernel_K(a, r * np.exp(1j * F.thetas))
-    # (1/N) sum_j kern(theta - t_j) F(t_j): cyclic convolution.
-    return np.fft.ifft(np.fft.fft(kern) * np.fft.fft(F.values)) / F.n_samples
+    _, F, kern_hat = _circle_kernel(a, F, r, q)
+    _check_resolution(F.n_samples, r)
+    return _sweep(kern_hat, F)
 
 
 _ALIAS_ENERGY_TOL = 1e-8
@@ -294,12 +321,9 @@ def boundary_derivative(F: BoundaryData) -> BoundaryData:
     differentiates the trigonometric interpolant (exact for band-limited
     data, Nyquist bin dropped). Warns when the top-frequency band holds
     more than 1e-8 of the total energy, the aliasing-risk regime. The
-    result is memoized on F; threads racing on a fresh F only compute the
-    same samples twice.
+    result is memoized on F.
     """
-    if F._derivative is None:
-        object.__setattr__(F, "_derivative", _derivative(F))
-    return F._derivative
+    return F._memo("derivative", lambda: _derivative(F))
 
 
 def _derivative(F: BoundaryData) -> BoundaryData:
@@ -307,17 +331,13 @@ def _derivative(F: BoundaryData) -> BoundaryData:
     if F.closed_form_deriv is not None:
         return BoundaryData.from_function(F.closed_form_deriv, n,
                                           flagged_nodes=F.flagged_nodes)
-    fhat = np.fft.fft(F.values)
+    fhat = F._spectrum()
     energy = np.abs(fhat) ** 2
     total = float(np.sum(energy))
     top = float(energy[n // 2] + energy[n // 2 - 1] + energy[n // 2 + 1])
     if total > 0.0 and top > _ALIAS_ENERGY_TOL * total:
-        warnings.warn(
-            "top-frequency energy suggests under-sampled boundary data; "
-            "spectral derivative may alias",
-            UserWarning,
-            stacklevel=3,
-        )
+        _warn("top-frequency energy suggests under-sampled boundary data; "
+              "spectral derivative may alias")
     ks = np.fft.fftfreq(n, d=1.0 / n)
     ks[n // 2] = 0.0  # no defensible one-sided derivative at the Nyquist bin
     return BoundaryData(F.thetas, np.fft.ifft(1j * ks * fhat))
@@ -342,6 +362,9 @@ def read_boundary_csv(path: str) -> BoundaryData:
         if [h.strip() for h in header] != ["theta", "re", "im"]:
             raise ValueError(f"expected header theta,re,im, got {header!r}")
         for row in reader:
+            if len(row) != 3:
+                raise ValueError(f"{path}, line {reader.line_num}: expected 3 fields "
+                                 f"theta,re,im, got {len(row)}")
             thetas.append(float(row[0]))
             values.append(complex(float(row[1]), float(row[2])))
     return BoundaryData.from_samples(thetas, values)

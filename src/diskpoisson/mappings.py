@@ -24,7 +24,6 @@ Three families:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -32,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .specfun import gauss_value, hyp2f1, pochhammer
-from .kernel import BoundaryData
+from .kernel import BoundaryData, _warn
 from .derivs import DerivField
 
 __all__ = [
@@ -270,12 +269,8 @@ def _log_series_tail(r: float, n_trunc: int) -> float:
 def _warn_tail(r: float, n_trunc: int) -> None:
     bound = _log_series_tail(r, n_trunc)
     if bound > _LOG_TAIL_TOL:
-        warnings.warn(
-            f"truncation tail bound {bound:.3g} exceeds {_LOG_TAIL_TOL} at "
-            f"|z|={r:.6g} with {n_trunc} terms",
-            UserWarning,
-            stacklevel=3,
-        )
+        _warn(f"truncation tail bound {bound:.3g} exceeds {_LOG_TAIL_TOL} at "
+              f"|z|={r:.6g} with {n_trunc} terms")
 
 
 @lru_cache(maxsize=64)

@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .kernel import BoundaryData, QuadSpec, _uniform_thetas, as_alpha, circle_poisson_values
-from .derivs import _wirtinger_pair, circle_derivs, dz_dzbar_f
+from .derivs import _circle_dtheta, _wirtinger_pair, circle_derivs, dz_dzbar_f
 
 __all__ = [
     "NormEstimate",
@@ -122,9 +122,9 @@ class KernelQuantity:
             if self.quantity == "dr":
                 return dz0 * np.exp(1j * thetas) + dzbar0 * np.exp(-1j * thetas)
             return np.zeros(q.angular_nodes, dtype=complex)
-        dth, rdr = circle_derivs(self.a, self.F, r, q)
         if self.quantity == "dtheta":
-            return dth
+            return _circle_dtheta(self.a, self.F, r, q)
+        dth, rdr = circle_derivs(self.a, self.F, r, q)
         if self.quantity == "dr":
             return rdr / r
         dz, dzbar = _wirtinger_pair(rdr, dth, r * np.exp(1j * _uniform_thetas(len(dth))))

@@ -243,6 +243,42 @@ class TestEval:
         assert err.startswith("error:")
 
 
+class TestInputContract:
+    """Bad input exits 2 with an `error:` line, never a traceback."""
+
+    def refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        return err
+
+    def test_short_csv_row_names_its_line(self, capsys, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("theta,re,im\n0.0,1.0,0.0\n0.1,1.0\n")
+        err = self.refused(capsys, ["eval", "--alpha", "-0.5", "--boundary", str(path),
+                                    "--point", "0.5,0"])
+        assert "line 3" in err
+
+    def test_nan_sample_refused(self, capsys, tmp_path):
+        thetas = 2.0 * np.pi * np.arange(32) / 32
+        values = ["nan" if j == 5 else "1.0" for j in range(32)]
+        path = tmp_path / "nan.csv"
+        path.write_text("theta,re,im\n" + "".join(
+            f"{float(t)!r},{v},0.0\n" for t, v in zip(thetas, values)))
+        err = self.refused(capsys, ["eval", "--alpha", "-0.5", "--boundary", str(path),
+                                    "--point", "0.5,0"])
+        assert "finite" in err
+
+    def test_directory_as_boundary(self, capsys, tmp_path):
+        self.refused(capsys, ["eval", "--alpha", "-0.5", "--boundary", str(tmp_path),
+                              "--point", "0.5,0"])
+
+    def test_arithmetic_overflow(self, capsys):
+        self.refused(capsys, ["example", "--id", "4.1", "--n", "200"])
+
+
 class TestNorm:
     def test_probe_json_schema(self, capsys):
         code, out, _ = run_cli(

@@ -2,6 +2,7 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,8 +25,16 @@ from diskpoisson.derivs import (
     sine_moment_exact,
     write_deriv_csv,
 )
-from diskpoisson.kernel import BoundaryData, QuadSpec, poisson_integral
-from diskpoisson.mappings import HypMonomial
+from diskpoisson.kernel import (
+    BoundaryData,
+    QuadSpec,
+    ResolutionWarning,
+    boundary_derivative,
+    circle_poisson_values,
+    poisson_integral,
+)
+from diskpoisson.mappings import HypMonomial, log_series_value
+from diskpoisson.norms import KernelQuantity
 
 
 def mix(thetas):
@@ -150,6 +159,62 @@ class TestCircleSweep:
     def test_radius_domain(self, q, F_mix):
         with pytest.raises(ValueError, match="radius"):
             circle_derivs(0.0, F_mix, 0.9995, q)
+
+
+class TestOneSweep:
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_dtheta_is_a_sweep_of_the_boundary_derivative(self, sampled, F_mix):
+        # K_a commutes with d/dtheta: a circle of df/dtheta is the plain
+        # kernel sweep of dF/dt, to the last bit.
+        q = QuadSpec(angular_nodes=512, r_max=0.95)
+        F = BoundaryData.from_samples(F_mix.thetas, F_mix.values) if sampled else F_mix
+        for r in (0.0, 0.3, 0.6, 0.9):
+            dth, _ = circle_derivs(-0.5, F, r, q)
+            assert np.array_equal(dth, circle_poisson_values(-0.5, boundary_derivative(F), r, q))
+
+    def test_samples_are_transformed_once_per_boundary(self, monkeypatch, F_mix):
+        F = BoundaryData.from_samples(F_mix.thetas, F_mix.values)
+        q = QuadSpec()
+        inputs = []
+        fft = np.fft.fft
+
+        def counting_fft(x, *args, **kwargs):
+            inputs.append(x)
+            return fft(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", counting_fft)
+        dF = boundary_derivative(F)
+        for r in (0.1, 0.3, 0.5, 0.7, 0.9):
+            circle_derivs(-0.5, F, r, q)
+            circle_poisson_values(-0.5, F, r, q)
+            KernelQuantity(-0.5, F, "dtheta").circle_values(r, q)
+        for G in (F, dF):
+            assert sum(np.shares_memory(x, G.values) for x in inputs) == 1
+
+
+class TestWarningAttribution:
+    """Warnings name the caller's file, not the package line that raised them."""
+
+    def caught(self, fn):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            fn()
+        assert seen
+        return {w.filename for w in seen}
+
+    def test_resolution_warning_through_kernel_quantity(self):
+        F = BoundaryData.from_function(mix, 64, deriv=dmix)
+        q = QuadSpec(angular_nodes=64, r_max=0.99)
+        assert self.caught(lambda: KernelQuantity(0.0, F, "f").circle_values(0.95, q)) == {__file__}
+
+    def test_alias_warning_through_circle_derivs(self):
+        thetas = 2.0 * np.pi * np.arange(32) / 32
+        F = BoundaryData.from_samples(thetas, np.cos(16.0 * thetas))
+        q = QuadSpec(angular_nodes=32, r_max=0.5)
+        assert self.caught(lambda: circle_derivs(0.0, F, 0.5, q)) == {__file__}
+
+    def test_log_series_tail_warning(self):
+        assert self.caught(lambda: log_series_value(0.999, n_trunc=16)) == {__file__}
 
 
 class TestSineMoment:
