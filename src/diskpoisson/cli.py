@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,6 +37,7 @@ from .elliptic import ellipticity_report
 from .kernel import (
     BoundaryData,
     QuadSpec,
+    _ANGULAR_CAP,
     _uniform_thetas,
     circle_poisson_values,
     poisson_integral,
@@ -59,7 +60,7 @@ from .regimes import (
     classify,
 )
 
-__all__ = ["RunConfig", "UsageError", "main", "run"]
+__all__ = ["UsageError", "main", "run"]
 
 THREADS_ENV = "DISKPOISSON_THREADS"
 
@@ -75,26 +76,8 @@ class UsageError(Exception):
     """A violated command precondition; the message names it."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One validated invocation, ready to dispatch."""
-
-    command: str
-    alpha: Optional[float] = None
-    p: Optional[float] = None
-    n: int = 1
-    nodes: int = 2048
-    r_max: float = 0.999
-    cutoffs: tuple = (0.9, 0.99, 0.999)
-    input_path: Optional[str] = None
-    fmt: str = "json"
-    seed: int = 0
-    threads: int = 1
-    output: Optional[str] = None
-    extras: dict = field(default_factory=dict)
-
-    def quad(self) -> QuadSpec:
-        return QuadSpec(angular_nodes=self.nodes, r_max=self.r_max)
+def _quad(ns: argparse.Namespace) -> QuadSpec:
+    return QuadSpec(angular_nodes=ns.nodes, r_max=ns.r_max)
 
 
 def _default_threads() -> int:
@@ -144,10 +127,10 @@ def _emit(text: str, output: Optional[str]) -> None:
             fh.write(text)
 
 
-def _emit_json(payload, cfg: RunConfig) -> None:
+def _emit_json(payload, output: Optional[str]) -> None:
     text = json.dumps(_jsonable(payload), indent=2, sort_keys=True,
                       allow_nan=False) + "\n"
-    _emit(text, cfg.output)
+    _emit(text, output)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -155,12 +138,14 @@ def _require(cond: bool, message: str) -> None:
         raise UsageError(message)
 
 
-def _parse_cutoffs(raw: str) -> tuple:
+def _parse_cutoffs(raw: str, r_max: float) -> tuple:
     try:
         cut = tuple(float(tok) for tok in raw.split(",") if tok.strip())
     except ValueError:
         raise UsageError(f"cutoffs must be a comma-separated list of reals, got {raw!r}")
     _require(len(cut) >= 3, "cutoffs must list at least 3 radii (probe precondition)")
+    _require(0.0 < cut[0] and all(a < b for a, b in zip(cut, cut[1:])) and cut[-1] <= r_max,
+             f"cutoffs must be strictly increasing in (0, r-max = {r_max}], got {raw!r}")
     return cut
 
 
@@ -181,15 +166,14 @@ def _parse_points(raw_points: Sequence[str], r_max: float) -> np.ndarray:
     return pts
 
 
-def _load_boundary(cfg: RunConfig) -> tuple:
+def _load_boundary(ns: argparse.Namespace) -> tuple:
     """(label, BoundaryData) from --boundary or --example options."""
-    example = cfg.extras.get("example")
-    if cfg.input_path is not None and example is not None:
+    if ns.boundary is not None and ns.example is not None:
         raise UsageError("--boundary and --example are mutually exclusive")
-    if cfg.input_path is not None:
-        return os.path.basename(cfg.input_path), read_boundary_csv(cfg.input_path)
-    if example is not None:
-        name, _, F = _build_example(cfg, example)
+    if ns.boundary is not None:
+        return os.path.basename(ns.boundary), read_boundary_csv(ns.boundary)
+    if ns.example is not None:
+        name, _, F = _build_example(ns, ns.example)
         return name, F
     raise UsageError("a boundary source is required: --boundary CSV or --example ID")
 
@@ -202,26 +186,25 @@ def _resolve_example_id(raw: str) -> str:
     return name
 
 
-def _build_example(cfg: RunConfig, raw_id: str) -> tuple:
+def _build_example(ns: argparse.Namespace, raw_id: str) -> tuple:
     """(name, params dict, BoundaryData) for a bundled example."""
     name = _resolve_example_id(raw_id)
-    samples = cfg.extras.get("samples", 2048)
+    samples = ns.samples
     if name == "hyp-monomial":
-        alpha = cfg.alpha if cfg.alpha is not None else -0.5
+        alpha = ns.alpha if ns.alpha is not None else -0.5
         _require(-1.0 < alpha < 0.0,
                  f"hyp-monomial needs alpha in (-1, 0), got {alpha}")
-        _require(cfg.n >= 1, f"hyp-monomial needs n >= 1, got {cfg.n}")
-        m = HypMonomial(alpha=alpha, n=cfg.n)
-        return name, {"alpha": alpha, "n": cfg.n, "samples": samples}, m.boundary(samples)
+        _require(ns.n >= 1, f"hyp-monomial needs n >= 1, got {ns.n}")
+        m = HypMonomial(alpha=alpha, n=ns.n)
+        return name, {"alpha": alpha, "n": ns.n, "samples": samples}, m.boundary(samples)
     if name == "piecewise-phase":
         return name, {"samples": samples}, phase_boundary(samples)
-    n_trunc = cfg.extras.get("n_trunc") or None
-    F = log_series_boundary(samples, n_trunc)
-    used = n_trunc if n_trunc is not None else min(4096, samples // 2 - 1)
+    F = log_series_boundary(samples, ns.n_trunc)
+    used = ns.n_trunc if ns.n_trunc is not None else min(4096, samples // 2 - 1)
     return name, {"samples": samples, "n_trunc": used}, F
 
 
-def _example_facts(cfg: RunConfig, name: str, params: dict, F: BoundaryData) -> dict:
+def _example_facts(name: str, params: dict, F: BoundaryData) -> dict:
     if name == "hyp-monomial":
         m = HypMonomial(alpha=params["alpha"], n=params["n"])
         return {
@@ -243,45 +226,40 @@ def _example_facts(cfg: RunConfig, name: str, params: dict, F: BoundaryData) -> 
 # -- subcommands --------------------------------------------------------
 
 
-def _cmd_eval(cfg: RunConfig) -> int:
-    _require(cfg.alpha is not None, "eval requires --alpha")
-    if cfg.input_path is None:
-        raise UsageError("eval requires --boundary CSV (theta,re,im)")
-    F = read_boundary_csv(cfg.input_path)
-    q = cfg.quad()
-    raw_points = cfg.extras.get("points") or []
-    use_grid = cfg.extras.get("grid", False)
-    _require(bool(raw_points) != bool(use_grid),
+def _cmd_eval(ns: argparse.Namespace) -> int:
+    F = read_boundary_csv(ns.boundary)
+    q = _quad(ns)
+    raw_points = ns.point or []
+    _require(bool(raw_points) != ns.grid,
              "eval needs exactly one of --point (repeatable) or --grid")
-    want_field = cfg.extras.get("field", False)
 
-    if want_field:
-        _require(cfg.fmt != "json",
+    if ns.field:
+        _require(ns.format != "json",
                  "derivative fields are CSV only; drop --format json")
-        if use_grid:
-            fld = deriv_field(cfg.alpha, F, q, n_thetas=cfg.extras["grid_thetas"])
+        if ns.grid:
+            fld = deriv_field(ns.alpha, F, q, n_thetas=ns.grid_thetas)
         else:
             pts = _parse_points(raw_points, q.r_max)
             dz = np.empty(len(pts), dtype=complex)
             dzbar = np.empty(len(pts), dtype=complex)
             for i, z in enumerate(pts):
-                dz[i], dzbar[i] = dz_dzbar_f(cfg.alpha, F, complex(z), q)
+                dz[i], dzbar[i] = dz_dzbar_f(ns.alpha, F, complex(z), q)
             fld = DerivField.from_wirtinger(pts, dz, dzbar)
         buf = io.StringIO()
         write_deriv_rows(buf, fld)
-        _emit(buf.getvalue(), cfg.output)
+        _emit(buf.getvalue(), ns.output)
         return 0
 
-    if use_grid:
+    if ns.grid:
         # A CSV boundary is swept at its own sample count, whatever --nodes says.
-        n_th = cfg.extras["grid_thetas"]
+        n_th = ns.grid_thetas
         _require(F.n_samples % n_th == 0,
                  f"grid-thetas must divide the boundary's {F.n_samples} samples")
         stride = F.n_samples // n_th
         thetas = _uniform_thetas(n_th)
         rows = []
         for r in q.radial_grid:
-            vals = circle_poisson_values(cfg.alpha, F, float(r), q)[::stride]
+            vals = circle_poisson_values(ns.alpha, F, float(r), q)[::stride]
             rows.extend(
                 {"r": float(r), "theta": float(t), "re": float(v.real), "im": float(v.imag)}
                 for t, v in zip(thetas, vals)
@@ -290,7 +268,7 @@ def _cmd_eval(cfg: RunConfig) -> int:
         pts = _parse_points(raw_points, q.r_max)
         rows = []
         for z in pts:
-            v = poisson_integral(cfg.alpha, F, complex(z), q)
+            v = poisson_integral(ns.alpha, F, complex(z), q)
             rows.append({
                 "r": float(abs(z)),
                 "theta": float(np.mod(np.angle(z), 2.0 * np.pi)) if abs(z) > 0 else 0.0,
@@ -298,45 +276,44 @@ def _cmd_eval(cfg: RunConfig) -> int:
                 "im": float(v.imag),
             })
 
-    if cfg.fmt == "csv":
+    if ns.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["r", "theta", "re", "im"])
         for row in rows:
             writer.writerow([repr(row["r"]), repr(row["theta"]),
                              repr(row["re"]), repr(row["im"])])
-        _emit(buf.getvalue(), cfg.output)
+        _emit(buf.getvalue(), ns.output)
     else:
-        _emit_json({"alpha": cfg.alpha, "nodes": F.n_samples, "values": rows}, cfg)
+        _emit_json({"alpha": ns.alpha, "nodes": F.n_samples, "values": rows}, ns.output)
     return 0
 
 
-def _cmd_norm(cfg: RunConfig) -> int:
-    _require(cfg.alpha is not None, "norm requires --alpha")
-    _require(cfg.p is not None, "norm requires --p (a real >= 1, or inf)")
-    label, F = _load_boundary(cfg)
-    quantity = cfg.extras.get("quantity", "f")
-    kind = cfg.extras.get("kind", "hardy")
-    kq = KernelQuantity(cfg.alpha, F, quantity)
-    report = divergence_probe(kq, p=cfg.p, cutoffs=cfg.cutoffs, kind=kind,
-                              q=cfg.quad(), quantity=quantity, alpha=cfg.alpha)
-    payload = json.loads(report.to_json())
-    payload["kind"] = kind
+def _probe_row(f, p: float, cutoffs, kind: str, q: QuadSpec, quantity: str,
+               alpha: float) -> dict:
+    """One divergence_probe as a JSON row, tagged with its norm kind."""
+    rep = divergence_probe(f, p=p, cutoffs=cutoffs, kind=kind, q=q,
+                           quantity=quantity, alpha=alpha)
+    return dict(json.loads(rep.to_json()), kind=kind)
+
+
+def _cmd_norm(ns: argparse.Namespace) -> int:
+    label, F = _load_boundary(ns)
+    kq = KernelQuantity(ns.alpha, F, ns.quantity)
+    payload = _probe_row(kq, ns.p, ns.cutoffs, ns.kind, _quad(ns), ns.quantity, ns.alpha)
     payload["boundary"] = label
-    _emit_json(payload, cfg)
+    _emit_json(payload, ns.output)
     return 0
 
 
-def _cmd_regime(cfg: RunConfig) -> int:
-    _require(cfg.alpha is not None, "regime requires --alpha")
-    _require(cfg.p is not None, "regime requires --p (a real >= 1, or inf)")
-    rc = classify(cfg.alpha, cfg.p)
+def _cmd_regime(ns: argparse.Namespace) -> int:
+    rc = classify(ns.alpha, ns.p)
     _emit_json({
         "label": rc.label,
         "alpha": rc.alpha,
         "p": rc.p,
         "predictions": sorted(rc.predictions),
-    }, cfg)
+    }, ns.output)
     return 0
 
 
@@ -433,40 +410,36 @@ def _oracle_records(q: QuadSpec, seed: int, threads: int) -> list:
     return records
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    suite = cfg.extras.get("suite", "inequalities")
-    q = cfg.quad()
+def _cmd_verify(ns: argparse.Namespace) -> int:
+    q = _quad(ns)
     records = []
-    if suite in ("inequalities", "all"):
-        records.extend(_inequality_records(q, cfg.threads))
-    if suite in ("oracle", "all"):
-        records.extend(_oracle_records(q, cfg.seed, cfg.threads))
+    if ns.suite in ("inequalities", "all"):
+        records.extend(_inequality_records(q, ns.threads))
+    if ns.suite in ("oracle", "all"):
+        records.extend(_oracle_records(q, ns.seed, ns.threads))
     all_hold = all(rec.holds for rec in records)
     _emit_json({
-        "suite": suite,
+        "suite": ns.suite,
         "n_records": len(records),
         "all_hold": all_hold,
         "records": [rec.as_dict() for rec in records],
-    }, cfg)
+    }, ns.output)
     return 0 if all_hold else 1
 
 
-def _cmd_example(cfg: RunConfig) -> int:
-    raw_id = cfg.extras.get("example")
-    _require(raw_id is not None, "example requires --id")
-    name, params, F = _build_example(cfg, raw_id)
+def _cmd_example(ns: argparse.Namespace) -> int:
+    name, params, F = _build_example(ns, ns.example_id)
     payload = {
         "id": name,
         "alias": EXAMPLE_IDS[name],
         "params": params,
         "samples": F.n_samples,
-        "facts": _example_facts(cfg, name, params, F),
+        "facts": _example_facts(name, params, F),
     }
-    export = cfg.extras.get("export")
-    if export is not None:
-        write_boundary_csv(export, F)
-        payload["export"] = export
-    _emit_json(payload, cfg)
+    if ns.export is not None:
+        write_boundary_csv(ns.export, F)
+        payload["export"] = ns.export
+    _emit_json(payload, ns.output)
     return 0
 
 
@@ -481,53 +454,39 @@ def _nested_fields(builder, radii: Sequence[float], n_thetas: int = 64) -> list:
     return fields
 
 
+def _identity_field(pts: np.ndarray) -> DerivField:
+    return DerivField.from_wirtinger(pts, np.ones(len(pts), dtype=complex),
+                                     np.zeros(len(pts), dtype=complex))
+
+
 def _ellipticity_summaries(k_list: Sequence[float]) -> list:
-    out = []
     m = HypMonomial(alpha=-0.5, n=1)
-    hyp_radii = (1.0 - 1e-3, 1.0 - 1e-4, 1.0 - 1e-5, 1.0 - 1e-6)
-    rep = ellipticity_report(
-        _nested_fields(lambda pts: m.field(pts, tol=1e-6), hyp_radii), k_list)
-    out.append({"example": "hyp-monomial", "report": asdict(rep)})
+    outer = (0.9, 0.99, 0.999)
+    table = (  # (example, field builder, nested radii)
+        ("hyp-monomial", lambda pts: m.field(pts, tol=1e-6),
+         (1.0 - 1e-3, 1.0 - 1e-4, 1.0 - 1e-5, 1.0 - 1e-6)),
+        ("piecewise-phase", phase_field, outer),
+        ("log-series", lambda pts: log_series_field(pts, n_trunc=50000), outer),
+        ("identity", _identity_field, (0.25, 0.5, 0.75)),
+    )
+    return [{"example": name,
+             "report": asdict(ellipticity_report(_nested_fields(builder, radii), k_list))}
+            for name, builder, radii in table]
 
-    rep = ellipticity_report(
-        _nested_fields(phase_field, (0.9, 0.99, 0.999)), k_list)
-    out.append({"example": "piecewise-phase", "report": asdict(rep)})
 
-    rep = ellipticity_report(
-        _nested_fields(lambda pts: log_series_field(pts, n_trunc=50000),
-                       (0.9, 0.99, 0.999)), k_list)
-    out.append({"example": "log-series", "report": asdict(rep)})
-
-    def identity(pts):
-        return DerivField.from_wirtinger(pts, np.ones(len(pts), dtype=complex),
-                                         np.zeros(len(pts), dtype=complex))
-
-    rep = ellipticity_report(_nested_fields(identity, (0.25, 0.5, 0.75)), k_list)
-    out.append({"example": "identity", "report": asdict(rep)})
-    return out
+# (quantity, kind, p) of the report's divergence rows, in output order.
+_DIVERGENCE_ROWS = (
+    [(quantity, "hardy", p) for quantity in ("dr", "dz", "dzbar") for p in (1.0, 2.0)]
+    + [("dzbar", "bergman", p) for p in (1.0, 1.5, 2.0, 3.0)]
+)
 
 
 def _divergence_summaries(q: QuadSpec) -> list:
     m = HypMonomial(alpha=-0.5, n=1)
-    cut = (0.9, 0.99, 0.999)
-    out = []
     picks = {"dz": 0, "dzbar": 1, "dr": 2}
-    for quantity in ("dr", "dz", "dzbar"):
-        fn = lambda z, i=picks[quantity]: m.derivs(z, tol=1e-12)[i]
-        for p in (1.0, 2.0):
-            rep = divergence_probe(fn, p=p, cutoffs=cut, kind="hardy", q=q,
-                                   quantity=quantity, alpha=-0.5)
-            row = json.loads(rep.to_json())
-            row["kind"] = "hardy"
-            out.append(row)
-    fn = lambda z: m.derivs(z, tol=1e-12)[1]
-    for p in (1.0, 1.5, 2.0, 3.0):
-        rep = divergence_probe(fn, p=p, cutoffs=cut, kind="bergman", q=q,
-                               quantity="dzbar", alpha=-0.5)
-        row = json.loads(rep.to_json())
-        row["kind"] = "bergman"
-        out.append(row)
-    return out
+    return [_probe_row(lambda z, i=picks[quantity]: m.derivs(z, tol=1e-12)[i], p,
+                       (0.9, 0.99, 0.999), kind, q, quantity, -0.5)
+            for quantity, kind, p in _DIVERGENCE_ROWS]
 
 
 _REGIME_SAMPLES = (
@@ -537,10 +496,10 @@ _REGIME_SAMPLES = (
 )
 
 
-def _cmd_report(cfg: RunConfig) -> int:
-    q = cfg.quad()
-    records = _inequality_records(q, cfg.threads)
-    records.extend(_oracle_records(q, cfg.seed, cfg.threads))
+def _cmd_report(ns: argparse.Namespace) -> int:
+    q = _quad(ns)
+    records = _inequality_records(q, ns.threads)
+    records.extend(_oracle_records(q, ns.seed, ns.threads))
     failures = [rec.as_dict() for rec in records if not rec.holds]
     regimes = []
     for alpha, p in _REGIME_SAMPLES:
@@ -557,17 +516,21 @@ def _cmd_report(cfg: RunConfig) -> int:
         "divergence": _divergence_summaries(q),
         "ellipticity": _ellipticity_summaries((1.0, 10.0, 100.0)),
     }
-    _emit_json(payload, cfg)
+    _emit_json(payload, ns.output)
     return 0 if not failures else 1
 
 
 # -- argument parsing ----------------------------------------------------
 
 
-def _add_common(sp, nodes=True, output=True) -> None:
+_DEFAULT_CUTOFFS = "0.9,0.99,0.999"
+
+
+def _add_common(sp, handler, nodes=True, output=True) -> None:
+    sp.set_defaults(handler=handler)
     if nodes:
         sp.add_argument("--nodes", type=int, default=2048,
-                        help="angular quadrature nodes (even, >= 16)")
+                        help=f"angular quadrature nodes (even, 16 to {_ANGULAR_CAP})")
         sp.add_argument("--r-max", type=float, default=0.999,
                         help="outermost radius of the radial grid")
     sp.add_argument("--threads", type=int, default=None,
@@ -596,31 +559,32 @@ def build_parser() -> argparse.ArgumentParser:
                     help="emit all four partial derivatives as CSV")
     sp.add_argument("--format", choices=("json", "csv"), default=None,
                     help="json for values (default), csv for tables")
-    _add_common(sp)
+    _add_common(sp, _cmd_eval)
 
     sp = sub.add_parser("norm", help="growth probe of a Hardy or Bergman norm")
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--p", type=float, required=True, help="norm order; 'inf' allowed")
     sp.add_argument("--quantity", choices=QUANTITIES, default="f")
     sp.add_argument("--kind", choices=("hardy", "bergman"), default="hardy")
-    sp.add_argument("--cutoffs", default="0.9,0.99,0.999")
+    sp.add_argument("--cutoffs", default=_DEFAULT_CUTOFFS,
+                    help="at least 3 strictly increasing radii in (0, r-max]")
     sp.add_argument("--boundary", default=None, help="CSV with header theta,re,im")
     sp.add_argument("--example", default=None, help="bundled example id or alias")
     sp.add_argument("--n", type=int, default=1)
     sp.add_argument("--n-trunc", type=int, default=None)
     sp.add_argument("--samples", type=int, default=2048)
-    _add_common(sp)
+    _add_common(sp, _cmd_norm)
 
     sp = sub.add_parser("regime", help="classify (alpha, p) and list predictions")
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--p", type=float, required=True, help="norm order; 'inf' allowed")
-    _add_common(sp, nodes=False)
+    _add_common(sp, _cmd_regime, nodes=False)
 
     sp = sub.add_parser("verify", help="run a certification suite")
     sp.add_argument("--suite", choices=("inequalities", "oracle", "all"),
                     default="inequalities")
     sp.add_argument("--seed", type=int, default=0)
-    _add_common(sp)
+    _add_common(sp, _cmd_verify)
 
     sp = sub.add_parser("example", help="describe or export a bundled example")
     sp.add_argument("--id", required=True, dest="example_id",
@@ -630,98 +594,63 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-trunc", type=int, default=None)
     sp.add_argument("--samples", type=int, default=2048)
     sp.add_argument("--export", default=None, help="write the boundary CSV here")
-    _add_common(sp, nodes=False)
+    _add_common(sp, _cmd_example, nodes=False)
 
     sp = sub.add_parser("report", help="bundled summary: certifications, regimes, probes")
     sp.add_argument("--seed", type=int, default=0)
-    _add_common(sp)
+    _add_common(sp, _cmd_report)
 
     return ap
 
 
-def _config_from_args(ns: argparse.Namespace) -> RunConfig:
-    threads = getattr(ns, "threads", None)
-    if threads is None:
-        threads = _default_threads()
-    _require(threads >= 1, f"threads must be >= 1, got {threads}")
-    nodes = getattr(ns, "nodes", 2048)
-    r_max = getattr(ns, "r_max", 0.999)
-    _require(nodes >= 16 and nodes % 2 == 0,
-             f"nodes must be an even integer >= 16, got {nodes}")
-    _require(0.0 < r_max <= 1.0 - 1e-6,
-             f"r-max must lie in (0, 1 - 1e-6], got {r_max}")
-    alpha = getattr(ns, "alpha", None)
-    if alpha is not None:
-        _require(alpha > -1.0, f"alpha must exceed -1, got {alpha}")
-    p = getattr(ns, "p", None)
-    if p is not None:
-        _require(p >= 1.0, f"p must satisfy 1 <= p <= inf, got {p}")
-    n = getattr(ns, "n", 1)
-    cutoffs = (_parse_cutoffs(ns.cutoffs) if getattr(ns, "cutoffs", None)
-               else (0.9, 0.99, 0.999))
-    samples = getattr(ns, "samples", 2048)
-    _require(samples >= 16 and samples % 2 == 0,
-             f"samples must be an even integer >= 16, got {samples}")
-    n_trunc = getattr(ns, "n_trunc", None)
-    if n_trunc is not None:
-        _require(n_trunc >= 2, f"n-trunc must be >= 2, got {n_trunc}")
-    fmt = getattr(ns, "format", None)
-    if fmt is None:
-        fmt = "csv" if getattr(ns, "field", False) else "json"
-
-    extras = {}
-    for key, attr in (("points", "point"), ("grid", "grid"),
-                      ("grid_thetas", "grid_thetas"), ("field", "field"),
-                      ("quantity", "quantity"), ("kind", "kind"),
-                      ("suite", "suite"), ("example", "example"),
-                      ("export", "export"), ("samples", "samples"),
-                      ("n_trunc", "n_trunc")):
-        if hasattr(ns, attr):
-            extras[key] = getattr(ns, attr)
-    if getattr(ns, "example_id", None) is not None:
-        extras["example"] = ns.example_id
-
-    return RunConfig(
-        command=ns.command,
-        alpha=alpha,
-        p=p,
-        n=n,
-        nodes=nodes,
-        r_max=r_max,
-        cutoffs=cutoffs,
-        input_path=getattr(ns, "boundary", None),
-        fmt=fmt,
-        seed=getattr(ns, "seed", 0),
-        threads=threads,
-        output=getattr(ns, "output", None),
-        extras=extras,
-    )
+def _check_count(name: str, value: int) -> None:
+    """Node and sample counts: even, at least 16, at most the angular cap."""
+    _require(value >= 16 and value % 2 == 0,
+             f"{name} must be an even integer >= 16, got {value}")
+    _require(value <= _ANGULAR_CAP, f"{name} must be at most {_ANGULAR_CAP}, got {value}")
 
 
-_DISPATCH = {
-    "eval": _cmd_eval,
-    "norm": _cmd_norm,
-    "regime": _cmd_regime,
-    "verify": _cmd_verify,
-    "example": _cmd_example,
-    "report": _cmd_report,
-}
+def _check_args(ns: argparse.Namespace) -> None:
+    """Check every argument before any work, and fill the derived defaults in ns.
+
+    Fills threads from $DISKPOISSON_THREADS, the output format (csv with
+    --field, else json) and the parsed cutoff tuple.
+    """
+    if ns.threads is None:
+        ns.threads = _default_threads()
+    _require(ns.threads >= 1, f"threads must be >= 1, got {ns.threads}")
+    if "nodes" in ns:
+        _check_count("nodes", ns.nodes)
+        _require(0.0 < ns.r_max <= 1.0 - 1e-6,
+                 f"r-max must lie in (0, 1 - 1e-6], got {ns.r_max}")
+    if getattr(ns, "alpha", None) is not None:
+        _require(ns.alpha > -1.0, f"alpha must exceed -1, got {ns.alpha}")
+    if "p" in ns:
+        _require(ns.p >= 1.0, f"p must satisfy 1 <= p <= inf, got {ns.p}")
+    if "cutoffs" in ns:
+        ns.cutoffs = _parse_cutoffs(ns.cutoffs or _DEFAULT_CUTOFFS, ns.r_max)
+    if "samples" in ns:
+        _check_count("samples", ns.samples)
+    if getattr(ns, "n_trunc", None) is not None:
+        _require(ns.n_trunc >= 2, f"n-trunc must be >= 2, got {ns.n_trunc}")
+    if "seed" in ns:
+        _require(ns.seed >= 0, f"seed must be >= 0, got {ns.seed}")
+    if "grid_thetas" in ns:
+        _require(ns.grid_thetas >= 1, f"grid-thetas must be >= 1, got {ns.grid_thetas}")
+    if "format" in ns and ns.format is None:
+        ns.format = "csv" if ns.field else "json"
 
 
-def run(cfg: RunConfig) -> int:
-    """Dispatch a validated config; returns the process exit status."""
-    handler = _DISPATCH.get(cfg.command)
-    if handler is None:
-        raise UsageError(f"unknown command {cfg.command!r}")
-    return handler(cfg)
+def run(ns: argparse.Namespace) -> int:
+    """Check the parsed arguments, then run their subcommand; returns the exit status."""
+    _check_args(ns)
+    return ns.handler(ns)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = build_parser()
     try:
-        ns = ap.parse_args(argv)
-        cfg = _config_from_args(ns)
-        return run(cfg)
+        return run(ap.parse_args(argv))
     except (UsageError, ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -212,14 +212,12 @@ def _circle_dtheta(a, F: BoundaryData, r: float, q: QuadSpec) -> np.ndarray:
     return _sweep(kern_hat, boundary_derivative(F))
 
 
-def circle_derivs(a, F: BoundaryData, r: float, q: QuadSpec):
-    """(df/dtheta, r df/dr) at every grid angle of the circle |z| = r.
+def _circle_rdr(a: AlphaParam, F: BoundaryData, kern_hat: np.ndarray, r: float) -> np.ndarray:
+    """r df/dr at every grid angle of |z| = r: J1 + J2 from _circle_kernel's (a, F, kern_hat).
 
-    Cyclic-convolution evaluation of the same trapezoid sums the pointwise
-    operators use: one kernel spectrum serves df/dtheta and J1, and J2
-    correlates the memoized spectra of F and dF/dt with its two kernels.
+    J1 is one sweep of the kernel spectrum; J2 correlates the memoized
+    spectra of F and dF/dt with its two kernels.
     """
-    a, F, kern_hat = _circle_kernel(a, F, r, q)
     dF = boundary_derivative(F)
     j1 = _sweep(kern_hat, F, a.alpha)
     c1, k1, c2, k2 = _j2_weights(a, r, F.thetas)
@@ -228,7 +226,18 @@ def circle_derivs(a, F: BoundaryData, r: float, q: QuadSpec):
     # g with the (real) kernel k, evaluated at theta.
     term1 = c1 * dt * np.fft.ifft(dF._spectrum() * np.conj(np.fft.fft(k1)))
     term2 = c2 * dt * np.fft.ifft(F._spectrum() * np.conj(np.fft.fft(k2)))
-    return _sweep(kern_hat, dF), j1 + term1 + term2
+    return j1 + term1 + term2
+
+
+def circle_derivs(a, F: BoundaryData, r: float, q: QuadSpec):
+    """(df/dtheta, r df/dr) at every grid angle of the circle |z| = r.
+
+    Cyclic-convolution evaluation of the same trapezoid sums the pointwise
+    operators use: one kernel spectrum serves df/dtheta and r df/dr.
+    """
+    a, F, kern_hat = _circle_kernel(a, F, r, q)
+    rdr = _circle_rdr(a, F, kern_hat, r)
+    return _sweep(kern_hat, boundary_derivative(F)), rdr
 
 
 @dataclass

@@ -75,6 +75,9 @@ def as_alpha(a) -> AlphaParam:
 
 _UNIFORM_TOL = 1e-12
 _NODE_AGREEMENT_TOL = 1e-12
+# Largest angular node count: the CLI refuses larger --nodes and --samples,
+# and regimes' resolved node counts stop doubling here.
+_ANGULAR_CAP = 1 << 17
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -353,18 +356,35 @@ def write_boundary_csv(path: str, F: BoundaryData) -> None:
 
 
 def read_boundary_csv(path: str) -> BoundaryData:
-    """Read boundary samples from CSV (theta,re,im); validates grid uniformity."""
+    """Read boundary samples from CSV (theta,re,im); validates grid uniformity.
+
+    Every refusal is a ValueError that names the file, and the line when
+    one row is at fault.
+    """
     thetas = []
     values = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if [h.strip() for h in header] != ["theta", "re", "im"]:
-            raise ValueError(f"expected header theta,re,im, got {header!r}")
-        for row in reader:
-            if len(row) != 3:
-                raise ValueError(f"{path}, line {reader.line_num}: expected 3 fields "
-                                 f"theta,re,im, got {len(row)}")
-            thetas.append(float(row[0]))
-            values.append(complex(float(row[1]), float(row[2])))
-    return BoundaryData.from_samples(thetas, values)
+        try:
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header] != ["theta", "re", "im"]:
+                raise ValueError(f"{path}: expected header theta,re,im, got {header!r}")
+            for row in reader:
+                if len(row) != 3:
+                    raise ValueError(f"{path}, line {reader.line_num}: expected 3 fields "
+                                     f"theta,re,im, got {len(row)}")
+                try:
+                    theta, re, im = (float(x) for x in row)
+                except ValueError:
+                    raise ValueError(f"{path}, line {reader.line_num}: theta,re,im must be "
+                                     f"real numbers, got {row!r}") from None
+                thetas.append(theta)
+                values.append(complex(re, im))
+        except csv.Error as exc:
+            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    try:
+        return BoundaryData.from_samples(thetas, values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -31,8 +31,8 @@ from typing import Optional
 import numpy as np
 
 from .specfun import gamma
-from .kernel import (BoundaryData, QuadSpec, _uniform_thetas, as_alpha,
-                     boundary_derivative, circle_poisson_values)
+from .kernel import (BoundaryData, QuadSpec, _ANGULAR_CAP, _uniform_thetas,
+                     as_alpha, boundary_derivative, circle_poisson_values)
 # circle_derivs stays bound: perfbench's test_wrappers_are_all_removed asserts it is traced.
 from .derivs import _circle_dtheta, circle_derivs  # noqa: F401
 from .norms import lp_norm_circle, integral_mean
@@ -166,9 +166,6 @@ def check_distance_integral_bound(alpha: float, r: float, q: QuadSpec,
         rhs=float(rhs),
         holds=bool(lhs <= rhs + slack),
     )
-
-
-_ANGULAR_CAP = 1 << 17
 
 
 def _resolved_nodes(base: int, r: float) -> int:

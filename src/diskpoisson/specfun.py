@@ -70,7 +70,15 @@ def gamma(x: float) -> float:
     for i in range(1, len(_LANCZOS_C)):
         acc += _LANCZOS_C[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
-    return _SQRT_2PI * t ** (z + 0.5) * math.exp(-t) * acc
+    try:
+        value = _SQRT_2PI * t ** (z + 0.5) * math.exp(-t) * acc
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value):
+        # The power term t^(z + 1/2) leaves the double range from x ~ 142.2,
+        # before Gamma itself does (x ~ 171.6).
+        raise OverflowError(f"Gamma(x) overflows at x={x!r}; this evaluation holds for x <= 142")
+    return value
 
 
 def pochhammer(a: float, k: int) -> float:
@@ -105,8 +113,27 @@ def _series_2f1(a: float, b: float, c: float, x: float, tol: float) -> float:
 
 
 # Arguments this close to 1 are routed through the Euler transformation
-# when the series would otherwise diverge or lose accuracy (c - a - b < 0).
+# when the series would otherwise diverge or lose accuracy (c - a - b < 0),
+# and through the 1 - x connection formula when neither series converges.
 _EULER_SWITCH = 0.95
+# The connection formula serves x = r^2 up to the outermost radius the package
+# accepts (r_max <= 1 - 1e-6); beyond it a series that misses the cap still raises.
+_CONNECTION_MAX_X = (1.0 - 1e-6) ** 2
+
+
+def _connection_1mx(a: float, b: float, c: float, x: float, tol: float) -> float:
+    """2F1(a, b; c; x) from two series in 1 - x (A&S 15.3.6); c - a - b not an integer."""
+    s = c - a - b
+    if s == math.floor(s):
+        raise ConvergenceError(
+            f"2F1({a}, {b}; {c}; {x}) did not converge within {_TERM_CAP} terms, and its "
+            f"1-x connection formula has the logarithmic case c-a-b={s!r} (an integer)"
+        )
+    y = 1.0 - x
+    gc = gamma(c)
+    return (gc * gamma(s) / (gamma(c - a) * gamma(c - b)) * _series_2f1(a, b, 1.0 - s, y, tol)
+            + y ** s * gc * gamma(-s) / (gamma(a) * gamma(b))
+            * _series_2f1(c - a, c - b, 1.0 + s, y, tol))
 
 
 @functools.lru_cache(maxsize=200000)
@@ -128,10 +155,15 @@ def _hyp2f1_cached(a: float, b: float, c: float, x: float, tol: float) -> float:
         except ValueError:
             # Gamma pole in the closed form (terminating cases); sum directly.
             return _series_2f1(a, b, c, 1.0, tol)
-    if s < 0.0 and x > _EULER_SWITCH:
-        # Euler transformation keeps the series well conditioned as x -> 1-.
-        return (1.0 - x) ** s * _series_2f1(c - a, c - b, c, x, tol)
-    return _series_2f1(a, b, c, x, tol)
+    try:
+        if s < 0.0 and x > _EULER_SWITCH:
+            # Euler transformation keeps the series well conditioned as x -> 1-.
+            return (1.0 - x) ** s * _series_2f1(c - a, c - b, c, x, tol)
+        return _series_2f1(a, b, c, x, tol)
+    except ConvergenceError:
+        if not _EULER_SWITCH < x <= _CONNECTION_MAX_X:
+            raise
+        return _connection_1mx(a, b, c, x, tol)
 
 
 def hyp2f1(a: float, b: float, c: float, x: float, tol: float = 1e-14) -> float:
@@ -139,8 +171,12 @@ def hyp2f1(a: float, b: float, c: float, x: float, tol: float = 1e-14) -> float:
 
     Direct series summation; for c - a - b < 0 and x near 1 the Euler
     transformation 2F1(a,b;c;x) = (1-x)^(c-a-b) 2F1(c-a,c-b;c;x) is applied
-    so evaluation stays accurate up to x -> 1-. At x = 1 the series value
-    (finite only for c - a - b > 0) is returned.
+    so evaluation stays accurate up to x -> 1-. Where that series still
+    needs more than the term cap, for 0.95 < x <= (1 - 1e-6)^2, the 1 - x
+    connection formula (Abramowitz & Stegun 15.3.6) is used; it needs
+    c - a - b not an integer, and the integer (logarithmic) case raises
+    ConvergenceError. At x = 1 the series value (finite only for
+    c - a - b > 0) is returned.
     """
     return _hyp2f1_cached(float(a), float(b), float(c), float(x), float(tol))
 

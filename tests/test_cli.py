@@ -2,13 +2,16 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from diskpoisson import cli
 from diskpoisson.cli import THREADS_ENV, main
 from diskpoisson.derivs import read_deriv_csv
 from diskpoisson.kernel import QuadSpec, circle_poisson_values, read_boundary_csv
+from diskpoisson.kernel import _ANGULAR_CAP
 from diskpoisson.mappings import HypMonomial
 
 
@@ -277,6 +280,84 @@ class TestInputContract:
 
     def test_arithmetic_overflow(self, capsys):
         self.refused(capsys, ["example", "--id", "4.1", "--n", "200"])
+
+
+class TestNamedRefusals:
+    def test_non_numeric_csv_field_names_file_and_line(self, capsys, tmp_path):
+        path = tmp_path / "reprs.csv"
+        path.write_text("theta,re,im\n0.0,1.0,0.0\nnp.float64(0.1),1.0,0.0\n")
+        code, out, err = run_cli(capsys, ["eval", "--alpha", "-0.5", "--boundary", str(path),
+                                          "--point", "0.5,0"])
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}, line 3: theta,re,im must be real numbers, "
+                       "got ['np.float64(0.1)', '1.0', '0.0']\n")
+
+    def test_gamma_overflow_names_gamma_and_x(self, capsys):
+        code, out, err = run_cli(capsys, ["example", "--id", "4.1", "--n", "200"])
+        assert (code, out) == (2, "")
+        assert err == "error: Gamma(x) overflows at x=201.0; this evaluation holds for x <= 142\n"
+
+
+NORM_41 = ["norm", "--alpha", "-0.5", "--p", "2", "--example", "4.1"]
+
+
+class TestArgumentChecks:
+    """Arguments are refused before any boundary is built or array allocated."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a refused argument reached a subcommand")
+
+        for name in ("_load_boundary", "_build_example", "read_boundary_csv",
+                     "_inequality_records", "_oracle_records"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    def refused(self, capsys, argv):
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert peak < 1 << 20  # one 2^17-node complex array alone takes 2 MiB
+        return err
+
+    @pytest.mark.parametrize("cutoffs,r_max", [
+        ("0.9,0.99,0.9995", "0.999"),   # the last cutoff is past r-max
+        ("0.9,0.99,0.999", "0.99"),
+        ("0.999,0.99,0.9", "0.999"),    # not increasing
+        ("0.9,0.9,0.99", "0.999"),
+        ("0.0,0.5,0.9", "0.999"),       # not positive
+    ])
+    def test_cutoffs_increasing_up_to_r_max(self, capsys, cutoffs, r_max):
+        err = self.refused(capsys, NORM_41 + ["--cutoffs", cutoffs, "--r-max", r_max])
+        assert err == (f"error: cutoffs must be strictly increasing in (0, r-max = {r_max}], "
+                       f"got {cutoffs!r}\n")
+
+    @pytest.mark.parametrize("argv,name", [
+        (NORM_41 + ["--nodes", str((1 << 17) + 2)], "nodes"),
+        (NORM_41 + ["--samples", str(1 << 40)], "samples"),
+        (["eval", "--alpha", "0", "--boundary", "b.csv", "--grid", "--nodes", str(1 << 18)],
+         "nodes"),
+        (["example", "--id", "4.2", "--samples", str((1 << 17) + 2)], "samples"),
+        (["verify", "--nodes", str(1 << 62)], "nodes"),
+    ])
+    def test_node_and_sample_caps(self, capsys, argv, name):
+        err = self.refused(capsys, argv)
+        assert err.startswith(f"error: {name} must be at most {_ANGULAR_CAP}, got ")
+
+    @pytest.mark.parametrize("command", ["report", "verify"])
+    def test_negative_seed(self, capsys, command):
+        assert self.refused(capsys, [command, "--seed", "-1"]) == "error: seed must be >= 0, got -1\n"
+
+    def test_caps_admit_the_largest_counts_in_use(self):
+        for nodes in ("81920", str(_ANGULAR_CAP)):
+            ns = cli.build_parser().parse_args(NORM_41 + ["--nodes", nodes, "--samples", nodes])
+            cli._check_args(ns)
+            assert ns.nodes == ns.samples == int(nodes)
 
 
 class TestNorm:

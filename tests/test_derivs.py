@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from diskpoisson import norms
 from diskpoisson.derivs import (
     FLAG_NONE,
     FLAG_ORIGIN,
@@ -14,6 +15,7 @@ from diskpoisson.derivs import (
     DerivField,
     J1,
     J2,
+    _circle_rdr,
     circle_derivs,
     deriv_field,
     dr_f,
@@ -29,6 +31,7 @@ from diskpoisson.kernel import (
     BoundaryData,
     QuadSpec,
     ResolutionWarning,
+    _circle_kernel,
     boundary_derivative,
     circle_poisson_values,
     poisson_integral,
@@ -190,6 +193,24 @@ class TestOneSweep:
             KernelQuantity(-0.5, F, "dtheta").circle_values(r, q)
         for G in (F, dF):
             assert sum(np.shares_memory(x, G.values) for x in inputs) == 1
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_rdr_helper_is_the_radial_half_of_circle_derivs(self, sampled, F_mix):
+        q = QuadSpec(angular_nodes=512, r_max=0.95)
+        F = BoundaryData.from_samples(F_mix.thetas, F_mix.values) if sampled else F_mix
+        for r in (0.3, 0.6, 0.9):
+            _, rdr = circle_derivs(-0.5, F, r, q)
+            assert np.array_equal(_circle_rdr(*_circle_kernel(-0.5, F, r, q), r), rdr)
+
+    def test_dr_quantity_skips_the_dtheta_sweep(self, monkeypatch, F_mix):
+        q = QuadSpec(angular_nodes=512, r_max=0.95)
+        want = circle_derivs(-0.5, F_mix, 0.6, q)[1] / 0.6
+
+        def no_dtheta_sweep(*args):
+            raise AssertionError("dr must not sweep df/dtheta")
+
+        monkeypatch.setattr(norms, "circle_derivs", no_dtheta_sweep)
+        assert np.array_equal(KernelQuantity(-0.5, F_mix, "dr").circle_values(0.6, q), want)
 
 
 class TestWarningAttribution:

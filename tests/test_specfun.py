@@ -219,3 +219,55 @@ class TestBetaIntegral:
         vals = (1.0 - r) ** s * r ** t
         quad = np.trapezoid(vals, r)
         assert beta_integral(s, t) == pytest.approx(quad, rel=1e-6)
+
+
+# (alpha, n) of the HypMonomial maps probed near the boundary.
+HYP_MONOMIALS = [(a, n) for a in (-0.9, -0.5, -0.1) for n in (1, 3)]
+
+
+def _monomial_params(alpha, n):
+    """2F1 parameters of HypMonomial's value profile e2 and derivative profile e1."""
+    return [(-alpha / 2.0, n - alpha / 2.0, n + 1.0),
+            (1.0 - alpha / 2.0, n + 1.0 - alpha / 2.0, n + 2.0)]
+
+
+class TestNearOne:
+    @pytest.mark.parametrize("alpha,n", HYP_MONOMIALS)
+    @pytest.mark.parametrize("r", [0.999, 0.9999])
+    def test_monomial_profiles_match_mpmath(self, alpha, n, r):
+        # At r = 0.9999 neither the direct nor the Euler series meets the
+        # term cap; the 1 - x connection formula must answer instead.
+        mpmath = pytest.importorskip("mpmath")
+        from diskpoisson.specfun import _connection_1mx
+
+        x = r * r
+        with mpmath.workdps(40):
+            for a, b, c in _monomial_params(alpha, n):
+                want = float(mpmath.hyp2f1(a, b, c, x))
+                assert _connection_1mx(a, b, c, x, 1e-14) == pytest.approx(want, rel=1e-13)
+                # Series that converged keep their (looser) quiet-run accuracy.
+                assert hyp2f1(a, b, c, x) == pytest.approx(want, rel=1e-11)
+
+    def test_integer_excess_refused_by_name(self):
+        # c - a - b = 0: the connection formula has a logarithmic term.
+        with pytest.raises(ConvergenceError, match="logarithmic"):
+            hyp2f1(0.25, 0.75, 1.0, 0.9999)
+
+    @pytest.mark.parametrize("args,bits", [
+        ((0.25, 1.25, 2.0, 0.998001), "0x1.87068e50a93b5p+0"),
+        ((1.25, 2.25, 3.0, 0.9801), "0x1.340aff4342f1ap+4"),
+        ((1.25, 2.25, 3.0, 0.998), "0x1.1d1821569525cp+6"),
+        ((0.45, 1.45, 2.0, 0.9801), "0x1.416c80e9de13bp+1"),
+    ])
+    def test_converging_series_keep_their_bits(self, args, bits):
+        assert hyp2f1(*args) == float.fromhex(bits)
+
+
+class TestGammaOverflow:
+    def test_overflow_names_gamma_and_x(self):
+        with pytest.raises(OverflowError, match=r"Gamma\(x\) overflows at x=201\.0"):
+            gamma(201.0)
+
+    def test_largest_finite_values_keep_their_bits(self):
+        assert gamma(142.0) == float.fromhex("0x1.1ca9fcdf65160p+808")
+        assert gamma(0.3) == float.fromhex("0x1.7eebbb8aec4aap+1")
