@@ -46,17 +46,16 @@ from .kernel import (
 )
 from .mappings import (
     HypMonomial,
+    _log_series_circle,
+    _phase_circle,
     log_series_boundary,
-    log_series_field,
     phase_boundary,
-    phase_field,
 )
 from .norms import KernelQuantity, QUANTITIES, divergence_probe
 from .regimes import (
     CertificationRecord,
+    _boundary_checks,
     certification_grid,
-    check_angular_derivative_bound,
-    check_scaled_kernel_bound,
     classify,
 )
 
@@ -330,23 +329,18 @@ def _bundled_boundaries(samples: int = 2048) -> list:
 
 
 def _inequality_records(q: QuadSpec, threads: int) -> list:
+    """The certification grid, then per (boundary, alpha) the angular-derivative
+    records for every bundled p and the scaled-kernel record: one radial pass each."""
     records = certification_grid(q)
-    boundaries = _bundled_boundaries(q.angular_nodes)
-
-    jobs = []
-    for label, F in boundaries:
-        for alpha in _BUNDLED_ALPHAS:
-            for p in _BUNDLED_PS:
-                jobs.append(("angular", alpha, F, p, label))
-            jobs.append(("scaled", alpha, F, None, label))
+    jobs = [(label, F, alpha) for label, F in _bundled_boundaries(q.angular_nodes)
+            for alpha in _BUNDLED_ALPHAS]
 
     def run_job(job):
-        kind, alpha, F, p, label = job
-        if kind == "angular":
-            return check_angular_derivative_bound(alpha, F, p, q, label=label)
-        return check_scaled_kernel_bound(alpha, F, q, label=label)
+        label, F, alpha = job
+        return _boundary_checks(alpha, F, q, _BUNDLED_PS, scaled=True, label=label)
 
-    records.extend(_pmap(run_job, jobs, threads))
+    for job_records in _pmap(run_job, jobs, threads):
+        records.extend(job_records)
     return records
 
 
@@ -443,35 +437,35 @@ def _cmd_example(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _nested_fields(builder, radii: Sequence[float], n_thetas: int = 64) -> list:
-    """Nested polar-circle fields: field k covers radii[:k+1]."""
-    fields = []
-    pts: list = []
+def _nested_fields(circle, radii: Sequence[float], n_thetas: int = 64) -> list:
+    """Nested polar-circle fields: field k covers radii[:k+1].
+
+    circle(r, pts) gives (df/dz, df/dzbar) at the n_thetas uniform points
+    pts of |z| = r; each circle is built once and the fields concatenate them.
+    """
     thetas = _uniform_thetas(n_thetas)
+    circles, fields = [], []
     for r in radii:
-        pts = pts + list(r * np.exp(1j * thetas))
-        fields.append(builder(np.asarray(pts, dtype=complex)))
+        pts = r * np.exp(1j * thetas)
+        circles.append((pts, *circle(r, pts)))
+        fields.append(DerivField.from_wirtinger(*(np.concatenate(c) for c in zip(*circles))))
     return fields
-
-
-def _identity_field(pts: np.ndarray) -> DerivField:
-    return DerivField.from_wirtinger(pts, np.ones(len(pts), dtype=complex),
-                                     np.zeros(len(pts), dtype=complex))
 
 
 def _ellipticity_summaries(k_list: Sequence[float]) -> list:
     m = HypMonomial(alpha=-0.5, n=1)
     outer = (0.9, 0.99, 0.999)
-    table = (  # (example, field builder, nested radii)
-        ("hyp-monomial", lambda pts: m.field(pts, tol=1e-6),
+    table = (  # (example, circle builder, nested radii)
+        ("hyp-monomial", lambda r, pts: m.derivs(pts, tol=1e-6)[:2],
          (1.0 - 1e-3, 1.0 - 1e-4, 1.0 - 1e-5, 1.0 - 1e-6)),
-        ("piecewise-phase", phase_field, outer),
-        ("log-series", lambda pts: log_series_field(pts, n_trunc=50000), outer),
-        ("identity", _identity_field, (0.25, 0.5, 0.75)),
+        ("piecewise-phase", lambda r, pts: _phase_circle(r, len(pts)), outer),
+        ("log-series", lambda r, pts: _log_series_circle(r, len(pts), 50000), outer),
+        ("identity", lambda r, pts: (np.ones_like(pts), np.zeros_like(pts)),
+         (0.25, 0.5, 0.75)),
     )
     return [{"example": name,
-             "report": asdict(ellipticity_report(_nested_fields(builder, radii), k_list))}
-            for name, builder, radii in table]
+             "report": asdict(ellipticity_report(_nested_fields(circle, radii), k_list))}
+            for name, circle, radii in table]
 
 
 # (quantity, kind, p) of the report's divergence rows, in output order.

@@ -22,6 +22,7 @@ import csv
 import os
 import sys
 import warnings
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -76,7 +77,8 @@ def as_alpha(a) -> AlphaParam:
 _UNIFORM_TOL = 1e-12
 _NODE_AGREEMENT_TOL = 1e-12
 # Largest angular node count: the CLI refuses larger --nodes and --samples,
-# and regimes' resolved node counts stop doubling here.
+# read_boundary_csv longer files, and regimes' resolved node counts stop
+# doubling here.
 _ANGULAR_CAP = 1 << 17
 
 
@@ -359,10 +361,12 @@ def read_boundary_csv(path: str) -> BoundaryData:
     """Read boundary samples from CSV (theta,re,im); validates grid uniformity.
 
     Every refusal is a ValueError that names the file, and the line when
-    one row is at fault.
+    one row is at fault. A row past the angular cap of 2^17 samples is
+    refused as it is read, and samples are held as packed doubles, so a
+    long file costs at most 24 bytes a row before the refusal.
     """
-    thetas = []
-    values = []
+    thetas = array("d")
+    values = array("d")  # re, im pairs
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -370,6 +374,9 @@ def read_boundary_csv(path: str) -> BoundaryData:
             if header is None or [h.strip() for h in header] != ["theta", "re", "im"]:
                 raise ValueError(f"{path}: expected header theta,re,im, got {header!r}")
             for row in reader:
+                if len(thetas) == _ANGULAR_CAP:
+                    raise ValueError(f"{path}, line {reader.line_num}: more than "
+                                     f"{_ANGULAR_CAP} samples (the angular node cap)")
                 if len(row) != 3:
                     raise ValueError(f"{path}, line {reader.line_num}: expected 3 fields "
                                      f"theta,re,im, got {len(row)}")
@@ -379,12 +386,12 @@ def read_boundary_csv(path: str) -> BoundaryData:
                     raise ValueError(f"{path}, line {reader.line_num}: theta,re,im must be "
                                      f"real numbers, got {row!r}") from None
                 thetas.append(theta)
-                values.append(complex(re, im))
+                values.extend((re, im))
         except csv.Error as exc:
             raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from None
     try:
-        return BoundaryData.from_samples(thetas, values)
+        return BoundaryData.from_samples(np.frombuffer(thetas), np.frombuffer(values, complex))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

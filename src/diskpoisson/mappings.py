@@ -19,6 +19,14 @@ Three families:
   * log_series_value / log_series_derivs: the real harmonic function
     Im(sum_{n>=2} z^n / (n log n)) whose Jacobian vanishes identically
     while |df/dz| is unbounded, so no ellipticity constant works.
+
+The public evaluators take arbitrary points and sum their power series
+term by term (Horner's rule for the log-series boundary). On m uniform
+angles of one circle |z| = r the same series is one circle sum,
+sum_k c_k r^k e^{i k theta_j}: a length-m inverse FFT of the coefficients
+r^k c_k folded mod m (_circle_sum). The report's phase and log-series
+circles and the log-series boundary samples on the shared uniform grids
+are built that way.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .specfun import gauss_value, hyp2f1, pochhammer
-from .kernel import BoundaryData, _warn
+from .kernel import BoundaryData, _uniform_thetas, _warn
 from .derivs import DerivField
 
 __all__ = [
@@ -45,6 +53,26 @@ __all__ = [
     "log_series_boundary",
     "log_series_field",
 ]
+
+
+def _circle_sum(coeffs: np.ndarray, r: float, m: int) -> np.ndarray:
+    """sum_k coeffs[k] r^k e^{i k theta_j} at the m angles theta_j = 2 pi j / m.
+
+    e^{i k theta_j} depends on k mod m only, so the sum is one length-m
+    inverse FFT of the terms r^k coeffs[k] folded mod m: O(len(coeffs) +
+    m log m) work instead of a power loop over every angle.
+    """
+    terms = coeffs * float(r) ** np.arange(len(coeffs))
+    folded = np.pad(terms, (0, -len(terms) % m)).reshape(-1, m).sum(axis=0)
+    return np.fft.ifft(folded, norm="forward")
+
+
+def _grid_size(thetas) -> Optional[int]:
+    """m when thetas is the shared uniform grid _uniform_thetas(m), else None."""
+    if (isinstance(thetas, np.ndarray) and not thetas.flags.writeable
+            and thetas is _uniform_thetas(thetas.size)):
+        return thetas.size
+    return None
 
 
 def _unique_map(fn, x: np.ndarray) -> np.ndarray:
@@ -215,6 +243,25 @@ def phase_fourier_coeff(k) -> np.ndarray:
 _PHASE_KMAX_CAP = 2_000_000
 
 
+def _phase_kmax(rmax: float) -> int:
+    """Terms for a geometric tail below double precision at radius rmax: 42/(1-rmax)."""
+    return int(min(_PHASE_KMAX_CAP, max(64, math.ceil(42.0 / (1.0 - rmax)))))
+
+
+def _phase_deriv_coeffs(kmax: int):
+    """(k c_k, k c_{-k}) for k = 1..kmax: the power-series coefficients of
+    df/dz in z^{k-1} and of df/dzbar in zbar^{k-1}."""
+    ks = np.arange(1, kmax + 1, dtype=float)
+    return phase_fourier_coeff(ks) * ks, phase_fourier_coeff(-ks) * ks
+
+
+def _phase_circle(r: float, m: int):
+    """(df/dz, df/dzbar) of the phase-corner extension at the m uniform angles of
+    |z| = r < 1: phase_wirtinger's series, 42/(1-r) terms, as two circle sums."""
+    cpos, cneg = _phase_deriv_coeffs(_phase_kmax(r))
+    return _circle_sum(cpos, r, m), np.conj(_circle_sum(np.conj(cneg), r, m))
+
+
 def phase_wirtinger(z, kmax: Optional[int] = None):
     """(df/dz, df/dzbar) of the harmonic extension of the phase-corner boundary.
 
@@ -227,10 +274,8 @@ def phase_wirtinger(z, kmax: Optional[int] = None):
     if rmax >= 1.0:
         raise ValueError("the extension's derivatives exist on the open disk only")
     if kmax is None:
-        kmax = int(min(_PHASE_KMAX_CAP, max(64, math.ceil(42.0 / (1.0 - rmax)))))
-    ks = np.arange(1, kmax + 1, dtype=float)
-    cpos = phase_fourier_coeff(ks) * ks
-    cneg = phase_fourier_coeff(-ks) * ks
+        kmax = _phase_kmax(rmax)
+    cpos, cneg = _phase_deriv_coeffs(kmax)
     zf = z.reshape(-1)
     zb = np.conj(zf)
     dz = np.zeros_like(zf)
@@ -330,26 +375,41 @@ def log_series_derivs(z, n_trunc: int = 4096):
     return dz, dzbar
 
 
+def _log_series_circle(r: float, m: int, n_trunc: int):
+    """(df/dz, df/dzbar) of the truncated log series at the m uniform angles of
+    |z| = r < 1: log_series_derivs as one circle sum of z^{n-1} / log n."""
+    _warn_tail(r, n_trunc)
+    _, _, inv_log = _log_coeffs(n_trunc)
+    dz = _circle_sum(np.concatenate([[0.0], inv_log]), r, m) / 2j
+    return dz, np.conj(dz)
+
+
 def log_series_boundary(n_samples: int = 2048, n_trunc: Optional[int] = None) -> BoundaryData:
     """Boundary data sum_{n=2}^{N} sin(n theta)/(n log n), truncation alias-free.
 
     By default N is capped at n_samples/2 - 1 so the samples carry the
-    closed form exactly; pass n_trunc to override.
+    closed form exactly; pass n_trunc to override. On the shared uniform
+    grids (every sample set and resample) the series is a circle sum at
+    r = 1; other angles use Horner's rule in e^{i theta}.
     """
     if n_trunc is None:
         n_trunc = min(4096, n_samples // 2 - 1)
-    ns, inv_nlog, inv_log = _log_coeffs(n_trunc)
-    # Horner on e^{i theta}: coefficient arrays highest power first, c_0 = c_1 = 0.
-    poly_f = np.concatenate([inv_nlog[::-1], np.zeros(2)])
-    poly_df = np.concatenate([inv_log[::-1], np.zeros(2)])
+    _, inv_nlog, inv_log = _log_coeffs(n_trunc)
+    # Coefficients of e^{i n theta}, lowest power first; c_0 = c_1 = 0.
+    coeffs_f = np.concatenate([np.zeros(2), inv_nlog])
+    coeffs_df = np.concatenate([np.zeros(2), inv_log])
+
+    def series(coeffs, thetas):
+        m = _grid_size(thetas)
+        if m is not None:
+            return _circle_sum(coeffs, 1.0, m)
+        return np.polyval(coeffs[::-1], np.exp(1j * np.asarray(thetas, dtype=float)))
 
     def fn(thetas):
-        e = np.exp(1j * np.asarray(thetas, dtype=float))
-        return np.polyval(poly_f, e).imag + 0j
+        return series(coeffs_f, thetas).imag + 0j
 
     def dfn(thetas):
-        e = np.exp(1j * np.asarray(thetas, dtype=float))
-        return np.polyval(poly_df, e).real + 0j
+        return series(coeffs_df, thetas).real + 0j
 
     return BoundaryData.from_function(fn, n_samples, deriv=dfn)
 

@@ -31,10 +31,11 @@ from typing import Optional
 import numpy as np
 
 from .specfun import gamma
-from .kernel import (BoundaryData, QuadSpec, _ANGULAR_CAP, _uniform_thetas,
-                     as_alpha, boundary_derivative, circle_poisson_values)
+from .kernel import (BoundaryData, QuadSpec, _ANGULAR_CAP, _check_resolution,
+                     _circle_kernel, _sweep, _uniform_thetas, as_alpha,
+                     boundary_derivative)
 # circle_derivs stays bound: perfbench's test_wrappers_are_all_removed asserts it is traced.
-from .derivs import _circle_dtheta, circle_derivs  # noqa: F401
+from .derivs import circle_derivs  # noqa: F401
 from .norms import lp_norm_circle, integral_mean
 
 __all__ = [
@@ -189,6 +190,53 @@ def _resolved_sweeps(F: BoundaryData, q: QuadSpec):
         yield F.resample(n), q_n, [float(r) for r in radii]
 
 
+def _boundary_checks(a, F: BoundaryData, q: QuadSpec, ps=(), scaled: bool = False,
+                     label: Optional[str] = None, angular_slack: float = 1e-6,
+                     scaled_slack: float = _SLACK) -> list:
+    """The angular-derivative records for each p in ps, then the scaled-kernel record
+    when scaled: one walk of the radial grid for (alpha, F).
+
+    Each circle's kernel spectrum is built once. It feeds one dtheta sweep, whose
+    integral means serve every p, and, when scaled, one value sweep for |J1|, the
+    only sweep that warns about resolution.
+    """
+    a = as_alpha(a)
+    ps = [float(p) for p in ps]
+    for p in ps:
+        if not (1.0 <= p < math.inf):
+            raise ValueError(f"p must be finite and >= 1, got {p!r}")
+    max_ratio = [0.0] * len(ps)
+    sup_j1 = 0.0
+    for F_n, q_n, radii in _resolved_sweeps(F, q):
+        dF = boundary_derivative(F_n)
+        rhs_n = [lp_norm_circle(dF, p) for p in ps]
+        for r in radii:
+            _, _, kern_hat = _circle_kernel(a, F_n, r, q_n)
+            if ps:
+                mags = np.abs(_sweep(kern_hat, dF))
+                for i, p in enumerate(ps):
+                    if rhs_n[i] > 0.0:
+                        max_ratio[i] = max(max_ratio[i], integral_mean(mags, r, p) / rhs_n[i])
+            if scaled:
+                _check_resolution(F_n.n_samples, r)
+                vals = _sweep(kern_hat, F_n)
+                sup_j1 = max(sup_j1, float(np.max(np.abs(a.alpha * vals))))
+    common = {"boundary": label or "unnamed", "nodes": q.angular_nodes,
+              "r_max": float(q.radial_grid[-1])}
+    records = [CertificationRecord(
+        check="angular_derivative_bound",
+        params={"alpha": a.alpha, "p": p, **common},
+        lhs=float(ratio), rhs=1.0, holds=bool(ratio <= 1.0 + angular_slack),
+    ) for p, ratio in zip(ps, max_ratio)]
+    if scaled:
+        rhs = abs(a.alpha) * float(np.max(np.abs(F.values)))
+        records.append(CertificationRecord(
+            check="scaled_kernel_bound", params={"alpha": a.alpha, **common},
+            lhs=sup_j1, rhs=rhs, holds=bool(sup_j1 <= rhs + scaled_slack),
+        ))
+    return records
+
+
 def check_angular_derivative_bound(a, F: BoundaryData, p: float, q: QuadSpec,
                                    slack: float = 1e-6,
                                    label: Optional[str] = None) -> CertificationRecord:
@@ -199,25 +247,7 @@ def check_angular_derivative_bound(a, F: BoundaryData, p: float, q: QuadSpec,
     like 1-r), capped at 2^17; sampled-only boundary data is used at its
     native resolution.
     """
-    a = as_alpha(a)
-    p = float(p)
-    if not (1.0 <= p < math.inf):
-        raise ValueError(f"p must be finite and >= 1, got {p!r}")
-    max_ratio = 0.0
-    for F_n, q_n, radii in _resolved_sweeps(F, q):
-        rhs_n = lp_norm_circle(boundary_derivative(F_n), p)
-        for r in radii:
-            mean = integral_mean(_circle_dtheta(a, F_n, r, q_n), r, p)
-            if rhs_n > 0.0:
-                max_ratio = max(max_ratio, mean / rhs_n)
-    return CertificationRecord(
-        check="angular_derivative_bound",
-        params={"alpha": a.alpha, "p": p, "boundary": label or "unnamed",
-                "nodes": q.angular_nodes, "r_max": float(q.radial_grid[-1])},
-        lhs=float(max_ratio),
-        rhs=1.0,
-        holds=bool(max_ratio <= 1.0 + slack),
-    )
+    return _boundary_checks(a, F, q, (p,), label=label, angular_slack=slack)[0]
 
 
 def check_scaled_kernel_bound(a, F: BoundaryData, q: QuadSpec,
@@ -228,21 +258,7 @@ def check_scaled_kernel_bound(a, F: BoundaryData, q: QuadSpec,
     J1 = alpha K_a[F] and the operator is an average against a unit-mass
     positive kernel, so the bound is the maximum principle scaled by alpha.
     """
-    a = as_alpha(a)
-    sup_j1 = 0.0
-    for F_n, q_n, radii in _resolved_sweeps(F, q):
-        for r in radii:
-            vals = circle_poisson_values(a, F_n, r, q_n)
-            sup_j1 = max(sup_j1, float(np.max(np.abs(a.alpha * vals))))
-    rhs = abs(a.alpha) * float(np.max(np.abs(F.values)))
-    return CertificationRecord(
-        check="scaled_kernel_bound",
-        params={"alpha": a.alpha, "boundary": label or "unnamed",
-                "nodes": q.angular_nodes, "r_max": float(q.radial_grid[-1])},
-        lhs=sup_j1,
-        rhs=rhs,
-        holds=bool(sup_j1 <= rhs + slack),
-    )
+    return _boundary_checks(a, F, q, scaled=True, label=label, scaled_slack=slack)[0]
 
 
 KERNEL_MEAN_GRID = {

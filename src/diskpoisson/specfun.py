@@ -76,8 +76,15 @@ def gamma(x: float) -> float:
         value = math.inf
     if math.isinf(value):
         # The power term t^(z + 1/2) leaves the double range from x ~ 142.2,
-        # before Gamma itself does (x ~ 171.6).
-        raise OverflowError(f"Gamma(x) overflows at x={x!r}; this evaluation holds for x <= 142")
+        # before Gamma itself does (x ~ 171.6); its square root p does not,
+        # and p e^{-t} p stays finite wherever Gamma does.
+        try:
+            p = t ** ((z + 0.5) / 2.0)
+            value = _SQRT_2PI * p * math.exp(-t) * p * acc
+        except OverflowError:
+            pass
+    if math.isinf(value):
+        raise OverflowError(f"Gamma(x) overflows at x={x!r}; this evaluation holds for x <= 171")
     return value
 
 

@@ -3,16 +3,22 @@
 import json
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from diskpoisson import cli
+from diskpoisson import cli, derivs, kernel, mappings, regimes
 from diskpoisson.cli import THREADS_ENV, main
 from diskpoisson.derivs import read_deriv_csv
-from diskpoisson.kernel import QuadSpec, circle_poisson_values, read_boundary_csv
+from diskpoisson.kernel import QuadSpec, circle_poisson_values, radial_grid, read_boundary_csv
 from diskpoisson.kernel import _ANGULAR_CAP
 from diskpoisson.mappings import HypMonomial
+from diskpoisson.regimes import (
+    certification_grid,
+    check_angular_derivative_bound,
+    check_scaled_kernel_bound,
+)
 
 
 def run_cli(capsys, argv):
@@ -292,10 +298,37 @@ class TestNamedRefusals:
         assert err == (f"error: {path}, line 3: theta,re,im must be real numbers, "
                        "got ['np.float64(0.1)', '1.0', '0.0']\n")
 
+    def test_csv_past_the_sample_cap_is_refused_while_read(self, capsys, tmp_path):
+        # A uniform grid of 2^17 + 2 samples, valid but for its length: it is
+        # refused at its first row past the cap, holding only packed samples.
+        n = _ANGULAR_CAP + 2
+        path = tmp_path / "long.csv"
+        thetas = 2.0 * np.pi * np.arange(n) / n
+        path.write_text("theta,re,im\n" + "".join(f"{float(t)!r},1.0,0.0\n" for t in thetas))
+        tracemalloc.start()
+        try:
+            code = main(["eval", "--alpha", "-0.5", "--boundary", str(path), "--point", "0.5,0"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}, line {_ANGULAR_CAP + 2}: more than {_ANGULAR_CAP} "
+                       "samples (the angular node cap)\n")
+        assert peak < 6 << 20  # 24 bytes a row: 3 MiB of packed samples
+
+    def test_gamma_past_142_is_evaluated(self, capsys):
+        # Gamma(151) is finite; the boundary constant is
+        # Gamma(151) Gamma(1/2) / (Gamma(150.75) Gamma(3/4)), 5.06506751299466 by mpmath.
+        code, out, _ = run_cli(capsys, ["example", "--id", "4.1", "--n", "150"])
+        assert code == 0
+        assert json.loads(out)["facts"]["boundary_constant"] == pytest.approx(
+            5.06506751299466, rel=1e-12)
+
     def test_gamma_overflow_names_gamma_and_x(self, capsys):
         code, out, err = run_cli(capsys, ["example", "--id", "4.1", "--n", "200"])
         assert (code, out) == (2, "")
-        assert err == "error: Gamma(x) overflows at x=201.0; this evaluation holds for x <= 142\n"
+        assert err == "error: Gamma(x) overflows at x=201.0; this evaluation holds for x <= 171\n"
 
 
 NORM_41 = ["norm", "--alpha", "-0.5", "--p", "2", "--example", "4.1"]
@@ -440,6 +473,37 @@ class TestVerify:
         _, out_env, _ = run_cli(capsys, ["verify", "--suite", "oracle"])
         assert out_env == out1
 
+    def test_inequalities_deterministic_across_threads(self, capsys):
+        # Each job is one (boundary, alpha) pass sharing its boundary with two
+        # other jobs; the records must come back in the serial order.
+        code1, out1, _ = run_cli(capsys, ["verify", "--suite", "inequalities", "--threads", "1"])
+        code2, out2, _ = run_cli(capsys, ["verify", "--suite", "inequalities", "--threads", "2"])
+        assert (code1, code2) == (0, 0)
+        assert out1 == out2
+
+    def test_one_kernel_spectrum_per_alpha_boundary_and_radius(self, monkeypatch):
+        built = Counter()
+        original = kernel._circle_kernel
+
+        def counting(a, F, r, q):
+            built[(float(getattr(a, "alpha", a)), id(F), r)] += 1
+            return original(a, F, r, q)
+
+        for module in (kernel, derivs, regimes):
+            monkeypatch.setattr(module, "_circle_kernel", counting)
+        q = QuadSpec(angular_nodes=64, r_max=0.99, radial_grid=radial_grid(0.99, 6))
+        records = cli._inequality_records(q, 1)
+        assert sum(built.values()) == 3 * 3 * len(q.radial_grid)
+        assert set(built.values()) == {1}
+        # The one pass gives the records of the separate checks, in their order.
+        want = certification_grid(q)
+        for label, F in cli._bundled_boundaries(q.angular_nodes):
+            for alpha in (-0.5, 0.0, 1.0):
+                want += [check_angular_derivative_bound(alpha, F, p, q, label=label)
+                         for p in (1.0, 2.0, 4.0)]
+                want.append(check_scaled_kernel_bound(alpha, F, q, label=label))
+        assert records == want
+
     def test_seed_changes_oracle_points(self, capsys):
         _, out0, _ = run_cli(capsys, ["verify", "--suite", "oracle", "--seed", "0"])
         _, out7, _ = run_cli(capsys, ["verify", "--suite", "oracle", "--seed", "7"])
@@ -448,6 +512,21 @@ class TestVerify:
 
 
 class TestReport:
+    def test_ellipticity_oracles_are_circle_sums(self, monkeypatch):
+        # The report's phase and log-series circles come from FFT circle
+        # sums, never from the pointwise power-series loops.
+        def refuse(*args, **kwargs):
+            raise AssertionError("pointwise series loop called")
+
+        monkeypatch.setattr(mappings, "phase_wirtinger", refuse)
+        monkeypatch.setattr(mappings, "log_series_derivs", refuse)
+        verdicts = {row["example"]: row["report"]["verdict"]
+                    for row in cli._ellipticity_summaries((1.0, 10.0, 100.0))}
+        assert verdicts == {"hyp-monomial": "non_elliptic_trend",
+                            "piecewise-phase": "elliptic_candidate",
+                            "log-series": "non_elliptic_trend",
+                            "identity": "elliptic_candidate"}
+
     def test_bundle_smoke(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         code = main(["report", "--output", str(path)])

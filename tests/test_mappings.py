@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from diskpoisson.derivs import FLAG_NONE, FLAG_ORIGIN, dz_dzbar_f
-from diskpoisson.kernel import QuadSpec, boundary_derivative
+from diskpoisson.kernel import QuadSpec, _uniform_thetas, boundary_derivative
 from diskpoisson.mappings import (
     HypMonomial,
+    _circle_sum,
+    _log_series_circle,
+    _phase_circle,
     log_series_boundary,
     log_series_derivs,
     log_series_field,
@@ -253,3 +256,63 @@ class TestLogSeries:
         dz, dzbar = log_series_derivs(pts, 400)
         assert np.array_equal(fld.dz, dz)
         assert np.array_equal(fld.dzbar, dzbar)
+
+
+def _circle(r, m=64):
+    return r * np.exp(1j * _uniform_thetas(m))
+
+
+def _rel_to_max(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestCircleSum:
+    """The FFT circle sums against the power-series loops and Horner's rule."""
+
+    def test_folds_frequencies_past_the_grid(self):
+        rng = np.random.default_rng(5)
+        coeffs = rng.normal(size=100) + 1j * rng.normal(size=100)
+        r, m = 0.8, 16
+        z = _circle(r, m)
+        want = np.array([np.sum(coeffs * zj ** np.arange(100)) for zj in z])
+        assert _rel_to_max(_circle_sum(coeffs, r, m), want) < 1e-13
+
+    @pytest.mark.parametrize("r", [0.9, 0.99, 0.999])
+    def test_phase_circle_matches_phase_wirtinger(self, r):
+        got = _phase_circle(r, 64)
+        want = phase_wirtinger(_circle(r))
+        for g, w in zip(got, want):
+            assert _rel_to_max(g, w) <= 1e-12
+
+    @pytest.mark.parametrize("r", [0.9, 0.99, 0.999])
+    def test_log_series_circle_matches_log_series_derivs(self, r):
+        got = _log_series_circle(r, 64, 50000)
+        want = log_series_derivs(_circle(r), 50000)
+        for g, w in zip(got, want):
+            assert _rel_to_max(g, w) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2048, 32768])
+    def test_log_series_boundary_samples_match_horner(self, n, monkeypatch):
+        # Samples, derivative samples and resamples lie on shared grids and come
+        # from the circle sum; a writable copy of the same angles takes Horner.
+        def refuse(*args, **kwargs):
+            raise AssertionError("Horner's rule on a shared grid")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(np, "polyval", refuse)
+            F = log_series_boundary(n)
+            dF = boundary_derivative(F)
+            F.resample(2 * n)
+        thetas = F.thetas.copy()
+        assert _rel_to_max(F.values, F.closed_form(thetas)) <= 1e-12
+        assert _rel_to_max(dF.values, F.closed_form_deriv(thetas)) <= 1e-12
+
+    def test_criterion_09_dilatation(self):
+        # Why criterion 09 fails: on its 64-angle circles the dilatation of
+        # the phase-corner extension stays far below 9/11 and 99/101, the
+        # levels at which the K = 10 and K = 100 distortion defects appear.
+        for r, want in ((0.9, 0.122), (0.99, 0.298), (0.999, 0.473)):
+            dz, dzbar = phase_wirtinger(_circle(r))
+            assert np.max(np.abs(dzbar / dz)) == pytest.approx(want, abs=1e-3)
+            dz, dzbar = _phase_circle(r, 64)
+            assert np.max(np.abs(dzbar / dz)) == pytest.approx(want, abs=1e-3)

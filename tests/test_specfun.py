@@ -268,6 +268,17 @@ class TestGammaOverflow:
         with pytest.raises(OverflowError, match=r"Gamma\(x\) overflows at x=201\.0"):
             gamma(201.0)
 
+    @pytest.mark.parametrize("x", [142.5, 150.0, 160.25, 171.0, 171.6])
+    def test_past_the_power_term_overflow(self, x):
+        # t^(x - 1/2) overflows from x ~ 142.2; Gamma itself stays finite to 171.6.
+        # The power's rounding, about x ln t ulp, is 9e-14 at x = 142 already.
+        assert gamma(x) == pytest.approx(math.gamma(x), rel=2e-13)
+
+    def test_overflow_bound_is_171(self):
+        for x in (171.7, 1e6):
+            with pytest.raises(OverflowError, match=r"holds for x <= 171$"):
+                gamma(x)
+
     def test_largest_finite_values_keep_their_bits(self):
         assert gamma(142.0) == float.fromhex("0x1.1ca9fcdf65160p+808")
         assert gamma(0.3) == float.fromhex("0x1.7eebbb8aec4aap+1")
