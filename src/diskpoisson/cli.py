@@ -255,36 +255,29 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
         _require(F.n_samples % n_th == 0,
                  f"grid-thetas must divide the boundary's {F.n_samples} samples")
         stride = F.n_samples // n_th
-        thetas = _uniform_thetas(n_th)
-        rows = []
-        for r in q.radial_grid:
-            vals = circle_poisson_values(ns.alpha, F, float(r), q)[::stride]
-            rows.extend(
-                {"r": float(r), "theta": float(t), "re": float(v.real), "im": float(v.imag)}
-                for t, v in zip(thetas, vals)
-            )
+        vals = np.concatenate([circle_poisson_values(ns.alpha, F, float(r), q)[::stride]
+                               for r in q.radial_grid])
+        rows = list(zip(np.repeat(q.radial_grid, n_th).tolist(),
+                        np.tile(_uniform_thetas(n_th), len(q.radial_grid)).tolist(),
+                        vals.real.tolist(), vals.imag.tolist()))
     else:
         pts = _parse_points(raw_points, q.r_max)
         rows = []
         for z in pts:
             v = poisson_integral(ns.alpha, F, complex(z), q)
-            rows.append({
-                "r": float(abs(z)),
-                "theta": float(np.mod(np.angle(z), 2.0 * np.pi)) if abs(z) > 0 else 0.0,
-                "re": float(v.real),
-                "im": float(v.imag),
-            })
+            theta = float(np.mod(np.angle(z), 2.0 * np.pi)) if abs(z) > 0 else 0.0
+            rows.append((float(abs(z)), theta, float(v.real), float(v.imag)))
 
+    keys = ("r", "theta", "re", "im")
     if ns.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(["r", "theta", "re", "im"])
-        for row in rows:
-            writer.writerow([repr(row["r"]), repr(row["theta"]),
-                             repr(row["re"]), repr(row["im"])])
+        writer.writerow(keys)
+        writer.writerows(rows)  # csv writes a float as its repr
         _emit(buf.getvalue(), ns.output)
     else:
-        _emit_json({"alpha": ns.alpha, "nodes": F.n_samples, "values": rows}, ns.output)
+        _emit_json({"alpha": ns.alpha, "nodes": F.n_samples,
+                    "values": [dict(zip(keys, row)) for row in rows]}, ns.output)
     return 0
 
 

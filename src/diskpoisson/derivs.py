@@ -31,9 +31,13 @@ from .kernel import (
     BoundaryData,
     QuadSpec,
     _circle_kernel,
+    _grid_kernel,
+    _half_angle_sin2,
     _on_quad_grid,
     _sweep,
+    _symmetric_fft,
     _under_resolved,
+    _uniform_thetas,
     as_alpha,
     boundary_derivative,
     poisson_integral,
@@ -82,12 +86,13 @@ def _shifted_samples(F: BoundaryData, theta: float) -> np.ndarray:
     return np.fft.ifft(F._spectrum() * np.exp(1j * ks * theta))
 
 
-def _j2_weights(a: AlphaParam, r: float, t: np.ndarray):
-    """(c1, k1, c2, k2): prefactors and real kernels of the two J2 integrals on the grid t."""
-    dpow = np.abs(1.0 - r * np.exp(1j * t)) ** (a.alpha + 2.0)
-    w_a = (1.0 - r * r) ** a.alpha
-    return (-(a.c_alpha * w_a / np.pi), r * np.sin(t) / dpow,
-            -(a.alpha * a.c_alpha * w_a / (2.0 * np.pi)), (1.0 - r * np.cos(t)) / dpow)
+def _j2_weights(a: AlphaParam, r: float, n: int):
+    """(c1, k1, c2, k2): prefactors and real kernels of the two J2 integrals on the n-node
+    grid. c_a w^a / D^((a+2)/2) is the kernel K_a(r e^{it}) over w, and 1 - r cos t is
+    written as (1-r) + 2r sin^2(t/2)."""
+    kern, w = _grid_kernel(a, r, n), 1.0 - r * r
+    return (-1.0 / (np.pi * w), r * np.sin(_uniform_thetas(n)) * kern,
+            -a.alpha / (2.0 * np.pi * w), ((1.0 - r) + 2.0 * r * _half_angle_sin2(n)) * kern)
 
 
 def _wirtinger_pair(rdr, dth, z):
@@ -110,7 +115,7 @@ def J2(a, F: BoundaryData, z: complex, q: QuadSpec) -> complex:
         raise ValueError(f"evaluation point must satisfy |z| <= r_max = {q.r_max}")
     F = _on_quad_grid(F, q)
     theta = math.atan2(z.imag, z.real)
-    c1, k1, c2, k2 = _j2_weights(a, r, F.thetas)
+    c1, k1, c2, k2 = _j2_weights(a, r, F.n_samples)
     fdot = _shifted_samples(boundary_derivative(F), theta)
     fval = _shifted_samples(F, theta)
     dt = 2.0 * np.pi / F.n_samples
@@ -220,12 +225,13 @@ def _circle_rdr(a: AlphaParam, F: BoundaryData, kern_hat: np.ndarray, r: float) 
     """
     dF = boundary_derivative(F)
     j1 = _sweep(kern_hat, F, a.alpha)
-    c1, k1, c2, k2 = _j2_weights(a, r, F.thetas)
+    c1, k1, c2, k2 = _j2_weights(a, r, F.n_samples)
     dt = 2.0 * np.pi / F.n_samples
     # sum_j g(t_j + theta) k(t_j) over the grid is the cross-correlation of
-    # g with the (real) kernel k, evaluated at theta.
-    term1 = c1 * dt * np.fft.ifft(dF._spectrum() * np.conj(np.fft.fft(k1)))
-    term2 = c2 * dt * np.fft.ifft(F._spectrum() * np.conj(np.fft.fft(k2)))
+    # g with the real kernel k, evaluated at theta: ifft(fft(g) conj(fft(k))).
+    # k1 is odd, so conj(fft(k1)) = -fft(k1); k2 is even, so fft(k2) is real.
+    term1 = -c1 * dt * np.fft.ifft(dF._spectrum() * _symmetric_fft(k1, odd=True))
+    term2 = c2 * dt * np.fft.ifft(F._spectrum() * _symmetric_fft(k2))
     return j1 + term1 + term2
 
 
@@ -340,15 +346,12 @@ def write_deriv_rows(fh, fld: DerivField) -> None:
     """Write the field as CSV rows, one per grid point, to an open stream."""
     r = np.abs(fld.points)
     theta = np.mod(np.angle(fld.points), 2.0 * np.pi)
+    columns = [r.tolist(), theta.tolist()]
+    for arr in (fld.dtheta, fld.dr, fld.dz, fld.dzbar):
+        columns += [np.real(arr).tolist(), np.imag(arr).tolist()]
     writer = csv.writer(fh)
     writer.writerow(_DERIV_CSV_HEADER)
-    for i in range(len(fld.points)):
-        row = [repr(float(r[i])), repr(float(theta[i]))]
-        for arr in (fld.dtheta, fld.dr, fld.dz, fld.dzbar):
-            row.append(repr(float(arr[i].real)))
-            row.append(repr(float(arr[i].imag)))
-        row.append(fld.flags[i])
-        writer.writerow(row)
+    writer.writerows(zip(*columns, fld.flags))  # csv writes a float as its repr
 
 
 def write_deriv_csv(path: str, fld: DerivField) -> None:

@@ -10,10 +10,14 @@ integral operator itself, and boundary differentiation.
 Quadrature is the composite trapezoid rule on the uniform periodic grid,
 which is spectrally accurate for smooth integrands. A circle sweep is the
 same trapezoid sums at every grid angle at once: one cyclic convolution,
-the kernel's spectrum times the boundary's. Everything derived from a
-BoundaryData's samples (its resamples; boundary_derivative, the only code
-computing dF/dtheta; the spectrum fft(values), the only FFT of boundary
-samples) is computed once and memoized on it.
+the kernel's spectrum times the boundary's. On the grid the kernel is real
+and even in theta, so its spectrum is real and even: one real FFT of
+values built from a cached table of sin^2(theta_j/2), since
+|1 - r e^{it}|^2 = (1-r)^2 + 4r sin^2(t/2) does not cancel near t = 0 as
+r -> 1. Everything derived from a BoundaryData's samples (its resamples;
+boundary_derivative, the only code computing dF/dtheta; the spectrum
+fft(values), the only FFT of boundary samples) is computed once and
+memoized on it.
 """
 
 from __future__ import annotations
@@ -91,6 +95,21 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 def _uniform_thetas(n: int) -> np.ndarray:
     """The grid 2 pi j / n, one shared read-only array per node count."""
     return _read_only(2.0 * np.pi * np.arange(n) / n)
+
+
+@lru_cache(maxsize=64)
+def _half_angle_sin2(n: int) -> np.ndarray:
+    """sin^2(theta_j / 2) on the grid _uniform_thetas(n), shared and read-only like it."""
+    return _read_only(np.sin(0.5 * _uniform_thetas(n)) ** 2)
+
+
+def _symmetric_fft(k: np.ndarray, odd: bool = False) -> np.ndarray:
+    """np.fft.fft(k) for a real k of even length that is even (k[n-j] = k[j]) or odd
+    (k[n-j] = -k[j]), from one rfft: the spectrum is real and even, or imaginary and odd."""
+    half = np.fft.rfft(k)
+    if odd:
+        return 1j * np.concatenate((half.imag, -half.imag[-2:0:-1]))
+    return np.concatenate((half.real, half.real[-2:0:-1]))
 
 
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
@@ -214,12 +233,11 @@ def radial_grid(r_max: float = 0.999, n: int = 64) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Quadrature configuration: angular nodes, radial grid, truncation, tolerance."""
+    """Quadrature configuration: angular nodes, radial grid, truncation."""
 
     angular_nodes: int = 2048
     r_max: float = 0.999
     radial_grid: np.ndarray = None
-    tol: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.angular_nodes < 16 or self.angular_nodes % 2 != 0:
@@ -288,13 +306,20 @@ def poisson_integral(a, F: BoundaryData, z, q: QuadSpec) -> complex:
     return complex(out[0]) if np.isscalar(z) or np.asarray(z).ndim == 0 else out
 
 
+def _grid_kernel(a: AlphaParam, r: float, n: int) -> np.ndarray:
+    """kernel_K(a, r e^{i theta_j}) on the n-node grid, with |1 - r e^{i theta}|^2 written
+    as (1-r)^2 + 4r sin^2(theta/2), which does not cancel near theta = 0 as r -> 1."""
+    dist_sq = (1.0 - r) ** 2 + 4.0 * r * _half_angle_sin2(n)
+    return a.c_alpha * (1.0 - r * r) ** (a.alpha + 1.0) * dist_sq ** (-0.5 * (a.alpha + 2.0))
+
+
 def _circle_kernel(a, F: BoundaryData, r: float, q: QuadSpec):
     """(a, F on the quadrature grid, kernel spectrum at radius r): the silent sweep preamble."""
     a = as_alpha(a)
     F = _on_quad_grid(F, q)
     if not 0.0 <= r <= q.r_max:
         raise ValueError(f"radius must lie in [0, r_max = {q.r_max}]")
-    return a, F, np.fft.fft(kernel_K(a, r * np.exp(1j * F.thetas)))
+    return a, F, _symmetric_fft(_grid_kernel(a, r, F.n_samples))
 
 
 def _sweep(kern_hat: np.ndarray, G: BoundaryData, scale: float = 1.0) -> np.ndarray:
@@ -349,12 +374,11 @@ def _derivative(F: BoundaryData) -> BoundaryData:
 
 
 def write_boundary_csv(path: str, F: BoundaryData) -> None:
-    """Write samples as CSV with header theta,re,im."""
+    """Write samples as CSV with header theta,re,im (csv writes each float as its repr)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["theta", "re", "im"])
-        for t, v in zip(F.thetas, F.values):
-            writer.writerow([repr(float(t)), repr(float(v.real)), repr(float(v.imag))])
+        writer.writerows(zip(F.thetas.tolist(), F.values.real.tolist(), F.values.imag.tolist()))
 
 
 def read_boundary_csv(path: str) -> BoundaryData:

@@ -186,7 +186,7 @@ def _resolved_sweeps(F: BoundaryData, q: QuadSpec):
     def nodes(r):
         return _resolved_nodes(q.angular_nodes, r) if F.closed_form is not None else F.n_samples
     for n, radii in itertools.groupby(q.radial_grid, key=nodes):
-        q_n = QuadSpec(angular_nodes=n, r_max=q.r_max, radial_grid=q.radial_grid, tol=q.tol)
+        q_n = QuadSpec(angular_nodes=n, r_max=q.r_max, radial_grid=q.radial_grid)
         yield F.resample(n), q_n, [float(r) for r in radii]
 
 

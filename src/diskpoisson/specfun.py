@@ -27,8 +27,9 @@ class ConvergenceError(ArithmeticError):
     """A series failed to reach the requested tolerance under the term cap."""
 
 
-# Lanczos coefficients for g = 7, nine terms. Relative error of the
-# resulting Gamma is a few ulp across the range used here.
+# Lanczos coefficients for g = 7, nine terms. Against math.gamma the relative
+# error is a few ulp near x = 1 and grows with x, as the power t^(x-1/2) rounds:
+# 6.6e-14 at x = 100, 1.03e-13 at x = 171 (about 470 ulp).
 _LANCZOS_G = 7.0
 _LANCZOS_C = (
     0.99999999999980993,

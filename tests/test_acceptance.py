@@ -141,7 +141,7 @@ def test_criterion_04_angular_derivative_bound():
                 if n_eff not in cache:
                     F_eff = F.resample(n_eff) if can_resample else F
                     q_eff = QuadSpec(angular_nodes=n_eff, r_max=Q.r_max,
-                                     radial_grid=Q.radial_grid, tol=Q.tol)
+                                     radial_grid=Q.radial_grid)
                     rhs = {p: lp_norm_circle(boundary_derivative(F_eff), p)
                            for p in (1.0, 2.0, 4.0)}
                     cache[n_eff] = (F_eff, q_eff, rhs)

@@ -16,6 +16,7 @@ from diskpoisson.derivs import (
     J1,
     J2,
     _circle_rdr,
+    _j2_weights,
     circle_derivs,
     deriv_field,
     dr_f,
@@ -32,6 +33,8 @@ from diskpoisson.kernel import (
     QuadSpec,
     ResolutionWarning,
     _circle_kernel,
+    _symmetric_fft,
+    as_alpha,
     boundary_derivative,
     circle_poisson_values,
     poisson_integral,
@@ -162,6 +165,19 @@ class TestCircleSweep:
     def test_radius_domain(self, q, F_mix):
         with pytest.raises(ValueError, match="radius"):
             circle_derivs(0.0, F_mix, 0.9995, q)
+
+
+class TestJ2Spectra:
+    @pytest.mark.parametrize("n", [16, 2048, 8192])
+    @pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 0.7, 1.0, 2.0])
+    def test_real_ffts_match_complex_ffts(self, n, alpha):
+        # k1 (odd) and k2 (even) are real, so one rfft each gives the full spectrum.
+        for r in (0.0, 0.5, 0.99, 0.999, 1.0 - 1e-6):
+            _, k1, _, k2 = _j2_weights(as_alpha(alpha), r, n)
+            for k, odd in ((k1, True), (k2, False)):
+                want = np.fft.fft(k)
+                got = _symmetric_fft(k, odd=odd)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestOneSweep:

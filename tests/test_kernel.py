@@ -12,6 +12,10 @@ from diskpoisson.kernel import (
     BoundaryData,
     QuadSpec,
     ResolutionWarning,
+    _circle_kernel,
+    _grid_kernel,
+    _half_angle_sin2,
+    _uniform_thetas,
     as_alpha,
     boundary_derivative,
     c_alpha,
@@ -95,6 +99,51 @@ class TestKernel:
         vals = kernel_K(1.0, z)
         assert vals.shape == (2,)
         assert vals[0] == pytest.approx(kernel_K(1.0, 0.5 + 0.0j), rel=1e-15)
+
+
+SPECTRUM_NODES = (16, 2048, 8192)
+SPECTRUM_ALPHAS = (-0.9, -0.5, 0.0, 0.7, 1.0, 2.0)
+SPECTRUM_RADII = (0.0, 0.5, 0.99, 0.999, 1.0 - 1e-6)
+
+
+class TestKernelSpectrum:
+    """_circle_kernel builds the spectrum from the half-angle distance and one rfft."""
+
+    @pytest.mark.parametrize("n", SPECTRUM_NODES)
+    @pytest.mark.parametrize("alpha", SPECTRUM_ALPHAS)
+    def test_matches_complex_fft_of_kernel_K(self, n, alpha):
+        q = QuadSpec(angular_nodes=n, r_max=1.0 - 1e-6)
+        F = BoundaryData.from_samples(_uniform_thetas(n), np.ones(n))
+        for r in SPECTRUM_RADII:
+            want = np.fft.fft(kernel_K(alpha, r * np.exp(1j * F.thetas)))
+            got = _circle_kernel(alpha, F, r, q)[2]
+            assert got.dtype == float
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.7, 2.0])
+    @pytest.mark.parametrize("r", [0.999, 0.9999])
+    def test_half_angle_values_no_farther_from_mpmath(self, alpha, r):
+        mpmath = pytest.importorskip("mpmath")
+        n = 1024
+        thetas = _uniform_thetas(n)
+        a = as_alpha(alpha)
+        with mpmath.workdps(30):
+            rm = mpmath.mpf(r)
+            exact = np.array([float(
+                a.c_alpha * (1 - rm * rm) ** (alpha + 1)
+                * ((1 - rm * mpmath.cos(t)) ** 2 + (rm * mpmath.sin(t)) ** 2)
+                ** (-(alpha + 2) / mpmath.mpf(2))) for t in thetas])
+        err_half = np.max(np.abs(_grid_kernel(a, r, n) / exact - 1.0))
+        err_k = np.max(np.abs(kernel_K(a, r * np.exp(1j * thetas)) / exact - 1.0))
+        assert err_half <= err_k
+
+    def test_half_angle_table_is_shared_and_read_only(self):
+        table = _half_angle_sin2(2048)
+        assert table is _half_angle_sin2(2048)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+        assert np.array_equal(table, np.sin(0.5 * _uniform_thetas(2048)) ** 2)
 
 
 class TestBoundaryData:

@@ -87,6 +87,12 @@ class TestGamma:
         lhs = gamma(x) * gamma(1.0 - x) * math.sin(math.pi * x) / math.pi
         assert lhs == pytest.approx(1.0, rel=1e-10)
 
+    def test_relative_error_bound_on_the_lanczos_range(self):
+        # The bound the Lanczos comment states: 1.03e-13 at worst, near x = 171.
+        xs = np.linspace(0.5, 171.5, 4001)
+        worst = max(abs(gamma(x) / math.gamma(x) - 1.0) for x in xs)
+        assert worst <= 2e-13
+
 
 class TestPochhammer:
     def test_base_cases(self):
