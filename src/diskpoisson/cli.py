@@ -449,7 +449,7 @@ def _ellipticity_summaries(k_list: Sequence[float]) -> list:
     m = HypMonomial(alpha=-0.5, n=1)
     outer = (0.9, 0.99, 0.999)
     table = (  # (example, circle builder, nested radii)
-        ("hyp-monomial", lambda r, pts: m.derivs(pts, tol=1e-6)[:2],
+        ("hyp-monomial", lambda r, pts: m.derivs(pts)[:2],
          (1.0 - 1e-3, 1.0 - 1e-4, 1.0 - 1e-5, 1.0 - 1e-6)),
         ("piecewise-phase", lambda r, pts: _phase_circle(r, len(pts)), outer),
         ("log-series", lambda r, pts: _log_series_circle(r, len(pts), 50000), outer),
@@ -471,7 +471,7 @@ _DIVERGENCE_ROWS = (
 def _divergence_summaries(q: QuadSpec) -> list:
     m = HypMonomial(alpha=-0.5, n=1)
     picks = {"dz": 0, "dzbar": 1, "dr": 2}
-    return [_probe_row(lambda z, i=picks[quantity]: m.derivs(z, tol=1e-12)[i], p,
+    return [_probe_row(lambda z, i=picks[quantity]: m.derivs(z)[i], p,
                        (0.9, 0.99, 0.999), kind, q, quantity, -0.5)
             for quantity, kind, p in _DIVERGENCE_ROWS]
 

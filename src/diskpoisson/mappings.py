@@ -88,7 +88,6 @@ class HypMonomial:
 
     alpha: float
     n: int
-    tol: float = 1e-14
 
     def __post_init__(self) -> None:
         if not -1.0 < self.alpha < 0.0:
@@ -107,18 +106,16 @@ class HypMonomial:
         a, n = self.alpha, self.n
         return gauss_value(-a / 2.0, n - a / 2.0, n + 1.0)
 
-    def e1(self, r, tol: Optional[float] = None) -> np.ndarray:
+    def e1(self, r, tol: float = 1e-14) -> np.ndarray:
         """Radial profile of the derivative terms: 2F1(1-a/2, n+1-a/2; n+2; r^2)."""
         a, n = self.alpha, self.n
-        tol = self.tol if tol is None else tol
         r = np.asarray(r, dtype=float)
         return _unique_map(lambda x: hyp2f1(1.0 - a / 2.0, n + 1.0 - a / 2.0,
                                             n + 2.0, x, tol), r * r)
 
-    def e2(self, r, tol: Optional[float] = None) -> np.ndarray:
+    def e2(self, r, tol: float = 1e-14) -> np.ndarray:
         """Radial profile of the value: 2F1(-a/2, n-a/2; n+1; r^2)."""
         a, n = self.alpha, self.n
-        tol = self.tol if tol is None else tol
         r = np.asarray(r, dtype=float)
         return _unique_map(lambda x: hyp2f1(-a / 2.0, n - a / 2.0, n + 1.0, x, tol),
                            r * r)
@@ -133,7 +130,7 @@ class HypMonomial:
         a, n = self.alpha, self.n
         return a * (a - 2.0 * n) / (4.0 * (n + 1.0))
 
-    def value(self, z, tol: Optional[float] = None):
+    def value(self, z, tol: float = 1e-14):
         """f(z) = 2F1(-a/2, n-a/2; n+1; |z|^2) z^n, valid for |z| <= 1."""
         z = np.asarray(z, dtype=complex)
         r = np.abs(z)
@@ -142,7 +139,7 @@ class HypMonomial:
         out = self.e2(np.minimum(r, 1.0), tol) * z**self.n
         return complex(out) if out.ndim == 0 else out
 
-    def derivs(self, z, tol: Optional[float] = None):
+    def derivs(self, z, tol: float = 1e-14):
         """Closed-form (df/dz, df/dzbar, df/dr) for |z| < 1.
 
         df/dz = A E1 zbar z^n + n E2 z^{n-1}, df/dzbar = A E1 z^{n+1},
@@ -182,7 +179,7 @@ class HypMonomial:
 
         return BoundaryData.from_function(fn, n_samples, deriv=dfn)
 
-    def field(self, points, tol: Optional[float] = None) -> DerivField:
+    def field(self, points, tol: float = 1e-14) -> DerivField:
         """DerivField of the closed-form derivatives at the given points."""
         points = np.asarray(points, dtype=complex)
         dz, dzbar, _ = self.derivs(points, tol)

@@ -170,12 +170,12 @@ def check_distance_integral_bound(alpha: float, r: float, q: QuadSpec,
 
 
 def _resolved_nodes(base: int, r: float) -> int:
-    """Angular node count resolving the kernel at radius r: >= 32/(1-r), power of two."""
+    """Angular node count resolving the kernel at radius r: >= 32/(1-r), at most the cap."""
     want = 32.0 / max(1.0 - r, 1e-9)
     n = base
     while n < want and n < _ANGULAR_CAP:
         n *= 2
-    return n
+    return min(n, _ANGULAR_CAP)
 
 
 def _resolved_sweeps(F: BoundaryData, q: QuadSpec):

@@ -1,10 +1,11 @@
 """Self-contained real-valued special functions.
 
 Provides the Gamma function, the Pochhammer (rising factorial) symbol, the
-Gauss hypergeometric function 2F1 on [-1, 1] with an Euler-transformation
-path for arguments near 1, the Gauss summation value at x = 1, and the
-Euler beta integral. Everything is scalar, pure, and deterministic; no
-external dependencies.
+Gauss hypergeometric function 2F1 on [-1, 1], the Gauss summation value at
+x = 1, and the Euler beta integral. 2F1 takes one route per argument: the
+Gauss sum at x = 1, the 1 - x connection formula near 1, and otherwise the
+direct series, stopped on a bound of its tail. Everything is scalar, pure,
+and deterministic; no external dependencies.
 """
 
 from __future__ import annotations
@@ -45,10 +46,14 @@ _LANCZOS_C = (
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-# Series controls: hard term cap, and the number of consecutive
-# below-tolerance terms required before declaring convergence.
-_TERM_CAP = 10000
-_QUIET_RUN = 3
+# Term cap of the direct series. Where (1 - x) max(|a|, |b|, 1) > 1/2 its tail
+# bound stops it after about 65 max(|a|, |b|, 1) terms (10,974 for HypMonomial
+# at n = 169, the largest n with finite Gamma values); only an integer c - a - b
+# near x = 1 reaches the cap.
+_TERM_CAP = 100000
+# Where (1 - x) max(|a|, |b|, 1) is at most this and c - a - b is not an integer,
+# the two series in 1 - x of the connection formula converge fast.
+_CONNECTION_SPAN = 0.5
 
 
 def _is_nonpositive_integer(x: float) -> bool:
@@ -102,46 +107,48 @@ def pochhammer(a: float, k: int) -> float:
 
 
 def _series_2f1(a: float, b: float, c: float, x: float, tol: float) -> float:
-    """Direct summation of the 2F1 series with a quiet-run stopping rule."""
+    """Direct summation of the 2F1 series, stopped on a bound of its tail.
+
+    Term k+1 is term k times u v x, u = (hi+k)/(c+k), v = (lo+k)/(k+1) with
+    lo <= hi the pair a, b. Once lo+k and c+k are positive, u and v move
+    monotonically toward 1, so rho = |x| max(u, 1) max(v, 1) bounds every
+    later ratio and |t| rho/(1-rho) the tail after term t. A terminating
+    series stops at its first zero term.
+    """
+    lo, hi = min(a, b), max(a, b)
     total = 1.0
     term = 1.0
-    quiet = 0
     for k in range(_TERM_CAP):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * x
+        u = (hi + k) / (c + k)
+        v = (lo + k) / (k + 1.0)
+        term *= u * v * x
         total += term
-        if abs(term) <= tol * abs(total):
-            quiet += 1
-            if quiet >= _QUIET_RUN:
+        if term == 0.0:
+            return total
+        if min(lo, c) + k > 0.0:
+            rho = abs(x) * max(u, 1.0) * max(v, 1.0)
+            if rho < 1.0 and abs(term) * rho <= tol * abs(total) * (1.0 - rho):
                 return total
-        else:
-            quiet = 0
+    s = c - a - b
     raise ConvergenceError(
         f"2F1({a}, {b}; {c}; {x}) did not converge within {_TERM_CAP} terms"
+        + (f"; its 1-x connection formula has the logarithmic case c-a-b={s!r} (an integer)"
+           if s == math.floor(s) and x > 0.0 else "")
     )
 
 
-# Arguments this close to 1 are routed through the Euler transformation
-# when the series would otherwise diverge or lose accuracy (c - a - b < 0),
-# and through the 1 - x connection formula when neither series converges.
-_EULER_SWITCH = 0.95
-# The connection formula serves x = r^2 up to the outermost radius the package
-# accepts (r_max <= 1 - 1e-6); beyond it a series that misses the cap still raises.
-_CONNECTION_MAX_X = (1.0 - 1e-6) ** 2
+def _rgamma(x: float) -> float:
+    """1/Gamma(x), zero at the poles."""
+    return 0.0 if _is_nonpositive_integer(x) else 1.0 / gamma(x)
 
 
 def _connection_1mx(a: float, b: float, c: float, x: float, tol: float) -> float:
     """2F1(a, b; c; x) from two series in 1 - x (A&S 15.3.6); c - a - b not an integer."""
     s = c - a - b
-    if s == math.floor(s):
-        raise ConvergenceError(
-            f"2F1({a}, {b}; {c}; {x}) did not converge within {_TERM_CAP} terms, and its "
-            f"1-x connection formula has the logarithmic case c-a-b={s!r} (an integer)"
-        )
     y = 1.0 - x
-    gc = gamma(c)
-    return (gc * gamma(s) / (gamma(c - a) * gamma(c - b)) * _series_2f1(a, b, 1.0 - s, y, tol)
-            + y ** s * gc * gamma(-s) / (gamma(a) * gamma(b))
-            * _series_2f1(c - a, c - b, 1.0 + s, y, tol))
+    return gamma(c) * (
+        gamma(s) * _rgamma(c - a) * _rgamma(c - b) * _series_2f1(a, b, 1.0 - s, y, tol)
+        + y ** s * gamma(-s) * _rgamma(a) * _rgamma(b) * _series_2f1(c - a, c - b, 1.0 + s, y, tol))
 
 
 @functools.lru_cache(maxsize=200000)
@@ -158,33 +165,25 @@ def _hyp2f1_cached(a: float, b: float, c: float, x: float, tol: float) -> float:
             raise ValueError(
                 f"2F1 diverges at x=1 when c-a-b={s!r} <= 0"
             )
-        try:
-            return gauss_value(a, b, c)
-        except ValueError:
-            # Gamma pole in the closed form (terminating cases); sum directly.
-            return _series_2f1(a, b, c, 1.0, tol)
-    try:
-        if s < 0.0 and x > _EULER_SWITCH:
-            # Euler transformation keeps the series well conditioned as x -> 1-.
-            return (1.0 - x) ** s * _series_2f1(c - a, c - b, c, x, tol)
-        return _series_2f1(a, b, c, x, tol)
-    except ConvergenceError:
-        if not _EULER_SWITCH < x <= _CONNECTION_MAX_X:
-            raise
+        if _is_nonpositive_integer(c - a) or _is_nonpositive_integer(c - b):
+            return 0.0  # 1/Gamma(c-a) or 1/Gamma(c-b) vanishes in Gauss's sum
+        return gauss_value(a, b, c)
+    if (1.0 - x) * max(abs(a), abs(b), 1.0) <= _CONNECTION_SPAN and s != math.floor(s):
         return _connection_1mx(a, b, c, x, tol)
+    return _series_2f1(a, b, c, x, tol)
 
 
 def hyp2f1(a: float, b: float, c: float, x: float, tol: float = 1e-14) -> float:
     """Gauss hypergeometric 2F1(a, b; c; x) for real parameters, x in [-1, 1].
 
-    Direct series summation; for c - a - b < 0 and x near 1 the Euler
-    transformation 2F1(a,b;c;x) = (1-x)^(c-a-b) 2F1(c-a,c-b;c;x) is applied
-    so evaluation stays accurate up to x -> 1-. Where that series still
-    needs more than the term cap, for 0.95 < x <= (1 - 1e-6)^2, the 1 - x
-    connection formula (Abramowitz & Stegun 15.3.6) is used; it needs
-    c - a - b not an integer, and the integer (logarithmic) case raises
-    ConvergenceError. At x = 1 the series value (finite only for
-    c - a - b > 0) is returned.
+    The route is chosen from (a, b, c, x) before anything is summed. At x = 1
+    the Gauss sum is returned (finite only for c - a - b > 0). Where
+    (1 - x) max(|a|, |b|, 1) <= 1/2 and c - a - b is not an integer, the 1 - x
+    connection formula (Abramowitz & Stegun 15.3.6) is used. Everywhere else
+    the direct series is summed until a bound of its tail falls below tol
+    times the sum. With an integer c - a - b near x = 1 (the logarithmic
+    case) that series may exceed the term cap, and ConvergenceError names
+    the case.
     """
     return _hyp2f1_cached(float(a), float(b), float(c), float(x), float(tol))
 

@@ -95,6 +95,22 @@ class TestHypMonomial:
         )
         assert scaled[0] < scaled[1] < scaled[2] < want
 
+    def test_derivs_on_the_outermost_circle(self, m):
+        # On the circle r = 1 - 1e-6 some |z| round one ulp above r; the
+        # default tolerance must answer there. The reference takes the same
+        # |z|: one ulp of it moves E1 by about 5e-11 this close to 1.
+        mpmath = pytest.importorskip("mpmath")
+        pts = (1.0 - 1e-6) * np.exp(1j * _uniform_thetas(64))
+        dz, dzbar, _ = m.derivs(pts)
+        A = m.a_coeff()
+        with mpmath.workdps(40):
+            for z, r, got_dz, got_dzbar in zip(pts, np.abs(pts), dz, dzbar):
+                x = float(r) * float(r)
+                e1 = float(mpmath.hyp2f1(1.25, 2.25, 3.0, x))
+                e2 = float(mpmath.hyp2f1(0.25, 1.25, 2.0, x))
+                assert got_dz == pytest.approx(A * e1 * x + e2, rel=1e-13)
+                assert got_dzbar == pytest.approx(A * e1 * z * z, rel=1e-13)
+
     def test_boundary_data_wiring(self, m):
         F = m.boundary(512)
         g = m.boundary_constant()

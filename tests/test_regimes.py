@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from diskpoisson.kernel import BoundaryData, QuadSpec, radial_grid
+from diskpoisson.kernel import _ANGULAR_CAP, BoundaryData, QuadSpec, radial_grid
 from diskpoisson.regimes import (
     DISTANCE_INTEGRAL_GRID,
     KERNEL_MEAN_GRID,
@@ -182,6 +182,24 @@ class TestAngularDerivativeBound:
         # must not cost one more evaluation at any node count.
         assert sorted(few) == [64, 128, 256, 512, 1024, 2048, 4096]
         assert few == many
+
+    @pytest.mark.parametrize("base", [3000, 81920])
+    def test_resolved_node_count_stops_at_the_cap(self, base):
+        # 32/(1-r) at r = 0.9999 is 320000; doubling a base that is not a
+        # power of two would step past 2^17 without the clamp.
+        seen = []
+
+        def dfn(th):
+            seen.append(len(th))
+            return 1j * np.exp(1j * np.asarray(th))
+
+        F = BoundaryData.from_function(lambda th: np.exp(1j * np.asarray(th)), base,
+                                       deriv=dfn)
+        q_far = QuadSpec(angular_nodes=base, r_max=0.9999,
+                         radial_grid=np.array([0.0, 0.9999]))
+        rec = check_angular_derivative_bound(0.0, F, 2.0, q_far)
+        assert rec.holds
+        assert max(seen) == _ANGULAR_CAP
 
     def test_threads_sharing_one_boundary_agree(self):
         # As in `verify --threads`, jobs share one F with its resample cache

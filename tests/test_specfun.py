@@ -127,13 +127,11 @@ class TestHyp2f1:
         assert got == pytest.approx(71.2735646755187, rel=1e-9)
 
     def test_extreme_argument_needs_loose_tol(self):
-        # At x = 1 - 1e-6 the transformed series sheds terms like k^(-3/2),
-        # so the default tolerance exceeds the term cap; a loose tolerance
-        # returns a truncation-limited value.
-        with pytest.raises(ConvergenceError):
-            hyp2f1(1.25, 2.25, 3.0, 0.999999)
-        got = hyp2f1(1.25, 2.25, 3.0, 0.999999, tol=1e-6)
-        assert got == pytest.approx(3445.570547029391, rel=2e-2)
+        # At x = 1 - 1e-6 the direct series sheds terms only like k^(-3/2);
+        # the 1 - x connection formula answers at the default tolerance.
+        # The value is mpmath's at 40 digits.
+        got = hyp2f1(1.25, 2.25, 3.0, 0.999999)
+        assert got == pytest.approx(3445.570547029391, rel=1e-14)
 
     def test_x_zero(self):
         assert hyp2f1(0.3, -1.7, 2.2, 0.0) == 1.0
@@ -237,12 +235,20 @@ def _monomial_params(alpha, n):
             (1.0 - alpha / 2.0, n + 1.0 - alpha / 2.0, n + 2.0)]
 
 
+_ROUTED_BITS = {
+    (0.25, 1.25, 2.0, 0.998001): "0x1.87068e50b0eb0p+0",
+    (1.25, 2.25, 3.0, 0.9801): "0x1.340aff4343842p+4",
+    (1.25, 2.25, 3.0, 0.998): "0x1.1d1821569ac5ep+6",
+    (0.45, 1.45, 2.0, 0.9801): "0x1.416c80e9deb41p+1",
+}
+
+
 class TestNearOne:
     @pytest.mark.parametrize("alpha,n", HYP_MONOMIALS)
     @pytest.mark.parametrize("r", [0.999, 0.9999])
     def test_monomial_profiles_match_mpmath(self, alpha, n, r):
-        # At r = 0.9999 neither the direct nor the Euler series meets the
-        # term cap; the 1 - x connection formula must answer instead.
+        # At r = 0.999 and 0.9999 the direct series converges slowly; the
+        # 1 - x connection formula answers instead.
         mpmath = pytest.importorskip("mpmath")
         from diskpoisson.specfun import _connection_1mx
 
@@ -251,22 +257,72 @@ class TestNearOne:
             for a, b, c in _monomial_params(alpha, n):
                 want = float(mpmath.hyp2f1(a, b, c, x))
                 assert _connection_1mx(a, b, c, x, 1e-14) == pytest.approx(want, rel=1e-13)
-                # Series that converged keep their (looser) quiet-run accuracy.
-                assert hyp2f1(a, b, c, x) == pytest.approx(want, rel=1e-11)
+                assert hyp2f1(a, b, c, x) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("x", [0.9999980000010001, 1.0 - 1e-9])
+    @pytest.mark.parametrize("a,b,c", [(0.25, 1.25, 2.0), (1.25, 2.25, 3.0)])
+    def test_answers_up_to_one_for_non_integer_excess(self, a, b, c, x):
+        # 0.9999980000010001 is x at the radius one ulp above 1 - 1e-6, just
+        # past the outermost radius the package accepts.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            want = float(mpmath.hyp2f1(a, b, c, x))
+        assert hyp2f1(a, b, c, x) == pytest.approx(want, rel=1e-13)
+
+    def test_connection_formula_at_gamma_poles(self):
+        # 1/Gamma(c - a) vanishes for c = a, where 2F1(a, b; a; x) = (1-x)^(-b),
+        # and 1/Gamma(a) for a = -3, where the series is a cubic.
+        x = 0.999999
+        assert hyp2f1(1.0, 0.75, 1.0, x) == pytest.approx((1.0 - x) ** -0.75, rel=1e-13)
+        assert hyp2f1(1.0, -0.5, 1.0, 1.0) == 0.0
+        a, b, c, x = -3.0, 1.5, 2.2, 0.9
+        cubic = sum(pochhammer(a, k) * pochhammer(b, k) / (pochhammer(c, k) * math.factorial(k))
+                    * x**k for k in range(4))
+        assert hyp2f1(a, b, c, x) == pytest.approx(cubic, rel=1e-13)
 
     def test_integer_excess_refused_by_name(self):
         # c - a - b = 0: the connection formula has a logarithmic term.
         with pytest.raises(ConvergenceError, match="logarithmic"):
             hyp2f1(0.25, 0.75, 1.0, 0.9999)
 
-    @pytest.mark.parametrize("args,bits", [
+    # The parameters (and so the test ids) carry the pins of the earlier
+    # three-quiet-terms stopping rule, up to 4.6e-12 off; the routed values
+    # are pinned in _ROUTED_BITS and must be no farther from mpmath.
+    @pytest.mark.parametrize("args,old_bits", [
         ((0.25, 1.25, 2.0, 0.998001), "0x1.87068e50a93b5p+0"),
         ((1.25, 2.25, 3.0, 0.9801), "0x1.340aff4342f1ap+4"),
         ((1.25, 2.25, 3.0, 0.998), "0x1.1d1821569525cp+6"),
         ((0.45, 1.45, 2.0, 0.9801), "0x1.416c80e9de13bp+1"),
     ])
-    def test_converging_series_keep_their_bits(self, args, bits):
-        assert hyp2f1(*args) == float.fromhex(bits)
+    def test_converging_series_keep_their_bits(self, args, old_bits):
+        got = hyp2f1(*args)
+        assert got == float.fromhex(_ROUTED_BITS[args])
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            want = mpmath.hyp2f1(*args)
+            assert abs(got - want) <= abs(float.fromhex(old_bits) - want)
+
+
+_R_HI = 1.0 - 1e-6
+# 107 radii from 0 to 1 - 1e-6, the last one ulp above 1 - 1e-6.
+SWEEP_RADII = ([float(r) for r in np.linspace(0.0, 0.99, 100)]
+               + [0.995, 0.999, 0.9995, 0.9999, 0.99999, _R_HI, math.nextafter(_R_HI, 2.0)])
+
+
+class TestMpmathSweep:
+    @pytest.mark.parametrize("n,bound", [(1, 1e-13), (2, 1e-13), (3, 1e-13),
+                                         (10, 5e-13), (50, 5e-13), (150, 5e-13)])
+    @pytest.mark.parametrize("alpha", [-0.9, -0.5, -0.1])
+    def test_monomial_profiles_on_every_radius(self, alpha, n, bound):
+        mpmath = pytest.importorskip("mpmath")
+        worst = 0.0
+        with mpmath.workdps(40):
+            for a, b, c in _monomial_params(alpha, n):
+                for r in SWEEP_RADII:
+                    x = r * r
+                    want = mpmath.hyp2f1(a, b, c, x)
+                    worst = max(worst, float(abs(hyp2f1(a, b, c, x) / want - 1)))
+        assert worst <= bound
 
 
 class TestGammaOverflow:
