@@ -10,11 +10,17 @@ finite as r -> 1. The Wirtinger derivatives follow from the polar frame:
     df/dzbar = (r df/dr + i df/dtheta) / (2 conj(z))
 
 Every dF/dt here is kernel.boundary_derivative(F), and every spectrum of
-F or dF/dt is the one memoized on it. A circle of df/dtheta is one kernel
-sweep of dF/dt; circle_derivs takes J1 from the same kernel spectrum and
-J2 by correlating both spectra, and the pointwise J2 rotates dF/dt with
-the code that rotates F. At the origin the polar frame degenerates; df/dz
-and df/dzbar fall back to central finite differences, flagging the point.
+F or dF/dt is the one memoized on it. On a circle every one of these
+trapezoid sums is a product of a kernel spectrum with fft(F) or fft(dF/dt),
+so a circle of df/dr, df/dz or df/dzbar is one spectrum and one inverse
+FFT: J1, both J2 integrals and, for the Wirtinger pair, i df/dtheta add up
+in the spectrum, and the frame factor e^{+-i theta} is a roll by one bin.
+The kernel values behind the circle's kernel spectrum give the two J2
+kernels, whose spectra come from one real FFT. A circle of df/dtheta is one
+kernel sweep of dF/dt, and circle_derivs adds the fused r df/dr to it. The
+pointwise J2 rotates dF/dt with the code that rotates F. At the origin the
+polar frame degenerates; df/dz and df/dzbar fall back to central finite
+differences, flagging the point.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -32,12 +39,13 @@ from .kernel import (
     QuadSpec,
     _circle_kernel,
     _grid_kernel,
+    _grid_sin,
     _half_angle_sin2,
+    _mirror,
     _on_quad_grid,
+    _read_only,
     _sweep,
-    _symmetric_fft,
     _under_resolved,
-    _uniform_thetas,
     as_alpha,
     boundary_derivative,
     poisson_integral,
@@ -86,15 +94,6 @@ def _shifted_samples(F: BoundaryData, theta: float) -> np.ndarray:
     return np.fft.ifft(F._spectrum() * np.exp(1j * ks * theta))
 
 
-def _j2_weights(a: AlphaParam, r: float, n: int):
-    """(c1, k1, c2, k2): prefactors and real kernels of the two J2 integrals on the n-node
-    grid. c_a w^a / D^((a+2)/2) is the kernel K_a(r e^{it}) over w, and 1 - r cos t is
-    written as (1-r) + 2r sin^2(t/2)."""
-    kern, w = _grid_kernel(a, r, n), 1.0 - r * r
-    return (-1.0 / (np.pi * w), r * np.sin(_uniform_thetas(n)) * kern,
-            -a.alpha / (2.0 * np.pi * w), ((1.0 - r) + 2.0 * r * _half_angle_sin2(n)) * kern)
-
-
 def _wirtinger_pair(rdr, dth, z):
     """(df/dz, df/dzbar) from r df/dr and df/dtheta at z != 0 (scalar or array)."""
     return (rdr - 1j * dth) / (2.0 * z), (rdr + 1j * dth) / (2.0 * z.conjugate())
@@ -107,6 +106,9 @@ def J2(a, F: BoundaryData, z: complex, q: QuadSpec) -> complex:
 
         J2 = -(c_a w^a / pi)    int dF/dt(e^{i(t+theta)}) r sin t / D^{(a+2)/2} dt
              -(a c_a w^a / 2pi) int F(e^{i(t+theta)}) (1 - r cos t) / D^{(a+2)/2} dt
+
+    c_a w^a / D^{(a+2)/2} is the kernel K_a(r e^{it}) over w, w is (1-r)(1+r), and
+    1 - r cos t is written as (1-r) + 2r sin^2(t/2): neither cancels as r -> 1.
     """
     a = as_alpha(a)
     z = complex(z)
@@ -114,13 +116,16 @@ def J2(a, F: BoundaryData, z: complex, q: QuadSpec) -> complex:
     if r > q.r_max:
         raise ValueError(f"evaluation point must satisfy |z| <= r_max = {q.r_max}")
     F = _on_quad_grid(F, q)
+    n = F.n_samples
     theta = math.atan2(z.imag, z.real)
-    c1, k1, c2, k2 = _j2_weights(a, r, F.n_samples)
+    kern, w = _grid_kernel(a, r, n), (1.0 - r) * (1.0 + r)
+    k1 = r * _grid_sin(n) * kern
+    k2 = ((1.0 - r) + 2.0 * r * _half_angle_sin2(n)) * kern
     fdot = _shifted_samples(boundary_derivative(F), theta)
     fval = _shifted_samples(F, theta)
-    dt = 2.0 * np.pi / F.n_samples
-    term1 = c1 * np.sum(fdot * k1) * dt
-    term2 = c2 * np.sum(fval * k2) * dt
+    dt = 2.0 * np.pi / n
+    term1 = -1.0 / (np.pi * w) * np.sum(fdot * k1) * dt
+    term2 = -a.alpha / (2.0 * np.pi * w) * np.sum(fval * k2) * dt
     return complex(term1 + term2)
 
 
@@ -184,6 +189,14 @@ def fd_check(a, F: BoundaryData, z: complex, h: float, q: QuadSpec) -> float:
     return resid
 
 
+@lru_cache(maxsize=8)
+def _gauss_legendre_0_pi(n: int):
+    """(nodes, weights) of the n-point Gauss-Legendre rule on [0, pi], read-only and
+    shared per n: numpy's leggauss costs tens of milliseconds at n = 512."""
+    x, wts = np.polynomial.legendre.leggauss(n)
+    return _read_only(0.5 * math.pi * (x + 1.0)), _read_only(0.5 * math.pi * wts)
+
+
 def sine_moment(a, r: float, n: int = 512) -> float:
     """Weighted sine moment of the radial-derivative kernel.
 
@@ -194,9 +207,7 @@ def sine_moment(a, r: float, n: int = 512) -> float:
     a = as_alpha(a)
     if not 0.0 <= r < 1.0:
         raise ValueError(f"r must lie in [0, 1), got {r}")
-    x, wts = np.polynomial.legendre.leggauss(n)
-    t = 0.5 * math.pi * (x + 1.0)
-    w = 0.5 * math.pi * wts
+    t, w = _gauss_legendre_0_pi(n)
     dist_sq = 1.0 - 2.0 * r * np.cos(t) + r * r
     integral = 2.0 * float(np.sum(w * r * np.sin(t) * dist_sq ** (-0.5 * (a.alpha + 2.0))))
     return (1.0 - r * r) ** a.alpha * integral
@@ -213,36 +224,58 @@ def sine_moment_exact(alpha: float, r: float) -> float:
 
 def _circle_dtheta(a, F: BoundaryData, r: float, q: QuadSpec) -> np.ndarray:
     """df/dtheta at every grid angle of |z| = r: one sweep of dF/dt, no warning."""
-    _, F, kern_hat = _circle_kernel(a, F, r, q)
+    _, F, kern_hat, _ = _circle_kernel(a, F, r, q)
     return _sweep(kern_hat, boundary_derivative(F))
 
 
-def _circle_rdr(a: AlphaParam, F: BoundaryData, kern_hat: np.ndarray, r: float) -> np.ndarray:
-    """r df/dr at every grid angle of |z| = r: J1 + J2 from _circle_kernel's (a, F, kern_hat).
+def _fused_spectrum(a: AlphaParam, F: BoundaryData, kern_hat: np.ndarray, kern: np.ndarray,
+                    r: float, s: int = 0) -> np.ndarray:
+    """The spectrum whose inverse FFT is r df/dr + s i df/dtheta at every grid angle of
+    |z| = r, from _circle_kernel's (a, F, kern_hat, kern).
 
-    J1 is one sweep of the kernel spectrum; J2 correlates the memoized
-    spectra of F and dF/dt with its two kernels.
+    Each trapezoid sum is a correlation with a real kernel on the grid, so with
+    w = 1 - r^2, J1 + J2 + s i df/dtheta = ifft(A fft(F) + B fft(dF/dt)) where
+    A = (alpha/N) (K^ - K2^/w) and B = (2/(N w)) K1^ + (s i/N) K^. The J2 kernels
+    K1 = r sin t K (odd) and K2 = ((1-r) + 2r sin^2(t/2)) K (even) come from the
+    kernel values K, and one rfft of K1 + K2 gives both spectra: its real part is
+    fft(K2), its imaginary part fft(K1)/i.
     """
-    dF = boundary_derivative(F)
-    j1 = _sweep(kern_hat, F, a.alpha)
-    c1, k1, c2, k2 = _j2_weights(a, r, F.n_samples)
-    dt = 2.0 * np.pi / F.n_samples
-    # sum_j g(t_j + theta) k(t_j) over the grid is the cross-correlation of
-    # g with the real kernel k, evaluated at theta: ifft(fft(g) conj(fft(k))).
-    # k1 is odd, so conj(fft(k1)) = -fft(k1); k2 is even, so fft(k2) is real.
-    term1 = -c1 * dt * np.fft.ifft(dF._spectrum() * _symmetric_fft(k1, odd=True))
-    term2 = c2 * dt * np.fft.ifft(F._spectrum() * _symmetric_fft(k2))
-    return j1 + term1 + term2
+    n = F.n_samples
+    w = (1.0 - r) * (1.0 + r)
+    half = np.fft.rfft(((1.0 - r) + 2.0 * r * _half_angle_sin2(n)
+                        + r * _grid_sin(n)) * kern)
+    a_hat = (a.alpha / n) * (kern_hat - _mirror(half.real) / w)
+    b_hat = (2.0 / (n * w)) * _mirror(half.imag, odd=True)
+    if s:
+        b_hat += (s / n) * kern_hat
+    return a_hat * F._spectrum() + 1j * b_hat * boundary_derivative(F)._spectrum()
+
+
+# Which multiple s of i df/dtheta joins r df/dr: df/dzbar = (r df/dr + i df/dtheta) e^{i theta}/(2r)
+# and df/dz = (r df/dr - i df/dtheta) e^{-i theta}/(2r). The factor e^{s i theta_j} is a
+# roll of the spectrum by s bins.
+_FRAME_SIGN = {"dr": 0, "dzbar": 1, "dz": -1}
+
+
+def _circle_partial(a, F: BoundaryData, r: float, q: QuadSpec, quantity: str) -> np.ndarray:
+    """df/dr, df/dz or df/dzbar at every grid angle of |z| = r > 0: one inverse FFT, no
+    warning."""
+    s = _FRAME_SIGN[quantity]
+    spec = _fused_spectrum(*_circle_kernel(a, F, r, q), r, s)
+    if s == 0:
+        return np.fft.ifft(spec) / r
+    return np.fft.ifft(np.roll(spec, s)) / (2.0 * r)
 
 
 def circle_derivs(a, F: BoundaryData, r: float, q: QuadSpec):
     """(df/dtheta, r df/dr) at every grid angle of the circle |z| = r.
 
     Cyclic-convolution evaluation of the same trapezoid sums the pointwise
-    operators use: one kernel spectrum serves df/dtheta and r df/dr.
+    operators use: one kernel spectrum serves the df/dtheta sweep and the
+    one fused spectrum of r df/dr.
     """
-    a, F, kern_hat = _circle_kernel(a, F, r, q)
-    rdr = _circle_rdr(a, F, kern_hat, r)
+    a, F, kern_hat, kern = _circle_kernel(a, F, r, q)
+    rdr = np.fft.ifft(_fused_spectrum(a, F, kern_hat, kern, r))
     return _sweep(kern_hat, boundary_derivative(F)), rdr
 
 
@@ -361,30 +394,35 @@ def write_deriv_csv(path: str, fld: DerivField) -> None:
 
 
 def read_deriv_csv(path: str) -> DerivField:
-    """Read a field written by write_deriv_csv."""
-    rows = []
+    """Read a field written by write_deriv_csv.
+
+    Every refusal is a ValueError that names the file, and the line when
+    one row is at fault, as read_boundary_csv's do.
+    """
+    n_fields = len(_DERIV_CSV_HEADER)
+    rows, flags = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if [h.strip() for h in header] != _DERIV_CSV_HEADER:
-            raise ValueError(f"unexpected derivative CSV header: {header!r}")
-        for row in reader:
-            rows.append(row)
-    n = len(rows)
-    points = np.empty(n, dtype=complex)
-    cols = {name: np.empty(n) for name in _DERIV_CSV_HEADER[2:-1]}
-    flags = []
-    for i, row in enumerate(rows):
-        r, theta = float(row[0]), float(row[1])
-        points[i] = r * complex(math.cos(theta), math.sin(theta))
-        for j, name in enumerate(_DERIV_CSV_HEADER[2:-1]):
-            cols[name][i] = float(row[2 + j])
-        flags.append(row[-1])
-    return DerivField(
-        points,
-        cols["re_dtheta"] + 1j * cols["im_dtheta"],
-        cols["re_dr"] + 1j * cols["im_dr"],
-        cols["re_dz"] + 1j * cols["im_dz"],
-        cols["re_dzbar"] + 1j * cols["im_dzbar"],
-        flags,
-    )
+        try:
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header] != _DERIV_CSV_HEADER:
+                raise ValueError(f"{path}: unexpected derivative CSV header: {header!r}")
+            for row in reader:
+                if len(row) != n_fields:
+                    raise ValueError(f"{path}, line {reader.line_num}: expected {n_fields} "
+                                     f"fields, got {len(row)}")
+                try:
+                    rows.append([float(x) for x in row[:-1]])
+                except ValueError:
+                    raise ValueError(f"{path}, line {reader.line_num}: every field but the "
+                                     f"flag must be a real number, got {row!r}") from None
+                flags.append(row[-1])
+        except csv.Error as exc:
+            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    points = np.array([r * complex(math.cos(theta), math.sin(theta)) for r, theta, *_ in rows],
+                      dtype=complex)
+    cols = np.array(rows, dtype=float).reshape(len(rows), n_fields - 1)[:, 2:]
+    dtheta, dr, dz, dzbar = (cols[:, 2 * k] + 1j * cols[:, 2 * k + 1] for k in range(4))
+    return DerivField(points, dtheta, dr, dz, dzbar, flags)

@@ -98,18 +98,22 @@ def _uniform_thetas(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
+def _grid_sin(n: int) -> np.ndarray:
+    """sin(theta_j) on the grid _uniform_thetas(n), shared and read-only like it."""
+    return _read_only(np.sin(_uniform_thetas(n)))
+
+
+@lru_cache(maxsize=64)
 def _half_angle_sin2(n: int) -> np.ndarray:
     """sin^2(theta_j / 2) on the grid _uniform_thetas(n), shared and read-only like it."""
     return _read_only(np.sin(0.5 * _uniform_thetas(n)) ** 2)
 
 
-def _symmetric_fft(k: np.ndarray, odd: bool = False) -> np.ndarray:
-    """np.fft.fft(k) for a real k of even length that is even (k[n-j] = k[j]) or odd
-    (k[n-j] = -k[j]), from one rfft: the spectrum is real and even, or imaginary and odd."""
-    half = np.fft.rfft(k)
-    if odd:
-        return 1j * np.concatenate((half.imag, -half.imag[-2:0:-1]))
-    return np.concatenate((half.real, half.real[-2:0:-1]))
+def _mirror(half: np.ndarray, odd: bool = False) -> np.ndarray:
+    """All n bins of a spectrum that is even (X[n-m] = X[m]) or odd (X[n-m] = -X[m]) in m,
+    from its bins 0..n/2. For a real, even k of even length, fft(k) is
+    _mirror(rfft(k).real): one real FFT gives the whole spectrum."""
+    return np.concatenate((half, -half[-2:0:-1] if odd else half[-2:0:-1]))
 
 
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
@@ -262,10 +266,12 @@ def kernel_K(a, z) -> float:
     """
     a = as_alpha(a)
     z = np.asarray(z, dtype=complex)
-    r2 = z.real**2 + z.imag**2
-    if np.any(r2 >= 1.0):
+    rho = np.abs(z)
+    if np.any(rho >= 1.0):
         raise ValueError("kernel is defined on the open disk only")
-    out = a.c_alpha * (1.0 - r2) ** (a.alpha + 1.0) / np.abs(1.0 - z) ** (a.alpha + 2.0)
+    # 1 - |z|^2 as (1-|z|)(1+|z|): no cancellation as |z| -> 1
+    out = (a.c_alpha * ((1.0 - rho) * (1.0 + rho)) ** (a.alpha + 1.0)
+           / np.abs(1.0 - z) ** (a.alpha + 2.0))
     return float(out) if out.ndim == 0 else out
 
 
@@ -308,25 +314,28 @@ def poisson_integral(a, F: BoundaryData, z, q: QuadSpec) -> complex:
 
 def _grid_kernel(a: AlphaParam, r: float, n: int) -> np.ndarray:
     """kernel_K(a, r e^{i theta_j}) on the n-node grid, with |1 - r e^{i theta}|^2 written
-    as (1-r)^2 + 4r sin^2(theta/2), which does not cancel near theta = 0 as r -> 1."""
+    as (1-r)^2 + 4r sin^2(theta/2), which does not cancel near theta = 0 as r -> 1, and
+    1 - r^2 as (1-r)(1+r), as kernel_K writes it."""
     dist_sq = (1.0 - r) ** 2 + 4.0 * r * _half_angle_sin2(n)
-    return a.c_alpha * (1.0 - r * r) ** (a.alpha + 1.0) * dist_sq ** (-0.5 * (a.alpha + 2.0))
+    return (a.c_alpha * ((1.0 - r) * (1.0 + r)) ** (a.alpha + 1.0)
+            * dist_sq ** (-0.5 * (a.alpha + 2.0)))
 
 
 def _circle_kernel(a, F: BoundaryData, r: float, q: QuadSpec):
-    """(a, F on the quadrature grid, kernel spectrum at radius r): the silent sweep preamble."""
+    """(a, F on the quadrature grid, kernel spectrum at radius r, the kernel values on the
+    grid it came from): the silent sweep preamble."""
     a = as_alpha(a)
     F = _on_quad_grid(F, q)
     if not 0.0 <= r <= q.r_max:
         raise ValueError(f"radius must lie in [0, r_max = {q.r_max}]")
-    return a, F, _symmetric_fft(_grid_kernel(a, r, F.n_samples))
+    kern = _grid_kernel(a, r, F.n_samples)
+    return a, F, _mirror(np.fft.rfft(kern).real), kern
 
 
-def _sweep(kern_hat: np.ndarray, G: BoundaryData, scale: float = 1.0) -> np.ndarray:
-    """scale (1/N) sum_j kern(theta - t_j) G(t_j) at every grid angle theta: the trapezoid
-    sums as one cyclic convolution of the two spectra. scale multiplies before the 1/N,
-    so scaled sweeps (J1 = alpha K_a[F]) round as they did when written out inline."""
-    return scale * np.fft.ifft(kern_hat * G._spectrum()) / G.n_samples
+def _sweep(kern_hat: np.ndarray, G: BoundaryData) -> np.ndarray:
+    """(1/N) sum_j kern(theta - t_j) G(t_j) at every grid angle theta: the trapezoid sums
+    as one cyclic convolution of the two spectra."""
+    return np.fft.ifft(kern_hat * G._spectrum()) / G.n_samples
 
 
 def circle_poisson_values(a, F: BoundaryData, r: float, q: QuadSpec) -> np.ndarray:
@@ -336,7 +345,7 @@ def circle_poisson_values(a, F: BoundaryData, r: float, q: QuadSpec) -> np.ndarr
     poisson_integral would compute at z = r e^{i theta_j}; returns an array
     aligned with the boundary grid angles.
     """
-    _, F, kern_hat = _circle_kernel(a, F, r, q)
+    _, F, kern_hat, _ = _circle_kernel(a, F, r, q)
     _check_resolution(F.n_samples, r)
     return _sweep(kern_hat, F)
 

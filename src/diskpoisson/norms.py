@@ -23,9 +23,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .kernel import (BoundaryData, QuadSpec, _circle_kernel, _uniform_thetas, as_alpha,
-                     circle_poisson_values)
-from .derivs import _circle_dtheta, _circle_rdr, _wirtinger_pair, circle_derivs, dz_dzbar_f
+from .kernel import BoundaryData, QuadSpec, _uniform_thetas, as_alpha, circle_poisson_values
+from .derivs import _circle_dtheta, _circle_partial, dz_dzbar_f
 
 __all__ = [
     "NormEstimate",
@@ -125,11 +124,7 @@ class KernelQuantity:
             return np.zeros(q.angular_nodes, dtype=complex)
         if self.quantity == "dtheta":
             return _circle_dtheta(self.a, self.F, r, q)
-        if self.quantity == "dr":
-            return _circle_rdr(*_circle_kernel(self.a, self.F, r, q), r) / r
-        dth, rdr = circle_derivs(self.a, self.F, r, q)
-        dz, dzbar = _wirtinger_pair(rdr, dth, r * np.exp(1j * _uniform_thetas(len(dth))))
-        return dz if self.quantity == "dz" else dzbar
+        return _circle_partial(self.a, self.F, r, q, self.quantity)
 
 
 def _circle_samples(f, r: float, q: QuadSpec) -> np.ndarray:

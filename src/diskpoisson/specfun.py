@@ -3,8 +3,9 @@
 Provides the Gamma function, the Pochhammer (rising factorial) symbol, the
 Gauss hypergeometric function 2F1 on [-1, 1], the Gauss summation value at
 x = 1, and the Euler beta integral. 2F1 takes one route per argument: the
-Gauss sum at x = 1, the 1 - x connection formula near 1, and otherwise the
-direct series, stopped on a bound of its tail. Everything is scalar, pure,
+Pfaff transformation onto (0, 1/2] for negative x, the Gauss sum at x = 1,
+the 1 - x connection formula near 1, and otherwise the direct series,
+stopped on a bound of its tail. Everything is scalar, pure,
 and deterministic; no external dependencies.
 """
 
@@ -159,6 +160,10 @@ def _hyp2f1_cached(a: float, b: float, c: float, x: float, tol: float) -> float:
         raise ValueError(f"2F1 argument out of range: |x|={abs(x)!r} > 1")
     if a == 0.0 or b == 0.0:
         return 1.0
+    if x < 0.0:
+        # Pfaff: the direct series alternates for x < 0 and never meets its tail bound at
+        # x = -1; x/(x-1) lies in (0, 1/2].
+        return (1.0 - x) ** (-a) * _hyp2f1_cached(a, c - b, c, x / (x - 1.0), tol)
     s = c - a - b
     if x == 1.0:
         if s <= 0.0:
@@ -176,8 +181,10 @@ def _hyp2f1_cached(a: float, b: float, c: float, x: float, tol: float) -> float:
 def hyp2f1(a: float, b: float, c: float, x: float, tol: float = 1e-14) -> float:
     """Gauss hypergeometric 2F1(a, b; c; x) for real parameters, x in [-1, 1].
 
-    The route is chosen from (a, b, c, x) before anything is summed. At x = 1
-    the Gauss sum is returned (finite only for c - a - b > 0). Where
+    The route is chosen from (a, b, c, x) before anything is summed. For x < 0
+    the Pfaff transformation (1 - x)^(-a) 2F1(a, c - b; c; x/(x - 1)) moves the
+    argument into (0, 1/2]. At x = 1 the Gauss sum is returned (finite only
+    for c - a - b > 0). Where
     (1 - x) max(|a|, |b|, 1) <= 1/2 and c - a - b is not an integer, the 1 - x
     connection formula (Abramowitz & Stegun 15.3.6) is used. Everywhere else
     the direct series is summed until a bound of its tail falls below tol

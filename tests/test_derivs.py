@@ -2,12 +2,13 @@
 
 import io
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from diskpoisson import norms
+from diskpoisson import derivs, kernel
 from diskpoisson.derivs import (
     FLAG_NONE,
     FLAG_ORIGIN,
@@ -15,8 +16,6 @@ from diskpoisson.derivs import (
     DerivField,
     J1,
     J2,
-    _circle_rdr,
-    _j2_weights,
     circle_derivs,
     deriv_field,
     dr_f,
@@ -32,14 +31,15 @@ from diskpoisson.kernel import (
     BoundaryData,
     QuadSpec,
     ResolutionWarning,
-    _circle_kernel,
-    _symmetric_fft,
+    _grid_kernel,
+    _mirror,
+    _uniform_thetas,
     as_alpha,
     boundary_derivative,
     circle_poisson_values,
     poisson_integral,
 )
-from diskpoisson.mappings import HypMonomial, log_series_value
+from diskpoisson.mappings import HypMonomial, log_series_value, phase_boundary
 from diskpoisson.norms import KernelQuantity
 
 
@@ -167,17 +167,100 @@ class TestCircleSweep:
             circle_derivs(0.0, F_mix, 0.9995, q)
 
 
+def j2_kernels(alpha, r, n):
+    """The J2 kernels r sin t K (odd) and ((1-r) + 2r sin^2(t/2)) K (even) on the n-node grid."""
+    t = _uniform_thetas(n)
+    kern = _grid_kernel(as_alpha(alpha), r, n)
+    return r * np.sin(t) * kern, ((1.0 - r) + 2.0 * r * np.sin(0.5 * t) ** 2) * kern
+
+
+def unfused_circle(alpha, F, r, q):
+    """(df/dtheta, r df/dr, df/dz, df/dzbar) on |z| = r, each sum on its own: J1, the two
+    J2 correlations and the df/dtheta sweep take complex FFTs of their kernels and one
+    inverse FFT each, and the Wirtinger pair comes from the polar frame at r e^{i theta_j}."""
+    a = as_alpha(alpha)
+    F = F if F.closed_form is None else F.resample(q.angular_nodes)
+    n = F.n_samples
+    kern_hat = np.fft.fft(_grid_kernel(a, r, n))
+    k1, k2 = j2_kernels(alpha, r, n)
+    f_hat, df_hat = np.fft.fft(F.values), np.fft.fft(boundary_derivative(F).values)
+    w, dt = (1.0 - r) * (1.0 + r), 2.0 * np.pi / n
+    dth = np.fft.ifft(kern_hat * df_hat) / n
+    j1 = a.alpha * np.fft.ifft(kern_hat * f_hat) / n
+    # sum_j g(t_j + theta) k(t_j) over the grid is ifft(fft(g) conj(fft(k))) at theta
+    j2 = (-dt / (np.pi * w) * np.fft.ifft(df_hat * np.conj(np.fft.fft(k1)))
+          - a.alpha * dt / (2.0 * np.pi * w) * np.fft.ifft(f_hat * np.conj(np.fft.fft(k2))))
+    rdr = j1 + j2
+    z = r * np.exp(1j * F.thetas)
+    return dth, rdr, (rdr - 1j * dth) / (2.0 * z), (rdr + 1j * dth) / (2.0 * np.conj(z))
+
+
 class TestJ2Spectra:
     @pytest.mark.parametrize("n", [16, 2048, 8192])
     @pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 0.7, 1.0, 2.0])
     def test_real_ffts_match_complex_ffts(self, n, alpha):
-        # k1 (odd) and k2 (even) are real, so one rfft each gives the full spectrum.
+        # k1 is odd and k2 even, both real: one rfft of k1 + k2 holds fft(k2) in its
+        # real part and fft(k1)/i in its imaginary part.
         for r in (0.0, 0.5, 0.99, 0.999, 1.0 - 1e-6):
-            _, k1, _, k2 = _j2_weights(as_alpha(alpha), r, n)
-            for k, odd in ((k1, True), (k2, False)):
+            k1, k2 = j2_kernels(alpha, r, n)
+            half = np.fft.rfft(k1 + k2)
+            for got, k in ((1j * _mirror(half.imag, odd=True), k1), (_mirror(half.real), k2)):
                 want = np.fft.fft(k)
-                got = _symmetric_fft(k, odd=odd)
-                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+                assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)
+
+
+FUSED_ALPHAS = [-0.9, -0.5, 0.0, 0.7, 1.0, 2.0]
+FUSED_RADII = (0.3, 0.9, 0.99, 0.9999, 1.0 - 1e-6)
+
+
+class TestFusedCircles:
+    """A derivative circle is one spectrum and one inverse FFT; it gives the separate sums."""
+
+    @pytest.fixture(scope="class")
+    def boundaries(self):
+        phase = phase_boundary(2048)
+        return {"closed_form": BoundaryData.from_function(mix, 2048, deriv=dmix),
+                "sampled": BoundaryData.from_samples(phase.thetas, phase.values)}
+
+    @pytest.mark.parametrize("data", ["closed_form", "sampled"])
+    @pytest.mark.parametrize("alpha", FUSED_ALPHAS)
+    def test_matches_the_unfused_formula(self, boundaries, data, alpha):
+        F = boundaries[data]
+        q = QuadSpec(angular_nodes=2048, r_max=1.0 - 1e-6)
+        for r in FUSED_RADII:
+            dth, rdr, dz, dzbar = unfused_circle(alpha, F, r, q)
+            got_dth, got_rdr = circle_derivs(alpha, F, r, q)
+            for got, want in ((got_dth, dth), (got_rdr, rdr),
+                              (KernelQuantity(alpha, F, "dr").circle_values(r, q), rdr / r),
+                              (KernelQuantity(alpha, F, "dz").circle_values(r, q), dz),
+                              (KernelQuantity(alpha, F, "dzbar").circle_values(r, q), dzbar)):
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_one_inverse_fft_and_one_grid_kernel_per_circle(self, monkeypatch, boundaries):
+        F = boundaries["sampled"]
+        q = QuadSpec(angular_nodes=2048, r_max=0.99)
+        circle_derivs(0.7, F, 0.5, q)  # the memoized derivative and spectra
+        calls = []
+        ifft, grid_kernel = np.fft.ifft, kernel._grid_kernel
+
+        def counting_ifft(*args, **kwargs):
+            calls.append("ifft")
+            return ifft(*args, **kwargs)
+
+        def counting_grid_kernel(*args):
+            calls.append("grid_kernel")
+            return grid_kernel(*args)
+
+        monkeypatch.setattr(np.fft, "ifft", counting_ifft)
+        monkeypatch.setattr(kernel, "_grid_kernel", counting_grid_kernel)
+        monkeypatch.setattr(derivs, "_grid_kernel", counting_grid_kernel)
+        for quantity in ("dr", "dz", "dzbar"):
+            calls.clear()
+            KernelQuantity(0.7, F, quantity).circle_values(0.9, q)
+            assert sorted(calls) == ["grid_kernel", "ifft"], quantity
+        calls.clear()
+        circle_derivs(0.7, F, 0.9, q)
+        assert sorted(calls) == ["grid_kernel", "ifft", "ifft"]
 
 
 class TestOneSweep:
@@ -212,11 +295,12 @@ class TestOneSweep:
 
     @pytest.mark.parametrize("sampled", [False, True])
     def test_rdr_helper_is_the_radial_half_of_circle_derivs(self, sampled, F_mix):
+        # The dr circle and circle_derivs invert the same fused spectrum.
         q = QuadSpec(angular_nodes=512, r_max=0.95)
         F = BoundaryData.from_samples(F_mix.thetas, F_mix.values) if sampled else F_mix
         for r in (0.3, 0.6, 0.9):
             _, rdr = circle_derivs(-0.5, F, r, q)
-            assert np.array_equal(_circle_rdr(*_circle_kernel(-0.5, F, r, q), r), rdr)
+            assert np.array_equal(KernelQuantity(-0.5, F, "dr").circle_values(r, q), rdr / r)
 
     def test_dr_quantity_skips_the_dtheta_sweep(self, monkeypatch, F_mix):
         q = QuadSpec(angular_nodes=512, r_max=0.95)
@@ -225,7 +309,7 @@ class TestOneSweep:
         def no_dtheta_sweep(*args):
             raise AssertionError("dr must not sweep df/dtheta")
 
-        monkeypatch.setattr(norms, "circle_derivs", no_dtheta_sweep)
+        monkeypatch.setattr(derivs, "_sweep", no_dtheta_sweep)
         assert np.array_equal(KernelQuantity(-0.5, F_mix, "dr").circle_values(0.6, q), want)
 
 
@@ -265,6 +349,24 @@ class TestSineMoment:
             assert want == 0.0
         else:
             assert got == pytest.approx(want, rel=1e-12)
+
+    def test_rule_built_once_per_node_count(self, monkeypatch):
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counting_leggauss(n):
+            calls.append(n)
+            return leggauss(n)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting_leggauss)
+        for alpha, r in ((0.5, 0.3), (-0.5, 0.9), (2.0, 0.99)):
+            x, wts = leggauss(37)
+            t, w = 0.5 * math.pi * (x + 1.0), 0.5 * math.pi * wts
+            dist_sq = 1.0 - 2.0 * r * np.cos(t) + r * r
+            integral = 2.0 * float(np.sum(w * r * np.sin(t) * dist_sq ** (-0.5 * (alpha + 2.0))))
+            want = (1.0 - r * r) ** alpha * integral
+            assert sine_moment(alpha, r, n=37) == want
+        assert calls == [37]
 
     def test_domain(self):
         for bad in (-0.1, 1.0, 1.5):
@@ -361,6 +463,29 @@ class TestDerivCsv:
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError, match="header"):
+            read_deriv_csv(str(path))
+
+    def test_empty_file_named(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: unexpected derivative CSV header")):
+            read_deriv_csv(str(path))
+
+    def test_short_row_named_with_its_line(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text(",".join(derivs._DERIV_CSV_HEADER) + "\n0.5,0.0,1.0\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}, line 2: expected 11 fields, got 3")):
+            read_deriv_csv(str(path))
+
+    def test_non_numeric_cell_named_with_its_line(self, tmp_path):
+        path = tmp_path / "text.csv"
+        good = "0.5,0.0" + ",1.0" * 8 + ","
+        path.write_text(",".join(derivs._DERIV_CSV_HEADER) + f"\n{good}\n"
+                        + good.replace("1.0", "one", 1) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}, line 3: every field but the flag")):
             read_deriv_csv(str(path))
 
     def test_rows_stream(self):
