@@ -224,7 +224,7 @@ def sine_moment_exact(alpha: float, r: float) -> float:
 
 def _circle_dtheta(a, F: BoundaryData, r: float, q: QuadSpec) -> np.ndarray:
     """df/dtheta at every grid angle of |z| = r: one sweep of dF/dt, no warning."""
-    _, F, kern_hat, _ = _circle_kernel(a, F, r, q)
+    _, F, kern_hat = _circle_kernel(a, F, r, q)[:3]
     return _sweep(kern_hat, boundary_derivative(F))
 
 

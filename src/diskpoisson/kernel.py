@@ -323,7 +323,8 @@ def _grid_kernel(a: AlphaParam, r: float, n: int) -> np.ndarray:
 
 def _circle_kernel(a, F: BoundaryData, r: float, q: QuadSpec):
     """(a, F on the quadrature grid, kernel spectrum at radius r, the kernel values on the
-    grid it came from): the silent sweep preamble."""
+    grid it came from): the silent sweep preamble. A caller that only sweeps takes the
+    first three, so the values are freed at once."""
     a = as_alpha(a)
     F = _on_quad_grid(F, q)
     if not 0.0 <= r <= q.r_max:
@@ -345,7 +346,7 @@ def circle_poisson_values(a, F: BoundaryData, r: float, q: QuadSpec) -> np.ndarr
     poisson_integral would compute at z = r e^{i theta_j}; returns an array
     aligned with the boundary grid angles.
     """
-    _, F, kern_hat, _ = _circle_kernel(a, F, r, q)
+    _, F, kern_hat = _circle_kernel(a, F, r, q)[:3]
     _check_resolution(F.n_samples, r)
     return _sweep(kern_hat, F)
 

@@ -211,7 +211,7 @@ def _boundary_checks(a, F: BoundaryData, q: QuadSpec, ps=(), scaled: bool = Fals
         dF = boundary_derivative(F_n)
         rhs_n = [lp_norm_circle(dF, p) for p in ps]
         for r in radii:
-            _, _, kern_hat, _ = _circle_kernel(a, F_n, r, q_n)
+            kern_hat = _circle_kernel(a, F_n, r, q_n)[2]
             if ps:
                 mags = np.abs(_sweep(kern_hat, dF))
                 for i, p in enumerate(ps):
