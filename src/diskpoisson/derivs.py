@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
@@ -400,7 +401,8 @@ def read_deriv_csv(path: str) -> DerivField:
     one row is at fault, as read_boundary_csv's do.
     """
     n_fields = len(_DERIV_CSV_HEADER)
-    rows, flags = [], []
+    numbers = array("d")  # every field of every row but the flag, as packed doubles
+    flags = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -412,7 +414,7 @@ def read_deriv_csv(path: str) -> DerivField:
                     raise ValueError(f"{path}, line {reader.line_num}: expected {n_fields} "
                                      f"fields, got {len(row)}")
                 try:
-                    rows.append([float(x) for x in row[:-1]])
+                    numbers.extend([float(x) for x in row[:-1]])
                 except ValueError:
                     raise ValueError(f"{path}, line {reader.line_num}: every field but the "
                                      f"flag must be a real number, got {row!r}") from None
@@ -421,8 +423,8 @@ def read_deriv_csv(path: str) -> DerivField:
             raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from None
-    points = np.array([r * complex(math.cos(theta), math.sin(theta)) for r, theta, *_ in rows],
-                      dtype=complex)
-    cols = np.array(rows, dtype=float).reshape(len(rows), n_fields - 1)[:, 2:]
-    dtheta, dr, dz, dzbar = (cols[:, 2 * k] + 1j * cols[:, 2 * k + 1] for k in range(4))
+    cols = np.frombuffer(numbers).reshape(len(flags), n_fields - 1)
+    points = np.array([r * complex(math.cos(theta), math.sin(theta))
+                       for r, theta in cols[:, :2].tolist()], dtype=complex)
+    dtheta, dr, dz, dzbar = (cols[:, 2 + 2 * k] + 1j * cols[:, 3 + 2 * k] for k in range(4))
     return DerivField(points, dtheta, dr, dz, dzbar, flags)
