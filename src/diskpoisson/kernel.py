@@ -336,7 +336,9 @@ def _circle_kernel(a, F: BoundaryData, r: float, q: QuadSpec):
 def _sweep(kern_hat: np.ndarray, G: BoundaryData) -> np.ndarray:
     """(1/N) sum_j kern(theta - t_j) G(t_j) at every grid angle theta: the trapezoid sums
     as one cyclic convolution of the two spectra."""
-    return np.fft.ifft(kern_hat * G._spectrum()) / G.n_samples
+    out = np.fft.ifft(kern_hat * G._spectrum())
+    out /= G.n_samples
+    return out
 
 
 def circle_poisson_values(a, F: BoundaryData, r: float, q: QuadSpec) -> np.ndarray:
