@@ -307,18 +307,18 @@ class TestNegativeArgument:
     # The direct series alternates for x < 0 and its tail bound never holds at
     # x = -1; the Pfaff transformation moves x into (0, 1/2].
     @pytest.mark.parametrize("a,b,c,x", [
-        (3.87, 3.37, 2.17, -0.884),  # the direct series was 1.3e-10 off
-        (4.29, 4.16, 0.88, -0.744),  # and 7.6e-11 off
+        (3.87, 3.37, 2.17, -0.884),  # the direct series was 1.3e-11 off
+        (4.29, 4.16, 0.88, -0.744),  # and 2.7e-9 off
         (1.0, 1.0, 2.0, -1.0),  # ln 2; the direct series ran into the term cap
     ])
     def test_matches_mpmath(self, a, b, c, x):
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(40):
             want = float(mpmath.hyp2f1(a, b, c, x))
-        assert hyp2f1(a, b, c, x) == pytest.approx(want, rel=1e-13)
+        assert abs(hyp2f1(a, b, c, x) / want - 1.0) <= 1e-13
 
     def test_log_two_at_minus_one(self):
-        assert hyp2f1(1.0, 1.0, 2.0, -1.0) == pytest.approx(math.log(2.0), rel=1e-13)
+        assert abs(hyp2f1(1.0, 1.0, 2.0, -1.0) / math.log(2.0) - 1.0) <= 1e-13
 
 
 _R_HI = 1.0 - 1e-6
