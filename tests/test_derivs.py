@@ -206,7 +206,7 @@ class TestJ2Spectra:
             half = np.fft.rfft(k1 + k2)
             for got, k in ((1j * _mirror(half.imag, odd=True), k1), (_mirror(half.real), k2)):
                 want = np.fft.fft(k)
-                assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 FUSED_ALPHAS = [-0.9, -0.5, 0.0, 0.7, 1.0, 2.0]
@@ -351,6 +351,7 @@ class TestSineMoment:
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_rule_built_once_per_node_count(self, monkeypatch):
+        derivs._gauss_legendre_0_pi.cache_clear()
         calls = []
         leggauss = np.polynomial.legendre.leggauss
 
