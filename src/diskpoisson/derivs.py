@@ -209,9 +209,10 @@ def sine_moment(a, r: float, n: int = 512) -> float:
     if not 0.0 <= r < 1.0:
         raise ValueError(f"r must lie in [0, 1), got {r}")
     t, w = _gauss_legendre_0_pi(n)
-    dist_sq = 1.0 - 2.0 * r * np.cos(t) + r * r
+    # |1 - r e^{it}|^2 and 1 - r^2 written as _grid_kernel writes them: no cancellation as r -> 1
+    dist_sq = (1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * t) ** 2
     integral = 2.0 * float(np.sum(w * r * np.sin(t) * dist_sq ** (-0.5 * (a.alpha + 2.0))))
-    return (1.0 - r * r) ** a.alpha * integral
+    return ((1.0 - r) * (1.0 + r)) ** a.alpha * integral
 
 
 def sine_moment_exact(alpha: float, r: float) -> float:
@@ -223,10 +224,11 @@ def sine_moment_exact(alpha: float, r: float) -> float:
     return (2.0 / alpha) * ((1.0 + r) ** alpha - (1.0 - r) ** alpha)
 
 
-def _circle_dtheta(a, F: BoundaryData, r: float, q: QuadSpec) -> np.ndarray:
-    """df/dtheta at every grid angle of |z| = r: one sweep of dF/dt, no warning."""
+def _dtheta_spectrum(a, F: BoundaryData, r: float, q: QuadSpec):
+    """(S, N) with ifft(S) / N = df/dtheta at every grid angle of |z| = r: the spectrum of
+    one sweep of dF/dt, no warning."""
     _, F, kern_hat = _circle_kernel(a, F, r, q)[:3]
-    return _sweep(kern_hat, boundary_derivative(F))
+    return kern_hat * boundary_derivative(F)._spectrum(), F.n_samples
 
 
 def _fused_spectrum(a: AlphaParam, F: BoundaryData, kern_hat: np.ndarray, kern: np.ndarray,
@@ -258,14 +260,14 @@ def _fused_spectrum(a: AlphaParam, F: BoundaryData, kern_hat: np.ndarray, kern: 
 _FRAME_SIGN = {"dr": 0, "dzbar": 1, "dz": -1}
 
 
-def _circle_partial(a, F: BoundaryData, r: float, q: QuadSpec, quantity: str) -> np.ndarray:
-    """df/dr, df/dz or df/dzbar at every grid angle of |z| = r > 0: one inverse FFT, no
-    warning."""
+def _partial_spectrum(a, F: BoundaryData, r: float, q: QuadSpec, quantity: str):
+    """(S, d) with ifft(S) / d = df/dr, df/dz or df/dzbar at every grid angle of
+    |z| = r > 0: one fused spectrum, no warning."""
     s = _FRAME_SIGN[quantity]
     spec = _fused_spectrum(*_circle_kernel(a, F, r, q), r, s)
     if s == 0:
-        return np.fft.ifft(spec) / r
-    return np.fft.ifft(np.roll(spec, s)) / (2.0 * r)
+        return spec, r
+    return np.roll(spec, s), 2.0 * r
 
 
 def circle_derivs(a, F: BoundaryData, r: float, q: QuadSpec):

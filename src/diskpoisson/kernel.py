@@ -333,12 +333,24 @@ def _circle_kernel(a, F: BoundaryData, r: float, q: QuadSpec):
     return a, F, _mirror(np.fft.rfft(kern).real), kern
 
 
+def _invert(spec: np.ndarray, d: float) -> np.ndarray:
+    """ifft(spec) / d: the values on a circle given as the pair (spectrum, divisor)."""
+    out = np.fft.ifft(spec)
+    out /= d
+    return out
+
+
 def _sweep(kern_hat: np.ndarray, G: BoundaryData) -> np.ndarray:
     """(1/N) sum_j kern(theta - t_j) G(t_j) at every grid angle theta: the trapezoid sums
     as one cyclic convolution of the two spectra."""
-    out = np.fft.ifft(kern_hat * G._spectrum())
-    out /= G.n_samples
-    return out
+    return _invert(kern_hat * G._spectrum(), G.n_samples)
+
+
+def _poisson_spectrum(a, F: BoundaryData, r: float, q: QuadSpec):
+    """(S, N) with circle_poisson_values(a, F, r, q) = ifft(S) / N; warns as it does."""
+    _, F, kern_hat = _circle_kernel(a, F, r, q)[:3]
+    _check_resolution(F.n_samples, r)
+    return kern_hat * F._spectrum(), F.n_samples
 
 
 def circle_poisson_values(a, F: BoundaryData, r: float, q: QuadSpec) -> np.ndarray:
@@ -348,9 +360,7 @@ def circle_poisson_values(a, F: BoundaryData, r: float, q: QuadSpec) -> np.ndarr
     poisson_integral would compute at z = r e^{i theta_j}; returns an array
     aligned with the boundary grid angles.
     """
-    _, F, kern_hat = _circle_kernel(a, F, r, q)[:3]
-    _check_resolution(F.n_samples, r)
-    return _sweep(kern_hat, F)
+    return _invert(*_poisson_spectrum(a, F, r, q))
 
 
 _ALIAS_ENERGY_TOL = 1e-8

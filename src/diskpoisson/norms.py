@@ -7,6 +7,12 @@ on a truncated, boundary-refined radial grid, so every reported value is a
 lower bound of the untruncated norm; the status field says whether the
 truncated values look settled, still growing, or cleanly divergent.
 
+A KernelQuantity circle at r > 0 is one spectrum S whose inverse FFT,
+divided by d, gives its N values. For p = 2 the circle's mean then comes
+from the spectrum by Parseval, sqrt(sum |S_m|^2) / (N |d|), with no inverse
+FFT; every other p, the circle at r = 0 and plain callables take the mean
+of the values.
+
 divergence_probe sharpens that: it evaluates the norm at nested cutoff
 radii, flags divergence when the values grow monotonically with a last-pair
 ratio of at least 1.5, and fits a growth exponent e with value ~ (1-r)^e.
@@ -23,8 +29,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .kernel import BoundaryData, QuadSpec, _uniform_thetas, as_alpha, circle_poisson_values
-from .derivs import _circle_dtheta, _circle_partial, dz_dzbar_f
+from .kernel import BoundaryData, QuadSpec, _invert, _poisson_spectrum, _uniform_thetas, as_alpha
+from .derivs import _dtheta_spectrum, _partial_spectrum, dz_dzbar_f
 
 __all__ = [
     "NormEstimate",
@@ -109,10 +115,16 @@ class KernelQuantity:
         self.F = F
         self.quantity = quantity
 
-    def circle_values(self, r: float, q: QuadSpec) -> np.ndarray:
+    def _circle_spectrum(self, r: float, q: QuadSpec):
+        """(S, d) with circle_values(r, q) = ifft(S) / d; the partials need r > 0."""
         if self.quantity == "f":
-            return circle_poisson_values(self.a, self.F, r, q)
-        if r == 0.0:
+            return _poisson_spectrum(self.a, self.F, r, q)
+        if self.quantity == "dtheta":
+            return _dtheta_spectrum(self.a, self.F, r, q)
+        return _partial_spectrum(self.a, self.F, r, q, self.quantity)
+
+    def circle_values(self, r: float, q: QuadSpec) -> np.ndarray:
+        if r == 0.0 and self.quantity != "f":
             dz0, dzbar0 = dz_dzbar_f(self.a, self.F, 0.0, q)
             thetas = _uniform_thetas(q.angular_nodes)
             if self.quantity == "dz":
@@ -122,15 +134,25 @@ class KernelQuantity:
             if self.quantity == "dr":
                 return dz0 * np.exp(1j * thetas) + dzbar0 * np.exp(-1j * thetas)
             return np.zeros(q.angular_nodes, dtype=complex)
-        if self.quantity == "dtheta":
-            return _circle_dtheta(self.a, self.F, r, q)
-        return _circle_partial(self.a, self.F, r, q, self.quantity)
+        return _invert(*self._circle_spectrum(r, q))
 
 
 def _circle_samples(f, r: float, q: QuadSpec) -> np.ndarray:
     if hasattr(f, "circle_values"):
         return f.circle_values(r, q)
     return np.asarray(f(r * np.exp(1j * _uniform_thetas(q.angular_nodes))))
+
+
+def _circle_mean(f, r: float, p: float, q: QuadSpec) -> float:
+    """L^p mean of f on the circle |z| = r.
+
+    A KernelQuantity circle at r > 0 has the N values ifft(S) / d, so by
+    Parseval its L^2 mean is sqrt(sum |S_m|^2) / (N |d|): no inverse FFT.
+    """
+    if p == 2.0 and r > 0.0 and isinstance(f, KernelQuantity):
+        spec, d = f._circle_spectrum(r, q)
+        return float(np.linalg.norm(spec)) / (len(spec) * abs(d))
+    return _mean_p(_circle_samples(f, r, q), p)
 
 
 def _circle_means(f, radii, p: float, q: QuadSpec):
@@ -142,7 +164,7 @@ def _circle_means(f, radii, p: float, q: QuadSpec):
     """
     kept_r, kept_m = [], []
     for r in radii:
-        m = _mean_p(_circle_samples(f, float(r), q), p)
+        m = _circle_mean(f, float(r), p, q)
         if math.isfinite(m):
             kept_r.append(float(r))
             kept_m.append(m)

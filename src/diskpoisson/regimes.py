@@ -32,7 +32,7 @@ import numpy as np
 
 from .specfun import gamma
 from .kernel import (BoundaryData, QuadSpec, _ANGULAR_CAP, _check_resolution,
-                     _circle_kernel, _sweep, _uniform_thetas, as_alpha,
+                     _circle_kernel, _half_angle_sin2, _sweep, as_alpha,
                      boundary_derivative)
 # circle_derivs stays bound: perfbench's test_wrappers_are_all_removed asserts it is traced.
 from .derivs import circle_derivs  # noqa: F401
@@ -120,6 +120,12 @@ class CertificationRecord:
         return asdict(self)
 
 
+def _mean_distance_power(r: float, s: float, n: int) -> float:
+    """Mean of |1 - r e^{i t}|^(-s) over the n-node grid, with |1 - r e^{i t}|^2 written as
+    (1-r)^2 + 4r sin^2(t/2), which does not cancel near t = 0 as r -> 1."""
+    return float(np.mean(((1.0 - r) ** 2 + 4.0 * r * _half_angle_sin2(n)) ** (-0.5 * s)))
+
+
 def check_kernel_mean_bound(alpha: float, r: float, q: QuadSpec,
                             slack: float = _SLACK) -> CertificationRecord:
     """Certify (1/2pi) int (1-r^2)^a / |1-r e^{i t}|^{a+1} dt <= Gamma(a)/Gamma((a+1)/2)^2.
@@ -132,8 +138,7 @@ def check_kernel_mean_bound(alpha: float, r: float, q: QuadSpec,
         raise ValueError(f"kernel mean bound needs alpha > 0, got {alpha!r}")
     if not 0.0 <= r < 1.0:
         raise ValueError(f"radius must lie in [0, 1), got {r!r}")
-    t = _uniform_thetas(q.angular_nodes)
-    lhs = float(np.mean((1.0 - r * r) ** alpha / np.abs(1.0 - r * np.exp(1j * t)) ** (alpha + 1.0)))
+    lhs = ((1.0 - r) * (1.0 + r)) ** alpha * _mean_distance_power(r, alpha + 1.0, q.angular_nodes)
     rhs = gamma(alpha) / gamma((alpha + 1.0) / 2.0) ** 2
     return CertificationRecord(
         check="kernel_mean_bound",
@@ -156,8 +161,7 @@ def check_distance_integral_bound(alpha: float, r: float, q: QuadSpec,
         raise ValueError(f"distance integral bound needs alpha in (-1, 0), got {alpha!r}")
     if not 0.5 <= r < 1.0:
         raise ValueError(f"radius must lie in [1/2, 1), got {r!r}")
-    t = _uniform_thetas(q.angular_nodes)
-    lhs = float(np.mean(np.abs(1.0 - r * np.exp(1j * t)) ** (-(alpha + 1.0))) * 2.0 * np.pi)
+    lhs = _mean_distance_power(r, alpha + 1.0, q.angular_nodes) * 2.0 * np.pi
     rhs = (3.0 ** ((alpha + 1.0) / 2.0) / 2.0 ** (alpha - 1.0)
            * gamma(-alpha) * gamma(0.5) / gamma(0.5 - alpha))
     return CertificationRecord(

@@ -2,11 +2,12 @@
 
 Provides the Gamma function, the Pochhammer (rising factorial) symbol, the
 Gauss hypergeometric function 2F1 on [-1, 1], the Gauss summation value at
-x = 1, and the Euler beta integral. 2F1 takes one route per argument: the
-Pfaff transformation onto (0, 1/2] for negative x, the Gauss sum at x = 1,
-the 1 - x connection formula near 1, and otherwise the direct series,
-stopped on a bound of its tail. Everything is scalar, pure,
-and deterministic; no external dependencies.
+x = 1, and the Euler beta integral. 2F1 takes one route per argument: for
+negative x whichever of the two Pfaff transformations onto (0, 1/2] and
+the direct series cancels least, the Gauss sum at x = 1, the 1 - x
+connection formula near 1, and otherwise the direct series, stopped on a
+bound of its tail and refused where its terms cancel past the tolerance.
+Everything is scalar, pure, and deterministic; no external dependencies.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ _TERM_CAP = 100000
 # Where (1 - x) max(|a|, |b|, 1) is at most this and c - a - b is not an integer,
 # the two series in 1 - x of the connection formula converge fast.
 _CONNECTION_SPAN = 0.5
+_EPS = 2.0 ** -52  # machine epsilon of a double
 
 
 def _is_nonpositive_integer(x: float) -> bool:
@@ -107,8 +109,8 @@ def pochhammer(a: float, k: int) -> float:
     return result
 
 
-def _series_2f1(a: float, b: float, c: float, x: float, tol: float) -> float:
-    """Direct summation of the 2F1 series, stopped on a bound of its tail.
+def _series_sum(a: float, b: float, c: float, x: float, tol: float):
+    """(sum, largest |term|) of the 2F1 series, stopped on a bound of its tail.
 
     Term k+1 is term k times u v x, u = (hi+k)/(c+k), v = (lo+k)/(k+1) with
     lo <= hi the pair a, b. Once lo+k and c+k are positive, u and v move
@@ -119,17 +121,21 @@ def _series_2f1(a: float, b: float, c: float, x: float, tol: float) -> float:
     lo, hi = min(a, b), max(a, b)
     total = 1.0
     term = 1.0
+    peak = 1.0
     for k in range(_TERM_CAP):
         u = (hi + k) / (c + k)
         v = (lo + k) / (k + 1.0)
         term *= u * v * x
         total += term
+        size = abs(term)
+        if size > peak:
+            peak = size
         if term == 0.0:
-            return total
+            return total, peak
         if min(lo, c) + k > 0.0:
             rho = abs(x) * max(u, 1.0) * max(v, 1.0)
-            if rho < 1.0 and abs(term) * rho <= tol * abs(total) * (1.0 - rho):
-                return total
+            if rho < 1.0 and size * rho <= tol * abs(total) * (1.0 - rho):
+                return total, peak
     s = c - a - b
     raise ConvergenceError(
         f"2F1({a}, {b}; {c}; {x}) did not converge within {_TERM_CAP} terms"
@@ -138,18 +144,65 @@ def _series_2f1(a: float, b: float, c: float, x: float, tol: float) -> float:
     )
 
 
+def _refuse_cancellation(a: float, b: float, c: float, x: float, value: float, peak: float,
+                         tol: float) -> float:
+    """value, unless peak, the largest term summed into it, cancels past tol.
+
+    Each term carries a rounding error of about eps times itself, so a value
+    whose largest term exceeds tol |value| / eps cannot meet tol.
+    """
+    if peak * _EPS > tol * abs(value):
+        raise ConvergenceError(
+            f"2F1({a}, {b}; {c}; {x}) cancels: its largest term {peak:.3g} is "
+            f"{peak / abs(value) if value else math.inf:.3g} times its value, so rounding "
+            f"exceeds tol={tol!r}")
+    return value
+
+
+def _negative_x(a: float, b: float, c: float, x: float, tol: float) -> float:
+    """2F1 for x in [-1, 0), where the direct series alternates.
+
+    Of the Pfaff forms (1-x)^(-a) 2F1(a, c-b; c; y) and (1-x)^(-b) 2F1(b, c-a; c; y)
+    with y = x/(x-1) in (0, 1/2], and the direct series (which never meets its
+    tail bound at x = -1), returns the one whose largest term is smallest
+    against its sum: the one that cancels least. The first whose sum is at
+    least its largest term does not cancel at all and ends the search.
+    """
+    y = x / (x - 1.0)
+    forms = [((1.0 - x) ** -a, (a, c - b, c, y)), ((1.0 - x) ** -b, (b, c - a, c, y))]
+    if x > -1.0:
+        forms.append((1.0, (a, b, c, x)))
+    best, best_ratio = None, math.inf
+    for scale, args in forms:
+        try:
+            total, peak = _series_sum(*args, tol)
+        except ConvergenceError:
+            continue
+        ratio = peak / abs(total) if total else math.inf
+        if best is None or ratio < best_ratio:
+            best, best_ratio = scale * total, ratio
+        if best_ratio <= 1.0:
+            break
+    return best
+
+
 def _rgamma(x: float) -> float:
     """1/Gamma(x), zero at the poles."""
     return 0.0 if _is_nonpositive_integer(x) else 1.0 / gamma(x)
 
 
 def _connection_1mx(a: float, b: float, c: float, x: float, tol: float) -> float:
-    """2F1(a, b; c; x) from two series in 1 - x (A&S 15.3.6); c - a - b not an integer."""
+    """2F1(a, b; c; x) from two series in 1 - x (A&S 15.3.6); c - a - b not an integer.
+    Refused where the two weighted series cancel past tol, either one alone or each other."""
     s = c - a - b
     y = 1.0 - x
-    return gamma(c) * (
-        gamma(s) * _rgamma(c - a) * _rgamma(c - b) * _series_2f1(a, b, 1.0 - s, y, tol)
-        + y ** s * gamma(-s) * _rgamma(a) * _rgamma(b) * _series_2f1(c - a, c - b, 1.0 + s, y, tol))
+    w1 = gamma(s) * _rgamma(c - a) * _rgamma(c - b)
+    w2 = y ** s * gamma(-s) * _rgamma(a) * _rgamma(b)
+    sum1, peak1 = _series_sum(a, b, 1.0 - s, y, tol)
+    sum2, peak2 = _series_sum(c - a, c - b, 1.0 + s, y, tol)
+    g = gamma(c)
+    return _refuse_cancellation(a, b, c, x, g * (w1 * sum1 + w2 * sum2),
+                                abs(g) * (abs(w1) * peak1 + abs(w2) * peak2), tol)
 
 
 @functools.lru_cache(maxsize=200000)
@@ -161,9 +214,7 @@ def _hyp2f1_cached(a: float, b: float, c: float, x: float, tol: float) -> float:
     if a == 0.0 or b == 0.0:
         return 1.0
     if x < 0.0:
-        # Pfaff: the direct series alternates for x < 0 and never meets its tail bound at
-        # x = -1; x/(x-1) lies in (0, 1/2].
-        return (1.0 - x) ** (-a) * _hyp2f1_cached(a, c - b, c, x / (x - 1.0), tol)
+        return _negative_x(a, b, c, x, tol)
     s = c - a - b
     if x == 1.0:
         if s <= 0.0:
@@ -175,22 +226,25 @@ def _hyp2f1_cached(a: float, b: float, c: float, x: float, tol: float) -> float:
         return gauss_value(a, b, c)
     if (1.0 - x) * max(abs(a), abs(b), 1.0) <= _CONNECTION_SPAN and s != math.floor(s):
         return _connection_1mx(a, b, c, x, tol)
-    return _series_2f1(a, b, c, x, tol)
+    return _refuse_cancellation(a, b, c, x, *_series_sum(a, b, c, x, tol), tol)
 
 
 def hyp2f1(a: float, b: float, c: float, x: float, tol: float = 1e-14) -> float:
     """Gauss hypergeometric 2F1(a, b; c; x) for real parameters, x in [-1, 1].
 
     The route is chosen from (a, b, c, x) before anything is summed. For x < 0
-    the Pfaff transformation (1 - x)^(-a) 2F1(a, c - b; c; x/(x - 1)) moves the
-    argument into (0, 1/2]. At x = 1 the Gauss sum is returned (finite only
-    for c - a - b > 0). Where
-    (1 - x) max(|a|, |b|, 1) <= 1/2 and c - a - b is not an integer, the 1 - x
-    connection formula (Abramowitz & Stegun 15.3.6) is used. Everywhere else
-    the direct series is summed until a bound of its tail falls below tol
-    times the sum. With an integer c - a - b near x = 1 (the logarithmic
-    case) that series may exceed the term cap, and ConvergenceError names
-    the case.
+    the Pfaff transformations (1 - x)^(-a) 2F1(a, c - b; c; x/(x - 1)) and
+    (1 - x)^(-b) 2F1(b, c - a; c; x/(x - 1)) move the argument into (0, 1/2];
+    of these two and the direct series, the one whose largest term is
+    smallest against its sum is returned. At x = 1 the Gauss sum is returned
+    (finite only for c - a - b > 0). Where (1 - x) max(|a|, |b|, 1) <= 1/2
+    and c - a - b is not an integer, the 1 - x connection formula
+    (Abramowitz & Stegun 15.3.6) is used. Everywhere else the direct series
+    is summed until a bound of its tail falls below tol times the sum. On
+    x >= 0 ConvergenceError refuses a value whose largest summed term times
+    the machine epsilon exceeds tol times the value (a sum that cancels, such
+    as a long terminating one), and, naming the logarithmic case, a series
+    with an integer c - a - b near x = 1 that exceeds the term cap.
     """
     return _hyp2f1_cached(float(a), float(b), float(c), float(x), float(tol))
 

@@ -363,11 +363,25 @@ class TestSineMoment:
         for alpha, r in ((0.5, 0.3), (-0.5, 0.9), (2.0, 0.99)):
             x, wts = leggauss(37)
             t, w = 0.5 * math.pi * (x + 1.0), 0.5 * math.pi * wts
-            dist_sq = 1.0 - 2.0 * r * np.cos(t) + r * r
+            dist_sq = (1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * t) ** 2
             integral = 2.0 * float(np.sum(w * r * np.sin(t) * dist_sq ** (-0.5 * (alpha + 2.0))))
-            want = (1.0 - r * r) ** alpha * integral
+            want = ((1.0 - r) * (1.0 + r)) ** alpha * integral
             assert sine_moment(alpha, r, n=37) == want
         assert calls == [37]
+
+    @pytest.mark.parametrize("alpha", [-0.5, 2.0])
+    def test_no_cancellation_near_the_boundary(self, alpha):
+        # The same 64-point rule summed by mpmath: 1 - 2r cos t + r^2 and 1 - r r
+        # cancelled, 1e-6 off at alpha = 2 and r = 1 - 1e-6 with 512 points.
+        mpmath = pytest.importorskip("mpmath")
+        r = 1.0 - 1e-6
+        t, w = derivs._gauss_legendre_0_pi(64)
+        with mpmath.workdps(40):
+            R, a = mpmath.mpf(r), mpmath.mpf(alpha)
+            want = 2 * (1 - R * R) ** a * mpmath.fsum(
+                wi * R * mpmath.sin(ti) * (1 - 2 * R * mpmath.cos(ti) + R * R) ** (-(a + 2) / 2)
+                for ti, wi in zip(map(mpmath.mpf, t.tolist()), map(mpmath.mpf, w.tolist())))
+            assert abs(sine_moment(alpha, r, n=64) / want - 1) <= 1e-14
 
     def test_domain(self):
         for bad in (-0.1, 1.0, 1.5):

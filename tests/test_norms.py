@@ -2,19 +2,23 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from diskpoisson.kernel import BoundaryData, QuadSpec
-from diskpoisson.mappings import HypMonomial
+from diskpoisson.kernel import BoundaryData, QuadSpec, ResolutionWarning
+from diskpoisson.mappings import HypMonomial, phase_boundary
 from diskpoisson.norms import (
+    QUANTITIES,
     STATUS_CONVERGED,
     STATUS_DIVERGING,
     STATUS_LOWER_BOUND,
     GrowthReport,
     KernelQuantity,
+    _circle_mean,
     _increment_exponent,
+    _mean_p,
     bergman_norm,
     dfield_norms,
     divergence_probe,
@@ -84,6 +88,72 @@ class TestKernelQuantity:
         got_dr = KernelQuantity(-0.5, F, "dr").circle_values(r, q)
         assert np.max(np.abs(got_dz - dz_c)) < 1e-10
         assert np.max(np.abs(got_dr - dr_c)) < 1e-10
+
+
+def mix(thetas):
+    e = np.exp(1j * np.asarray(thetas, dtype=float))
+    return e + 0.3 * e**-2 + 0.7
+
+
+def dmix(thetas):
+    e = np.exp(1j * np.asarray(thetas, dtype=float))
+    return 1j * e - 0.6j * e**-2
+
+
+@pytest.fixture(scope="module")
+def boundaries():
+    phase = phase_boundary(2048)
+    return {"closed_form": BoundaryData.from_function(mix, 2048, deriv=dmix),
+            "sampled": BoundaryData.from_samples(phase.thetas, phase.values)}
+
+
+class TestParsevalMeans:
+    """At p = 2 a KernelQuantity circle's mean comes from its spectrum, not its values."""
+
+    @pytest.mark.parametrize("data", ["closed_form", "sampled"])
+    @pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 0.7, 2.0])
+    def test_matches_the_mean_of_the_circle_values(self, boundaries, data, alpha):
+        q = QuadSpec(angular_nodes=2048, r_max=1.0 - 1e-6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)
+            for quantity in QUANTITIES:
+                f = KernelQuantity(alpha, boundaries[data], quantity)
+                for r in (0.3, 0.9, 0.99, 0.9999, 1.0 - 1e-6):
+                    want = _mean_p(f.circle_values(r, q), 2.0)
+                    assert abs(_circle_mean(f, r, 2.0, q) - want) <= 1e-14 * want, (quantity, r)
+
+    @pytest.mark.parametrize("quantity", QUANTITIES)
+    def test_inverse_ffts_only_off_the_spectrum_path(self, monkeypatch, boundaries, quantity):
+        # p = 2 inverts no circle but the one at r = 0; p = 1 inverts every circle once.
+        F = boundaries["sampled"]
+        q = QuadSpec(angular_nodes=2048, r_max=0.99, radial_grid=[0.0, 0.5, 0.9, 0.95, 0.99])
+        f = KernelQuantity(0.7, F, quantity)
+        divergence_probe(f, 1.0, (0.9, 0.95, 0.99), q=q)  # the memoized spectra
+        calls = []
+        ifft = np.fft.ifft
+
+        def counting_ifft(*args, **kwargs):
+            calls.append(1)
+            return ifft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", counting_ifft)
+        divergence_probe(f, 2.0, (0.9, 0.95, 0.99), q=q)
+        assert len(calls) == (1 if quantity == "f" else 0)
+        calls.clear()
+        divergence_probe(f, 1.0, (0.9, 0.95, 0.99), q=q)
+        assert len(calls) == (5 if quantity == "f" else 4)
+
+    def test_warnings_equal_the_values_path(self):
+        F = HypMonomial(-0.5, 1).boundary(2048)
+        q = QuadSpec(angular_nodes=2048, r_max=0.9999)
+        f = KernelQuantity(-0.5, F, "f")
+        counts = {}
+        for p in (1.0, 2.0):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                divergence_probe(f, p, (0.99, 0.999, 0.9999), q=q)
+            counts[p] = sum(issubclass(w.category, ResolutionWarning) for w in seen)
+        assert counts[2.0] == counts[1.0] > 0
 
 
 class TestHardyNorm:

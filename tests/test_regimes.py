@@ -131,6 +131,26 @@ class TestDistanceIntegralBound:
             check_distance_integral_bound(-0.5, 1.0, q)
 
 
+class TestCertificateSums:
+    # The trapezoid sums themselves, against mpmath: |1 - r e^{it}| as a complex
+    # modulus and 1 - r r cancelled as r -> 1.
+    @pytest.mark.parametrize("check,alpha", [(check_kernel_mean_bound, 0.5),
+                                             (check_kernel_mean_bound, 2.0),
+                                             (check_distance_integral_bound, -0.5)])
+    def test_no_cancellation_near_the_boundary(self, check, alpha):
+        mpmath = pytest.importorskip("mpmath")
+        r, n = 1.0 - 1e-6, 256
+        with mpmath.workdps(40):
+            R, a = mpmath.mpf(r), mpmath.mpf(alpha)
+            dist = [abs(1 - R * mpmath.expjpi(mpmath.mpf(2 * j) / n)) for j in range(n)]
+            if check is check_kernel_mean_bound:
+                want = (1 - R * R) ** a * mpmath.fsum(d ** -(a + 1) for d in dist) / n
+            else:
+                want = 2 * mpmath.pi * mpmath.fsum(d ** -(a + 1) for d in dist) / n
+            lhs = check(alpha, r, QuadSpec(angular_nodes=n, r_max=0.99)).lhs
+            assert abs(lhs / want - 1) <= 1e-14
+
+
 class TestAngularDerivativeBound:
     def test_constant_boundary_trivial(self, q):
         F = BoundaryData.from_function(

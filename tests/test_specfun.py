@@ -305,7 +305,7 @@ class TestNearOne:
 
 class TestNegativeArgument:
     # The direct series alternates for x < 0 and its tail bound never holds at
-    # x = -1; the Pfaff transformation moves x into (0, 1/2].
+    # x = -1; the Pfaff transformations move x into (0, 1/2].
     @pytest.mark.parametrize("a,b,c,x", [
         (3.87, 3.37, 2.17, -0.884),  # the direct series was 1.3e-11 off
         (4.29, 4.16, 0.88, -0.744),  # and 2.7e-9 off
@@ -319,6 +319,51 @@ class TestNegativeArgument:
 
     def test_log_two_at_minus_one(self):
         assert abs(hyp2f1(1.0, 1.0, 2.0, -1.0) / math.log(2.0) - 1.0) <= 1e-13
+
+    def test_least_cancelling_form(self):
+        # The Pfaff form in a cancels (largest term 3,000 times the sum, 1.7e-13
+        # off); the direct series cancels least.
+        mpmath = pytest.importorskip("mpmath")
+        a, b, c, x = -4.718, -2.462, 1.595, -0.897
+        with mpmath.workdps(40):
+            want = float(mpmath.hyp2f1(a, b, c, x))
+        assert abs(hyp2f1(a, b, c, x) / want - 1.0) <= 1e-14
+
+    def test_random_sweep(self):
+        # a, b in [-5, 5], c in [0.1, 5], x in [-1, 0): the worst case was 5.7e-13
+        # off with the Pfaff form in a alone.
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(0)
+        args = zip(rng.uniform(-5.0, 5.0, 3000), rng.uniform(-5.0, 5.0, 3000),
+                   rng.uniform(0.1, 5.0, 3000), -rng.uniform(0.0, 1.0, 3000))
+        worst = 0.0
+        with mpmath.workdps(40):
+            for a, b, c, x in args:
+                a, b, c, x = float(a), float(b), float(c), float(x)
+                worst = max(worst, float(abs(hyp2f1(a, b, c, x) / mpmath.hyp2f1(a, b, c, x) - 1)))
+        assert worst <= 1.5e-13
+
+
+class TestCancellation:
+    def test_cancelling_sum_refused_by_name(self):
+        # Terms up to 1.2e7 sum to 0.0077; the sum came back 3.2e-7 off.
+        with pytest.raises(ConvergenceError, match="cancels"):
+            hyp2f1(-30.0, 1.5, 2.5, 0.99)
+
+    @pytest.mark.parametrize("alpha", [-0.9, -0.5, -0.1])
+    @pytest.mark.parametrize("n", [1, 3, 150])
+    def test_monomial_series_do_not_cancel(self, alpha, n):
+        # Every series the monomial profiles sum, directly or in the 1 - x
+        # connection formula, has positive terms: its sum is at least its largest term.
+        from diskpoisson.specfun import _series_sum
+
+        for a, b, c in _monomial_params(alpha, n):
+            s = c - a - b
+            for x in (0.5, 0.9801, 0.998001):
+                for args in ((a, b, c, x), (a, b, 1.0 - s, 1.0 - x),
+                             (c - a, c - b, 1.0 + s, 1.0 - x)):
+                    total, peak = _series_sum(*args, 1e-14)
+                    assert peak <= total, args
 
 
 _R_HI = 1.0 - 1e-6
