@@ -12,13 +12,11 @@ finite as r -> 1. The Wirtinger derivatives follow from the polar frame:
 Every dF/dt here is kernel.boundary_derivative(F), and every spectrum of
 F or dF/dt is the one memoized on it. On a circle every one of these
 trapezoid sums is a product of a kernel spectrum with fft(F) or fft(dF/dt),
-so a circle of df/dr, df/dz or df/dzbar is one spectrum and one inverse
-FFT: J1, both J2 integrals and, for the Wirtinger pair, i df/dtheta add up
-in the spectrum, and the frame factor e^{+-i theta} is a roll by one bin.
-The kernel values behind the circle's kernel spectrum give the two J2
-kernels, whose spectra come from one real FFT. A circle of df/dtheta is one
-kernel sweep of dF/dt, and circle_derivs adds the fused r df/dr to it. The
-pointwise J2 rotates dF/dt with the code that rotates F. At the origin the
+and kernel._circle_spectra, the one circle operator, gives each quantity
+as one spectrum: J1, both J2 integrals and, for the Wirtinger pair,
+i df/dtheta add up in the spectrum, and the frame factor e^{+-i theta} is a
+roll by one bin. circle_derivs inverts its df/dtheta and r df/dr spectra.
+The pointwise J2 rotates dF/dt with the code that rotates F. At the origin the
 polar frame degenerates; df/dz and df/dzbar fall back to central finite
 differences, flagging the point.
 """
@@ -35,17 +33,15 @@ from typing import Optional
 import numpy as np
 
 from .kernel import (
-    AlphaParam,
     BoundaryData,
     QuadSpec,
-    _circle_kernel,
+    _circle_spectra,
     _grid_kernel,
     _grid_sin,
     _half_angle_sin2,
-    _mirror,
+    _invert,
     _on_quad_grid,
     _read_only,
-    _sweep,
     _under_resolved,
     as_alpha,
     boundary_derivative,
@@ -224,52 +220,6 @@ def sine_moment_exact(alpha: float, r: float) -> float:
     return (2.0 / alpha) * ((1.0 + r) ** alpha - (1.0 - r) ** alpha)
 
 
-def _dtheta_spectrum(a, F: BoundaryData, r: float, q: QuadSpec):
-    """(S, N) with ifft(S) / N = df/dtheta at every grid angle of |z| = r: the spectrum of
-    one sweep of dF/dt, no warning."""
-    _, F, kern_hat = _circle_kernel(a, F, r, q)[:3]
-    return kern_hat * boundary_derivative(F)._spectrum(), F.n_samples
-
-
-def _fused_spectrum(a: AlphaParam, F: BoundaryData, kern_hat: np.ndarray, kern: np.ndarray,
-                    r: float, s: int = 0) -> np.ndarray:
-    """The spectrum whose inverse FFT is r df/dr + s i df/dtheta at every grid angle of
-    |z| = r, from _circle_kernel's (a, F, kern_hat, kern).
-
-    Each trapezoid sum is a correlation with a real kernel on the grid, so with
-    w = 1 - r^2, J1 + J2 + s i df/dtheta = ifft(A fft(F) + B fft(dF/dt)) where
-    A = (alpha/N) (K^ - K2^/w) and B = (2/(N w)) K1^ + (s i/N) K^. The J2 kernels
-    K1 = r sin t K (odd) and K2 = ((1-r) + 2r sin^2(t/2)) K (even) come from the
-    kernel values K, and one rfft of K1 + K2 gives both spectra: its real part is
-    fft(K2), its imaginary part fft(K1)/i.
-    """
-    n = F.n_samples
-    w = (1.0 - r) * (1.0 + r)
-    half = np.fft.rfft(((1.0 - r) + 2.0 * r * _half_angle_sin2(n)
-                        + r * _grid_sin(n)) * kern)
-    a_hat = (a.alpha / n) * (kern_hat - _mirror(half.real) / w)
-    b_hat = (2.0 / (n * w)) * _mirror(half.imag, odd=True)
-    if s:
-        b_hat += (s / n) * kern_hat
-    return a_hat * F._spectrum() + 1j * b_hat * boundary_derivative(F)._spectrum()
-
-
-# Which multiple s of i df/dtheta joins r df/dr: df/dzbar = (r df/dr + i df/dtheta) e^{i theta}/(2r)
-# and df/dz = (r df/dr - i df/dtheta) e^{-i theta}/(2r). The factor e^{s i theta_j} is a
-# roll of the spectrum by s bins.
-_FRAME_SIGN = {"dr": 0, "dzbar": 1, "dz": -1}
-
-
-def _partial_spectrum(a, F: BoundaryData, r: float, q: QuadSpec, quantity: str):
-    """(S, d) with ifft(S) / d = df/dr, df/dz or df/dzbar at every grid angle of
-    |z| = r > 0: one fused spectrum, no warning."""
-    s = _FRAME_SIGN[quantity]
-    spec = _fused_spectrum(*_circle_kernel(a, F, r, q), r, s)
-    if s == 0:
-        return spec, r
-    return np.roll(spec, s), 2.0 * r
-
-
 def circle_derivs(a, F: BoundaryData, r: float, q: QuadSpec):
     """(df/dtheta, r df/dr) at every grid angle of the circle |z| = r.
 
@@ -277,9 +227,8 @@ def circle_derivs(a, F: BoundaryData, r: float, q: QuadSpec):
     operators use: one kernel spectrum serves the df/dtheta sweep and the
     one fused spectrum of r df/dr.
     """
-    a, F, kern_hat, kern = _circle_kernel(a, F, r, q)
-    rdr = np.fft.ifft(_fused_spectrum(a, F, kern_hat, kern, r))
-    return _sweep(kern_hat, boundary_derivative(F)), rdr
+    rdr, dth = _circle_spectra(a, F, r, q, ("rdr", "dtheta"))
+    return _invert(*dth), _invert(*rdr)
 
 
 @dataclass

@@ -10,11 +10,14 @@ integral operator itself, and boundary differentiation.
 Quadrature is the composite trapezoid rule on the uniform periodic grid,
 which is spectrally accurate for smooth integrands. A circle sweep is the
 same trapezoid sums at every grid angle at once: one cyclic convolution,
-the kernel's spectrum times the boundary's. On the grid the kernel is real
-and even in theta, so its spectrum is real and even: one real FFT of
-values built from a cached table of sin^2(theta_j/2), since
-|1 - r e^{it}|^2 = (1-r)^2 + 4r sin^2(t/2) does not cancel near t = 0 as
-r -> 1. Everything derived from a BoundaryData's samples (its resamples;
+the kernel's spectrum times the boundary's. _circle_spectra is the one
+circle operator: f, df/dtheta, r df/dr, df/dr, df/dz and df/dzbar on a
+circle are each one spectrum from it and one inverse FFT, and one grid
+kernel serves them all. On the grid the kernel is real and even in theta,
+so its spectrum is real and even: one real FFT of values built from a
+cached table of sin^2(theta_j/2), since |1 - r e^{it}|^2 =
+(1-r)^2 + 4r sin^2(t/2) does not cancel near t = 0 as r -> 1. Everything
+derived from a BoundaryData's samples (its resamples;
 boundary_derivative, the only code computing dF/dtheta; the spectrum
 fft(values), the only FFT of boundary samples) is computed once and
 memoized on it.
@@ -321,18 +324,6 @@ def _grid_kernel(a: AlphaParam, r: float, n: int) -> np.ndarray:
             * dist_sq ** (-0.5 * (a.alpha + 2.0)))
 
 
-def _circle_kernel(a, F: BoundaryData, r: float, q: QuadSpec):
-    """(a, F on the quadrature grid, kernel spectrum at radius r, the kernel values on the
-    grid it came from): the silent sweep preamble. A caller that only sweeps takes the
-    first three, so the values are freed at once."""
-    a = as_alpha(a)
-    F = _on_quad_grid(F, q)
-    if not 0.0 <= r <= q.r_max:
-        raise ValueError(f"radius must lie in [0, r_max = {q.r_max}]")
-    kern = _grid_kernel(a, r, F.n_samples)
-    return a, F, _mirror(np.fft.rfft(kern).real), kern
-
-
 def _invert(spec: np.ndarray, d: float) -> np.ndarray:
     """ifft(spec) / d: the values on a circle given as the pair (spectrum, divisor)."""
     out = np.fft.ifft(spec)
@@ -340,17 +331,68 @@ def _invert(spec: np.ndarray, d: float) -> np.ndarray:
     return out
 
 
-def _sweep(kern_hat: np.ndarray, G: BoundaryData) -> np.ndarray:
-    """(1/N) sum_j kern(theta - t_j) G(t_j) at every grid angle theta: the trapezoid sums
-    as one cyclic convolution of the two spectra."""
-    return _invert(kern_hat * G._spectrum(), G.n_samples)
+def _fused_spectrum(a: AlphaParam, F: BoundaryData, kern_hat: np.ndarray, kern: np.ndarray,
+                    r: float, s: int = 0) -> np.ndarray:
+    """The spectrum whose inverse FFT is r df/dr + s i df/dtheta at every grid angle of
+    |z| = r, from F on the grid, the kernel spectrum kern_hat and the kernel values kern.
+
+    Each trapezoid sum is a correlation with a real kernel on the grid, so with
+    w = 1 - r^2, J1 + J2 + s i df/dtheta = ifft(A fft(F) + B fft(dF/dt)) where
+    A = (alpha/N) (K^ - K2^/w) and B = (2/(N w)) K1^ + (s i/N) K^. The J2 kernels
+    K1 = r sin t K (odd) and K2 = ((1-r) + 2r sin^2(t/2)) K (even) come from the
+    kernel values K, and one rfft of K1 + K2 gives both spectra: its real part is
+    fft(K2), its imaginary part fft(K1)/i.
+    """
+    n = F.n_samples
+    w = (1.0 - r) * (1.0 + r)
+    half = np.fft.rfft(((1.0 - r) + 2.0 * r * _half_angle_sin2(n)
+                        + r * _grid_sin(n)) * kern)
+    a_hat = (a.alpha / n) * (kern_hat - _mirror(half.real) / w)
+    b_hat = (2.0 / (n * w)) * _mirror(half.imag, odd=True)
+    if s:
+        b_hat += (s / n) * kern_hat
+    return a_hat * F._spectrum() + 1j * b_hat * boundary_derivative(F)._spectrum()
 
 
-def _poisson_spectrum(a, F: BoundaryData, r: float, q: QuadSpec):
-    """(S, N) with circle_poisson_values(a, F, r, q) = ifft(S) / N; warns as it does."""
-    _, F, kern_hat = _circle_kernel(a, F, r, q)[:3]
-    _check_resolution(F.n_samples, r)
-    return kern_hat * F._spectrum(), F.n_samples
+# Which multiple s of i df/dtheta joins r df/dr: df/dzbar = (r df/dr + i df/dtheta) e^{i theta}/(2r)
+# and df/dz = (r df/dr - i df/dtheta) e^{-i theta}/(2r). The factor e^{s i theta_j} is a
+# roll of the spectrum by s bins.
+_FRAME_SIGN = {"rdr": 0, "dr": 0, "dzbar": 1, "dz": -1}
+
+
+def _circle_spectra(a, F: BoundaryData, r: float, q: QuadSpec, quantities) -> list:
+    """[(S, d), ...], one pair per name in quantities, with ifft(S) / d that quantity at
+    every grid angle of the circle |z| = r: "f" the extension, "dtheta" df/dtheta, "rdr"
+    r df/dr, and "dr", "dz", "dzbar" (these three need r > 0).
+
+    The one circle operator: F goes on the quadrature grid, and one grid kernel and its
+    spectrum serve every quantity. f and df/dtheta are that spectrum times fft(F) or
+    fft(dF/dt); the partials are one fused spectrum each. On the grid the kernel is real
+    and even, so its spectrum is one rfft, mirrored. Only a circle of f warns about
+    resolution.
+    """
+    a = as_alpha(a)
+    F = _on_quad_grid(F, q)
+    if not 0.0 <= r <= q.r_max:
+        raise ValueError(f"radius must lie in [0, r_max = {q.r_max}]")
+    n = F.n_samples
+    if "f" in quantities:
+        _check_resolution(n, r)
+    kern = _grid_kernel(a, r, n)
+    kern_hat = _mirror(np.fft.rfft(kern).real)
+    out = []
+    for name in quantities:
+        if name in ("f", "dtheta"):
+            G = F if name == "f" else boundary_derivative(F)
+            out.append((kern_hat * G._spectrum(), n))
+            continue
+        s = _FRAME_SIGN[name]
+        spec = _fused_spectrum(a, F, kern_hat, kern, r, s)
+        if s:
+            out.append((np.roll(spec, s), 2.0 * r))
+        else:
+            out.append((spec, r if name == "dr" else 1.0))
+    return out
 
 
 def circle_poisson_values(a, F: BoundaryData, r: float, q: QuadSpec) -> np.ndarray:
@@ -360,7 +402,7 @@ def circle_poisson_values(a, F: BoundaryData, r: float, q: QuadSpec) -> np.ndarr
     poisson_integral would compute at z = r e^{i theta_j}; returns an array
     aligned with the boundary grid angles.
     """
-    return _invert(*_poisson_spectrum(a, F, r, q))
+    return _invert(*_circle_spectra(a, F, r, q, ("f",))[0])
 
 
 _ALIAS_ENERGY_TOL = 1e-8

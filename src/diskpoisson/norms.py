@@ -7,11 +7,11 @@ on a truncated, boundary-refined radial grid, so every reported value is a
 lower bound of the untruncated norm; the status field says whether the
 truncated values look settled, still growing, or cleanly divergent.
 
-A KernelQuantity circle at r > 0 is one spectrum S whose inverse FFT,
-divided by d, gives its N values. For p = 2 the circle's mean then comes
-from the spectrum by Parseval, sqrt(sum |S_m|^2) / (N |d|), with no inverse
-FFT; every other p, the circle at r = 0 and plain callables take the mean
-of the values.
+A KernelQuantity circle at r > 0 is one spectrum S from the circle
+operator kernel._circle_spectra, whose inverse FFT, divided by d, gives its
+N values. For p = 2 the circle's mean then comes from the spectrum by
+Parseval, sqrt(sum |S_m|^2) / (N |d|), with no inverse FFT; every other p,
+the circle at r = 0 and plain callables take the mean of the values.
 
 divergence_probe sharpens that: it evaluates the norm at nested cutoff
 radii, flags divergence when the values grow monotonically with a last-pair
@@ -29,8 +29,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .kernel import BoundaryData, QuadSpec, _invert, _poisson_spectrum, _uniform_thetas, as_alpha
-from .derivs import _dtheta_spectrum, _partial_spectrum, dz_dzbar_f
+from .kernel import BoundaryData, QuadSpec, _circle_spectra, _invert, _uniform_thetas, as_alpha
+from .derivs import dz_dzbar_f
 
 __all__ = [
     "NormEstimate",
@@ -115,14 +115,6 @@ class KernelQuantity:
         self.F = F
         self.quantity = quantity
 
-    def _circle_spectrum(self, r: float, q: QuadSpec):
-        """(S, d) with circle_values(r, q) = ifft(S) / d; the partials need r > 0."""
-        if self.quantity == "f":
-            return _poisson_spectrum(self.a, self.F, r, q)
-        if self.quantity == "dtheta":
-            return _dtheta_spectrum(self.a, self.F, r, q)
-        return _partial_spectrum(self.a, self.F, r, q, self.quantity)
-
     def circle_values(self, r: float, q: QuadSpec) -> np.ndarray:
         if r == 0.0 and self.quantity != "f":
             dz0, dzbar0 = dz_dzbar_f(self.a, self.F, 0.0, q)
@@ -134,7 +126,7 @@ class KernelQuantity:
             if self.quantity == "dr":
                 return dz0 * np.exp(1j * thetas) + dzbar0 * np.exp(-1j * thetas)
             return np.zeros(q.angular_nodes, dtype=complex)
-        return _invert(*self._circle_spectrum(r, q))
+        return _invert(*_circle_spectra(self.a, self.F, r, q, (self.quantity,))[0])
 
 
 def _circle_samples(f, r: float, q: QuadSpec) -> np.ndarray:
@@ -150,7 +142,7 @@ def _circle_mean(f, r: float, p: float, q: QuadSpec) -> float:
     Parseval its L^2 mean is sqrt(sum |S_m|^2) / (N |d|): no inverse FFT.
     """
     if p == 2.0 and r > 0.0 and isinstance(f, KernelQuantity):
-        spec, d = f._circle_spectrum(r, q)
+        spec, d = _circle_spectra(f.a, f.F, r, q, (f.quantity,))[0]
         return float(np.linalg.norm(spec)) / (len(spec) * abs(d))
     return _mean_p(_circle_samples(f, r, q), p)
 

@@ -31,9 +31,8 @@ from typing import Optional
 import numpy as np
 
 from .specfun import gamma
-from .kernel import (BoundaryData, QuadSpec, _ANGULAR_CAP, _check_resolution,
-                     _circle_kernel, _half_angle_sin2, _sweep, as_alpha,
-                     boundary_derivative)
+from .kernel import (BoundaryData, QuadSpec, _ANGULAR_CAP, _circle_spectra,
+                     _half_angle_sin2, _invert, as_alpha, boundary_derivative)
 # circle_derivs stays bound: perfbench's test_wrappers_are_all_removed asserts it is traced.
 from .derivs import circle_derivs  # noqa: F401
 from .norms import lp_norm_circle, integral_mean
@@ -200,9 +199,9 @@ def _boundary_checks(a, F: BoundaryData, q: QuadSpec, ps=(), scaled: bool = Fals
     """The angular-derivative records for each p in ps, then the scaled-kernel record
     when scaled: one walk of the radial grid for (alpha, F).
 
-    Each circle's kernel spectrum is built once. It feeds one dtheta sweep, whose
-    integral means serve every p, and, when scaled, one value sweep for |J1|, the
-    only sweep that warns about resolution.
+    Each circle is one call of the circle operator, so its kernel spectrum is built
+    once. It feeds one dtheta sweep, whose integral means serve every p, and, when
+    scaled, one value sweep for |J1|, the only sweep that warns about resolution.
     """
     a = as_alpha(a)
     ps = [float(p) for p in ps]
@@ -211,20 +210,19 @@ def _boundary_checks(a, F: BoundaryData, q: QuadSpec, ps=(), scaled: bool = Fals
             raise ValueError(f"p must be finite and >= 1, got {p!r}")
     max_ratio = [0.0] * len(ps)
     sup_j1 = 0.0
+    quantities = ("dtheta",) * bool(ps) + ("f",) * scaled
     for F_n, q_n, radii in _resolved_sweeps(F, q):
         dF = boundary_derivative(F_n)
         rhs_n = [lp_norm_circle(dF, p) for p in ps]
         for r in radii:
-            kern_hat = _circle_kernel(a, F_n, r, q_n)[2]
+            spectra = _circle_spectra(a, F_n, r, q_n, quantities)
             if ps:
-                mags = np.abs(_sweep(kern_hat, dF))
+                mags = np.abs(_invert(*spectra[0]))
                 for i, p in enumerate(ps):
                     if rhs_n[i] > 0.0:
                         max_ratio[i] = max(max_ratio[i], integral_mean(mags, r, p) / rhs_n[i])
             if scaled:
-                _check_resolution(F_n.n_samples, r)
-                vals = _sweep(kern_hat, F_n)
-                sup_j1 = max(sup_j1, float(np.max(np.abs(a.alpha * vals))))
+                sup_j1 = max(sup_j1, float(np.max(np.abs(a.alpha * _invert(*spectra[-1])))))
     common = {"boundary": label or "unnamed", "nodes": q.angular_nodes,
               "r_max": float(q.radial_grid[-1])}
     records = [CertificationRecord(

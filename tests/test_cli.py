@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from diskpoisson import cli, derivs, kernel, mappings, regimes
+from diskpoisson import cli, kernel, mappings, regimes
 from diskpoisson.cli import THREADS_ENV, main
 from diskpoisson.derivs import read_deriv_csv
 from diskpoisson.kernel import QuadSpec, circle_poisson_values, radial_grid, read_boundary_csv
@@ -500,18 +500,26 @@ class TestVerify:
 
     def test_one_kernel_spectrum_per_alpha_boundary_and_radius(self, monkeypatch):
         built = Counter()
-        original = kernel._circle_kernel
+        grid_kernels = []
+        circle_spectra, grid_kernel = kernel._circle_spectra, kernel._grid_kernel
 
-        def counting(a, F, r, q):
+        def counting(a, F, r, q, quantities):
             built[(float(getattr(a, "alpha", a)), id(F), r)] += 1
-            return original(a, F, r, q)
+            return circle_spectra(a, F, r, q, quantities)
 
-        for module in (kernel, derivs, regimes):
-            monkeypatch.setattr(module, "_circle_kernel", counting)
+        def counting_grid_kernel(*args):
+            grid_kernels.append(args)
+            return grid_kernel(*args)
+
+        for module in (kernel, regimes):
+            monkeypatch.setattr(module, "_circle_spectra", counting)
+        monkeypatch.setattr(kernel, "_grid_kernel", counting_grid_kernel)
         q = QuadSpec(angular_nodes=64, r_max=0.99, radial_grid=radial_grid(0.99, 6))
         records = cli._inequality_records(q, 1)
+        # One circle-operator call, so one grid kernel, per (alpha, boundary, radius).
         assert sum(built.values()) == 3 * 3 * len(q.radial_grid)
         assert set(built.values()) == {1}
+        assert len(grid_kernels) == sum(built.values())
         # The one pass gives the records of the separate checks, in their order.
         want = certification_grid(q)
         for label, F in cli._bundled_boundaries(q.angular_nodes):

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from diskpoisson import derivs, kernel
+from diskpoisson import derivs, kernel, norms
 from diskpoisson.derivs import (
     FLAG_NONE,
     FLAG_ORIGIN,
@@ -305,12 +305,16 @@ class TestOneSweep:
     def test_dr_quantity_skips_the_dtheta_sweep(self, monkeypatch, F_mix):
         q = QuadSpec(angular_nodes=512, r_max=0.95)
         want = circle_derivs(-0.5, F_mix, 0.6, q)[1] / 0.6
+        asked = []
+        circle_spectra = kernel._circle_spectra
 
-        def no_dtheta_sweep(*args):
-            raise AssertionError("dr must not sweep df/dtheta")
+        def recording(a, F, r, q, quantities):
+            asked.append(tuple(quantities))
+            return circle_spectra(a, F, r, q, quantities)
 
-        monkeypatch.setattr(derivs, "_sweep", no_dtheta_sweep)
+        monkeypatch.setattr(norms, "_circle_spectra", recording)
         assert np.array_equal(KernelQuantity(-0.5, F_mix, "dr").circle_values(0.6, q), want)
+        assert asked == [("dr",)]  # no df/dtheta sweep
 
 
 class TestWarningAttribution:

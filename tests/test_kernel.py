@@ -1,6 +1,7 @@
 """Weighted kernel, boundary-data model, quadrature operator, CSV round-trip."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from diskpoisson.kernel import (
     BoundaryData,
     QuadSpec,
     ResolutionWarning,
-    _circle_kernel,
+    _circle_spectra,
     _grid_kernel,
     _half_angle_sin2,
     _uniform_thetas,
@@ -107,17 +108,22 @@ SPECTRUM_RADII = (0.0, 0.5, 0.99, 0.999, 1.0 - 1e-6)
 
 
 class TestKernelSpectrum:
-    """_circle_kernel builds the spectrum from the half-angle distance and one rfft."""
+    """_circle_spectra builds the kernel spectrum from the half-angle distance and one rfft."""
 
     @pytest.mark.parametrize("n", SPECTRUM_NODES)
     @pytest.mark.parametrize("alpha", SPECTRUM_ALPHAS)
     def test_matches_complex_fft_of_kernel_K(self, n, alpha):
+        # A unit impulse at theta = 0 has fft(F) = 1 in every bin, so the f spectrum
+        # is the kernel spectrum itself.
         q = QuadSpec(angular_nodes=n, r_max=1.0 - 1e-6)
-        F = BoundaryData.from_samples(_uniform_thetas(n), np.ones(n))
+        F = BoundaryData.from_samples(_uniform_thetas(n), np.eye(1, n)[0])
         for r in SPECTRUM_RADII:
             want = np.fft.fft(kernel_K(alpha, r * np.exp(1j * F.thetas)))
-            got = _circle_kernel(alpha, F, r, q)[2]
-            assert got.dtype == float
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ResolutionWarning)
+                (got, d), = _circle_spectra(alpha, F, r, q, ("f",))
+            assert d == n
+            assert not np.any(got.imag)  # real: one rfft, mirrored
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.7, 2.0])
