@@ -64,10 +64,14 @@ def _check_p(p: float) -> float:
 
 
 def _mean_p(samples: np.ndarray, p: float) -> float:
+    """mean(|samples|^p)^(1/p), or max |samples| for p = inf. Formed as
+    m mean((|samples|/m)^p)^(1/p) with m the largest magnitude, so no power
+    overflows: the result is non-finite only when a sample is."""
     mags = np.abs(np.asarray(samples))
-    if math.isinf(p):
-        return float(np.max(mags)) if mags.size else 0.0
-    return float(np.mean(mags**p) ** (1.0 / p))
+    m = float(np.max(mags)) if mags.size else 0.0
+    if math.isinf(p) or not 0.0 < m < math.inf:
+        return m
+    return m * float(np.mean((mags / m) ** p) ** (1.0 / p))
 
 
 def lp_norm_circle(G: Union[BoundaryData, np.ndarray], p: float) -> float:
@@ -202,11 +206,15 @@ def hardy_norm(f, p: float, q: QuadSpec) -> NormEstimate:
     )
 
 
-def _bergman_cumulative(radii: np.ndarray, means: np.ndarray, p: float) -> np.ndarray:
-    """Cumulative trapezoid of mean(r)^p against the area weight 2 r dr."""
-    g = means**p * 2.0 * radii
-    increments = 0.5 * (g[1:] + g[:-1]) * np.diff(radii)
-    return np.concatenate([[0.0], np.cumsum(increments)])
+def _bergman_value(radii: np.ndarray, means: np.ndarray, p: float) -> float:
+    """Bergman norm up to radii[-1]: the p-th root of the trapezoid of mean(r)^p
+    against the area weight 2 r dr, the largest mean m for p = inf. Formed as
+    m trapz((means/m)^p 2 r dr)^(1/p), as _mean_p does, so no power overflows."""
+    m = float(np.max(means))
+    if math.isinf(p) or not 0.0 < m < math.inf:
+        return m
+    g = (means / m) ** p * 2.0 * radii
+    return m * float(np.sum(0.5 * (g[1:] + g[:-1]) * np.diff(radii))) ** (1.0 / p)
 
 
 def bergman_norm(f, p: float, q: QuadSpec) -> NormEstimate:
@@ -220,10 +228,7 @@ def bergman_norm(f, p: float, q: QuadSpec) -> NormEstimate:
     """
     p = _check_p(p)
     radii, means = _circle_means(f, q.radial_grid, p, q)
-    if math.isinf(p):
-        value = float(np.max(means))
-    else:
-        value = float(_bergman_cumulative(radii, means, p)[-1] ** (1.0 / p))
+    value = _bergman_value(radii, means, p)
     w = 1.0 - q.r_max
     cutoffs = [1.0 - 100.0 * w, 1.0 - 10.0 * w, q.r_max]
     if cutoffs[0] <= 0.0:
@@ -318,16 +323,10 @@ def divergence_probe(
     radii, means = _circle_means(f, eval_radii, p, q)
 
     values = []
-    if kind == "hardy" or math.isinf(p):
-        running = np.maximum.accumulate(means)
-        for c in cut:
-            idx = np.searchsorted(radii, c, side="right") - 1
-            values.append(float(running[idx]))
-    else:
-        cum = _bergman_cumulative(radii, means, p)
-        for c in cut:
-            idx = np.searchsorted(radii, c, side="right") - 1
-            values.append(float(cum[idx] ** (1.0 / p)))
+    for c in cut:
+        k = int(np.searchsorted(radii, c, side="right"))
+        values.append(float(np.max(means[:k])) if kind == "hardy"
+                      else _bergman_value(radii[:k], means[:k], p))
 
     v = np.asarray(values)
     monotone = bool(np.all(v[:-1] < v[1:]))

@@ -430,6 +430,22 @@ class TestNorm:
         want = [abs(m.value(r)) for r in data["cutoffs"]]
         assert data["values"] == pytest.approx(want, rel=1e-6)
 
+    @pytest.mark.parametrize("kind", ["hardy", "bergman"])
+    def test_large_p_means_do_not_overflow(self, capsys, kind):
+        # |f|^2000 overflows past |f| = 1.43; those circles used to be dropped,
+        # which froze the values at 1.4162 and read "converged".
+        code, out, _ = run_cli(
+            capsys,
+            ["norm", "--alpha", "-0.5", "--p", "2000", "--quantity", "f",
+             "--kind", kind, "--example", "4.1"],
+        )
+        assert code == 0
+        data = json.loads(out)
+        v = data["values"]
+        assert all(math.isfinite(x) for x in v)
+        assert v[0] < v[1] < v[2]
+        assert data["status"] != "converged"
+
     def test_boundary_and_example_exclusive(self, capsys, monomial_csv):
         code, _, err = run_cli(
             capsys,

@@ -56,6 +56,13 @@ class TestCircleMeans:
         with pytest.raises(ValueError, match="p must"):
             lp_norm_circle(np.ones(4), 0.5)
 
+    def test_mean_p_neither_overflows_nor_underflows(self):
+        # |f|^p would leave the double range in both cases.
+        assert _mean_p([1e200] * 4, 2) == 1e200
+        assert _mean_p([1e-200] * 4, 3) == 1e-200
+        assert _mean_p([0.0, 0.0], 5) == 0.0
+        assert math.isnan(_mean_p([1.0, math.nan], 2))
+
     def test_integral_mean_radius_domain(self):
         with pytest.raises(ValueError, match="radius"):
             integral_mean(np.ones(4), 1.0, 2.0)
