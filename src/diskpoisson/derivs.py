@@ -194,21 +194,42 @@ def _gauss_legendre_0_pi(n: int):
     return _read_only(0.5 * math.pi * (x + 1.0)), _read_only(0.5 * math.pi * wts)
 
 
+# The n-point rule below resolves the kernel peak, of width 1 - r, while (1 - r) n^2 >= this.
+_SINE_RESOLVED = 512.0
+
+
 def sine_moment(a, r: float, n: int = 512) -> float:
     """Weighted sine moment of the radial-derivative kernel.
 
     (1 - r^2)^a * int_0^{2pi} r |sin t| / |1 - r e^{it}|^{a+2} dt, the
     quantity controlling the J2 term. Evaluated by Gauss-Legendre on
     [0, pi], where |sin t| = sin t and the integrand is smooth.
+
+    The nodes crowd toward t = 0 like (k/n)^2, so the n-point rule resolves
+    the kernel peak, of width 1 - r, only while (1 - r) n^2 >= 512: up to
+    r = 1 - 1/512 at the default n = 512. Past that radius it raises
+    ValueError. Measured against sine_moment_exact for alpha in (-1, 10]:
+    within 2e-11 relative for n <= 1024 and within 1e-9 for n up to 4096
+    (the rule's own nodes limit it there); at (1 - r) n^2 = 256 it was
+    8e-10 off at alpha = 2 and 4e-7 at alpha = 10.
     """
     a = as_alpha(a)
     if not 0.0 <= r < 1.0:
         raise ValueError(f"r must lie in [0, 1), got {r}")
+    if (1.0 - r) * n * n < _SINE_RESOLVED:
+        raise ValueError(f"r must satisfy (1-r) n^2 >= {_SINE_RESOLVED:g} for the {n}-point rule "
+                         f"to resolve the kernel peak (r <= {1.0 - _SINE_RESOLVED / (n * n):.6g}), "
+                         f"got {r}")
+    return _sine_rule(a.alpha, r, n)
+
+
+def _sine_rule(alpha: float, r: float, n: int) -> float:
+    """The n-point Gauss-Legendre sum behind sine_moment, at any r in [0, 1)."""
     t, w = _gauss_legendre_0_pi(n)
     # |1 - r e^{it}|^2 and 1 - r^2 written as _grid_kernel writes them: no cancellation as r -> 1
     dist_sq = (1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * t) ** 2
-    integral = 2.0 * float(np.sum(w * r * np.sin(t) * dist_sq ** (-0.5 * (a.alpha + 2.0))))
-    return ((1.0 - r) * (1.0 + r)) ** a.alpha * integral
+    integral = 2.0 * float(np.sum(w * r * np.sin(t) * dist_sq ** (-0.5 * (alpha + 2.0))))
+    return ((1.0 - r) * (1.0 + r)) ** alpha * integral
 
 
 def sine_moment_exact(alpha: float, r: float) -> float:

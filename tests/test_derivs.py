@@ -370,7 +370,7 @@ class TestSineMoment:
             dist_sq = (1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * t) ** 2
             integral = 2.0 * float(np.sum(w * r * np.sin(t) * dist_sq ** (-0.5 * (alpha + 2.0))))
             want = ((1.0 - r) * (1.0 + r)) ** alpha * integral
-            assert sine_moment(alpha, r, n=37) == want
+            assert derivs._sine_rule(alpha, r, 37) == want
         assert calls == [37]
 
     @pytest.mark.parametrize("alpha", [-0.5, 2.0])
@@ -385,7 +385,21 @@ class TestSineMoment:
             want = 2 * (1 - R * R) ** a * mpmath.fsum(
                 wi * R * mpmath.sin(ti) * (1 - 2 * R * mpmath.cos(ti) + R * R) ** (-(a + 2) / 2)
                 for ti, wi in zip(map(mpmath.mpf, t.tolist()), map(mpmath.mpf, w.tolist())))
-            assert abs(sine_moment(alpha, r, n=64) / want - 1) <= 1e-14
+            assert abs(derivs._sine_rule(alpha, r, 64) / want - 1) <= 1e-14
+
+    @pytest.mark.parametrize("r", [0.9999, 1.0 - 1e-6])
+    def test_refuses_radii_the_rule_cannot_resolve(self, r):
+        # Against the closed form the 512-point rule was 4.7e-3 off at r = 0.9999 and
+        # 0.98 off at 1 - 1e-6 (alpha 2).
+        with pytest.raises(ValueError, match=r"\(1-r\) n\^2 >= 512 .* resolve the kernel peak"):
+            sine_moment(2.0, r)
+
+    def test_resolved_up_to_the_stated_radius(self):
+        r = 1.0 - 1.0 / 512.0
+        for alpha in (-0.9, 0.0, 2.0, 10.0):
+            assert sine_moment(alpha, r) == pytest.approx(sine_moment_exact(alpha, r), rel=2e-11)
+        with pytest.raises(ValueError, match="resolve"):
+            sine_moment(0.0, math.nextafter(r, 1.0))
 
     def test_domain(self):
         for bad in (-0.1, 1.0, 1.5):
