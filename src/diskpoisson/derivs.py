@@ -205,21 +205,19 @@ def sine_moment(a, r: float, n: int = 512) -> float:
     quantity controlling the J2 term. Evaluated by Gauss-Legendre on
     [0, pi], where |sin t| = sin t and the integrand is smooth.
 
-    The nodes crowd toward t = 0 like (k/n)^2, so the n-point rule resolves
-    the kernel peak, of width 1 - r, only while (1 - r) n^2 >= 512: up to
-    r = 1 - 1/512 at the default n = 512. Past that radius it raises
-    ValueError. Measured against sine_moment_exact for alpha in (-1, 10]:
-    within 2e-11 relative for n <= 1024 and within 1e-9 for n up to 4096
-    (the rule's own nodes limit it there); at (1 - r) n^2 = 256 it was
-    8e-10 off at alpha = 2 and 4e-7 at alpha = 10.
+    The nodes crowd toward t = 0 like (k/n)^2, so the rule resolves the kernel
+    peak, of width 1 - r, only while (1 - r) n^2 >= 512 (r <= 1 - 1/512 at
+    n = 512); past that it raises ValueError. Measured against sine_moment_exact
+    for alpha in (-1, 10]: within 2e-11 relative for n <= 1024 and 1e-9 up to
+    n = 4096, where the nodes limit it; 4e-7 off at (1 - r) n^2 = 256.
     """
     a = as_alpha(a)
     if not 0.0 <= r < 1.0:
         raise ValueError(f"r must lie in [0, 1), got {r}")
     if (1.0 - r) * n * n < _SINE_RESOLVED:
+        r_max = 1.0 - _SINE_RESOLVED / (n * n)
         raise ValueError(f"r must satisfy (1-r) n^2 >= {_SINE_RESOLVED:g} for the {n}-point rule "
-                         f"to resolve the kernel peak (r <= {1.0 - _SINE_RESOLVED / (n * n):.6g}), "
-                         f"got {r}")
+                         f"to resolve the kernel peak (r <= {r_max:.6g}), got {r}")
     return _sine_rule(a.alpha, r, n)
 
 

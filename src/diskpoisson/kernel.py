@@ -388,10 +388,7 @@ def _circle_spectra(a, F: BoundaryData, r: float, q: QuadSpec, quantities) -> li
             continue
         s = _FRAME_SIGN[name]
         spec = _fused_spectrum(a, F, kern_hat, kern, r, s)
-        if s:
-            out.append((np.roll(spec, s), 2.0 * r))
-        else:
-            out.append((spec, r if name == "dr" else 1.0))
+        out.append((np.roll(spec, s), 2.0 * r) if s else (spec, r if name == "dr" else 1.0))
     return out
 
 

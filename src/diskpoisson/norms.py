@@ -64,9 +64,8 @@ def _check_p(p: float) -> float:
 
 
 def _mean_p(samples: np.ndarray, p: float) -> float:
-    """mean(|samples|^p)^(1/p), or max |samples| for p = inf. Formed as
-    m mean((|samples|/m)^p)^(1/p) with m the largest magnitude, so no power
-    overflows: the result is non-finite only when a sample is."""
+    """mean(|samples|^p)^(1/p), max for p = inf, as m mean((|samples|/m)^p)^(1/p) with m
+    the largest magnitude: no power overflows, so it is non-finite only if a sample is."""
     mags = np.abs(np.asarray(samples))
     m = float(np.max(mags)) if mags.size else 0.0
     if math.isinf(p) or not 0.0 < m < math.inf:

@@ -244,10 +244,9 @@ def hyp2f1(a: float, b: float, c: float, x: float, tol: float = 1e-14) -> float:
     x >= 0 ConvergenceError refuses a value whose largest summed term times
     the machine epsilon exceeds tol times the value (a sum that cancels, such
     as a long terminating one), and, naming the logarithmic case, a series
-    with an integer c - a - b near x = 1 that exceeds the term cap. On
-    x < 0 the least-cancelling form is not checked: over 3,000 random
-    arguments (a, b in [-5, 5], c in [0.1, 5]) it met tol = 1e-14 only to
-    1.2e-13 relative error against mpmath.
+    with an integer c - a - b near x = 1 that exceeds the term cap. The x < 0
+    route is unchecked: 1.2e-13 worst relative error at tol 1e-14 over 3,000
+    random arguments (a, b in [-5, 5], c in [0.1, 5]).
     """
     return _hyp2f1_cached(float(a), float(b), float(c), float(x), float(tol))
 
