@@ -364,13 +364,14 @@ class TestSineMoment:
             return leggauss(n)
 
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting_leggauss)
-        for alpha, r in ((0.5, 0.3), (-0.5, 0.9), (2.0, 0.99)):
+        # Radii within (1-r) 37^2 >= 512, the bound sine_moment resolves.
+        for alpha, r in ((0.5, 0.1), (-0.5, 0.3), (2.0, 0.6)):
             x, wts = leggauss(37)
             t, w = 0.5 * math.pi * (x + 1.0), 0.5 * math.pi * wts
             dist_sq = (1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * t) ** 2
             integral = 2.0 * float(np.sum(w * r * np.sin(t) * dist_sq ** (-0.5 * (alpha + 2.0))))
             want = ((1.0 - r) * (1.0 + r)) ** alpha * integral
-            assert derivs._sine_rule(alpha, r, 37) == want
+            assert sine_moment(alpha, r, n=37) == want
         assert calls == [37]
 
     @pytest.mark.parametrize("alpha", [-0.5, 2.0])

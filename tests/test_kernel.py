@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diskpoisson import kernel
 from diskpoisson.kernel import (
     AlphaParam,
     BoundaryData,
@@ -112,19 +113,30 @@ class TestKernelSpectrum:
 
     @pytest.mark.parametrize("n", SPECTRUM_NODES)
     @pytest.mark.parametrize("alpha", SPECTRUM_ALPHAS)
-    def test_matches_complex_fft_of_kernel_K(self, n, alpha):
-        # A unit impulse at theta = 0 has fft(F) = 1 in every bin, so the f spectrum
-        # is the kernel spectrum itself.
+    def test_matches_complex_fft_of_kernel_K(self, n, alpha, monkeypatch):
+        # An f circle mirrors one half-spectrum, the kernel's; a unit impulse at
+        # theta = 0 has fft(F) = 1 in every bin, so the f spectrum equals it.
+        mirrored = []
+        mirror = kernel._mirror
+
+        def recording(*args, **kwargs):
+            mirrored.append(mirror(*args, **kwargs))
+            return mirrored[-1]
+
+        monkeypatch.setattr(kernel, "_mirror", recording)
         q = QuadSpec(angular_nodes=n, r_max=1.0 - 1e-6)
         F = BoundaryData.from_samples(_uniform_thetas(n), np.eye(1, n)[0])
         for r in SPECTRUM_RADII:
             want = np.fft.fft(kernel_K(alpha, r * np.exp(1j * F.thetas)))
+            mirrored.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", ResolutionWarning)
                 (got, d), = _circle_spectra(alpha, F, r, q, ("f",))
+            kern_hat, = mirrored
+            assert kern_hat.dtype == float  # real: one rfft, mirrored
             assert d == n
-            assert not np.any(got.imag)  # real: one rfft, mirrored
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            assert np.array_equal(got, kern_hat)
+            assert np.max(np.abs(kern_hat - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.7, 2.0])
     @pytest.mark.parametrize("r", [0.999, 0.9999])
