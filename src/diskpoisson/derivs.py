@@ -246,9 +246,8 @@ def circle_derivs(a, F: BoundaryData, r: float, q: QuadSpec):
     operators use: one kernel spectrum serves the df/dtheta sweep and the
     one fused spectrum of r df/dr.
     """
-    spectra = _circle_spectra(a, F, r, q, ("dtheta", "rdr"))
-    dth = _invert(*next(spectra))
-    return dth, _invert(*next(spectra))
+    dth, rdr = _circle_spectra(a, F, r, q, ("dtheta", "rdr"))
+    return _invert(*dth), _invert(*rdr)
 
 
 @dataclass

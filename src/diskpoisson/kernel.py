@@ -333,9 +333,8 @@ def _invert(spec: np.ndarray, d: float) -> np.ndarray:
 
 def _fused_spectrum(a: AlphaParam, F: BoundaryData, kern_hat: np.ndarray, kern: np.ndarray,
                     r: float, s: int = 0) -> np.ndarray:
-    """The spectrum whose inverse FFT is (r df/dr + s i df/dtheta) e^{s i theta} at every
-    grid angle of |z| = r, from F on the grid, the kernel spectrum kern_hat and the
-    kernel values kern.
+    """The spectrum whose inverse FFT is r df/dr + s i df/dtheta at every grid angle of
+    |z| = r, from F on the grid, the kernel spectrum kern_hat and the kernel values kern.
 
     Each trapezoid sum is a correlation with a real kernel on the grid, so with
     w = 1 - r^2, J1 + J2 + s i df/dtheta = ifft(A fft(F) + B fft(dF/dt)) where
@@ -352,8 +351,7 @@ def _fused_spectrum(a: AlphaParam, F: BoundaryData, kern_hat: np.ndarray, kern: 
     b_hat = (2.0 / (n * w)) * _mirror(half.imag, odd=True)
     if s:
         b_hat += (s / n) * kern_hat
-    spec = a_hat * F._spectrum() + 1j * b_hat * boundary_derivative(F)._spectrum()
-    return np.roll(spec, s) if s else spec
+    return a_hat * F._spectrum() + 1j * b_hat * boundary_derivative(F)._spectrum()
 
 
 # Which multiple s of i df/dtheta joins r df/dr: df/dzbar = (r df/dr + i df/dtheta) e^{i theta}/(2r)
@@ -362,8 +360,8 @@ def _fused_spectrum(a: AlphaParam, F: BoundaryData, kern_hat: np.ndarray, kern: 
 _FRAME_SIGN = {"rdr": 0, "dr": 0, "dzbar": 1, "dz": -1}
 
 
-def _circle_spectra(a, F: BoundaryData, r: float, q: QuadSpec, quantities):
-    """Yield (S, d), one pair per name in quantities, with ifft(S) / d that quantity at
+def _circle_spectra(a, F: BoundaryData, r: float, q: QuadSpec, quantities) -> list:
+    """[(S, d), ...], one pair per name in quantities, with ifft(S) / d that quantity at
     every grid angle of the circle |z| = r: "f" the extension, "dtheta" df/dtheta, "rdr"
     r df/dr, and "dr", "dz", "dzbar" (these three need r > 0).
 
@@ -371,8 +369,7 @@ def _circle_spectra(a, F: BoundaryData, r: float, q: QuadSpec, quantities):
     spectrum serve every quantity. f and df/dtheta are that spectrum times fft(F) or
     fft(dF/dt); the partials are one fused spectrum each. On the grid the kernel is real
     and even, so its spectrum is one rfft, mirrored. Only a circle of f warns about
-    resolution. Each spectrum is built when the caller asks for the next pair, so one
-    that is inverted at once is freed before the next is built.
+    resolution.
     """
     a = as_alpha(a)
     F = _on_quad_grid(F, q)
@@ -383,13 +380,16 @@ def _circle_spectra(a, F: BoundaryData, r: float, q: QuadSpec, quantities):
         _check_resolution(n, r)
     kern = _grid_kernel(a, r, n)
     kern_hat = _mirror(np.fft.rfft(kern).real)
+    out = []
     for name in quantities:
         if name in ("f", "dtheta"):
-            yield kern_hat * (F if name == "f" else boundary_derivative(F))._spectrum(), n
-        else:
-            s = _FRAME_SIGN[name]
-            yield (_fused_spectrum(a, F, kern_hat, kern, r, s),
-                   2.0 * r if s else (r if name == "dr" else 1.0))
+            G = F if name == "f" else boundary_derivative(F)
+            out.append((kern_hat * G._spectrum(), n))
+            continue
+        s = _FRAME_SIGN[name]
+        spec = _fused_spectrum(a, F, kern_hat, kern, r, s)
+        out.append((np.roll(spec, s), 2.0 * r) if s else (spec, r if name == "dr" else 1.0))
+    return out
 
 
 def circle_poisson_values(a, F: BoundaryData, r: float, q: QuadSpec) -> np.ndarray:
@@ -399,7 +399,7 @@ def circle_poisson_values(a, F: BoundaryData, r: float, q: QuadSpec) -> np.ndarr
     poisson_integral would compute at z = r e^{i theta_j}; returns an array
     aligned with the boundary grid angles.
     """
-    return _invert(*next(_circle_spectra(a, F, r, q, ("f",))))
+    return _invert(*_circle_spectra(a, F, r, q, ("f",))[0])
 
 
 _ALIAS_ENERGY_TOL = 1e-8

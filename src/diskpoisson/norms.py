@@ -129,7 +129,7 @@ class KernelQuantity:
             if self.quantity == "dr":
                 return dz0 * np.exp(1j * thetas) + dzbar0 * np.exp(-1j * thetas)
             return np.zeros(q.angular_nodes, dtype=complex)
-        return _invert(*next(_circle_spectra(self.a, self.F, r, q, (self.quantity,))))
+        return _invert(*_circle_spectra(self.a, self.F, r, q, (self.quantity,))[0])
 
 
 def _circle_samples(f, r: float, q: QuadSpec) -> np.ndarray:
@@ -145,7 +145,7 @@ def _circle_mean(f, r: float, p: float, q: QuadSpec) -> float:
     Parseval its L^2 mean is sqrt(sum |S_m|^2) / (N |d|): no inverse FFT.
     """
     if p == 2.0 and r > 0.0 and isinstance(f, KernelQuantity):
-        spec, d = next(_circle_spectra(f.a, f.F, r, q, (f.quantity,)))
+        spec, d = _circle_spectra(f.a, f.F, r, q, (f.quantity,))[0]
         return float(np.linalg.norm(spec)) / (len(spec) * abs(d))
     return _mean_p(_circle_samples(f, r, q), p)
 

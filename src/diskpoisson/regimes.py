@@ -217,12 +217,12 @@ def _boundary_checks(a, F: BoundaryData, q: QuadSpec, ps=(), scaled: bool = Fals
         for r in radii:
             spectra = _circle_spectra(a, F_n, r, q_n, quantities)
             if ps:
-                mags = np.abs(_invert(*next(spectra)))
+                mags = np.abs(_invert(*spectra[0]))
                 for i, p in enumerate(ps):
                     if rhs_n[i] > 0.0:
                         max_ratio[i] = max(max_ratio[i], integral_mean(mags, r, p) / rhs_n[i])
             if scaled:
-                sup_j1 = max(sup_j1, float(np.max(np.abs(a.alpha * _invert(*next(spectra))))))
+                sup_j1 = max(sup_j1, float(np.max(np.abs(a.alpha * _invert(*spectra[-1])))))
     common = {"boundary": label or "unnamed", "nodes": q.angular_nodes,
               "r_max": float(q.radial_grid[-1])}
     records = [CertificationRecord(
