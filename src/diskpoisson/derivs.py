@@ -9,16 +9,17 @@ finite as r -> 1. The Wirtinger derivatives follow from the polar frame:
     df/dz    = (r df/dr - i df/dtheta) / (2 z)
     df/dzbar = (r df/dr + i df/dtheta) / (2 conj(z))
 
-Every dF/dt here is kernel.boundary_derivative(F), and every spectrum of
-F or dF/dt is the one memoized on it. On a circle every one of these
-trapezoid sums is a product of a kernel spectrum with fft(F) or fft(dF/dt),
-and kernel._circle_spectra, the one circle operator, gives each quantity
-as one spectrum: J1, both J2 integrals and, for the Wirtinger pair,
-i df/dtheta add up in the spectrum, and the frame factor e^{+-i theta} is a
-roll by one bin. circle_derivs inverts its df/dtheta and r df/dr spectra.
-The pointwise J2 rotates dF/dt with the code that rotates F. At the origin the
-polar frame degenerates; df/dz and df/dzbar fall back to central finite
-differences, flagging the point.
+Every dF/dt here is kernel.boundary_derivative(F), and every spectrum of F
+or dF/dt is the one memoized on it. On a circle every one of these
+trapezoid sums is a product of a kernel spectrum with fft(F) or
+fft(dF/dt), and kernel._circle_spectra, the one circle operator, gives
+each quantity as one spectrum: J1, both J2 integrals and, for the
+Wirtinger pair, i df/dtheta add up in the spectrum, and the frame factor
+e^{+-i theta} is a roll by one bin. circle_derivs inverts its df/dtheta
+and r df/dr spectra. At a point, kernel._point_values, the one pointwise
+operator, sums f, df/dtheta and r df/dr over the same nodes. At the origin
+the polar frame degenerates; df/dz and df/dzbar fall back to central
+finite differences, flagging the point.
 """
 
 from __future__ import annotations
@@ -36,15 +37,12 @@ from .kernel import (
     BoundaryData,
     QuadSpec,
     _circle_spectra,
-    _grid_kernel,
-    _grid_sin,
-    _half_angle_sin2,
     _invert,
     _on_quad_grid,
+    _point_values,
     _read_only,
     _under_resolved,
     as_alpha,
-    boundary_derivative,
     poisson_integral,
 )
 
@@ -74,21 +72,13 @@ FLAG_UNDER_RESOLVED = "under_resolved"
 
 def dtheta_f(a, F: BoundaryData, z, q: QuadSpec) -> complex:
     """Angular derivative df/dtheta at z: the kernel operator applied to dF/dt."""
-    return poisson_integral(a, boundary_derivative(F), z, q)
+    return _point_values(a, F, z, q, ("dtheta",))[0]
 
 
 def J1(a, F: BoundaryData, z, q: QuadSpec) -> complex:
     """First radial piece: alpha times the kernel operator itself."""
     a = as_alpha(a)
     return a.alpha * poisson_integral(a, F, z, q)
-
-
-def _shifted_samples(F: BoundaryData, theta: float) -> np.ndarray:
-    """Samples of F at the rotated grid t_j + theta."""
-    if F.closed_form is not None:
-        return np.asarray(F.closed_form(F.thetas + theta), dtype=complex)
-    ks = np.fft.fftfreq(F.n_samples, d=1.0 / F.n_samples)
-    return np.fft.ifft(F._spectrum() * np.exp(1j * ks * theta))
 
 
 def _wirtinger_pair(rdr, dth, z):
@@ -104,26 +94,11 @@ def J2(a, F: BoundaryData, z: complex, q: QuadSpec) -> complex:
         J2 = -(c_a w^a / pi)    int dF/dt(e^{i(t+theta)}) r sin t / D^{(a+2)/2} dt
              -(a c_a w^a / 2pi) int F(e^{i(t+theta)}) (1 - r cos t) / D^{(a+2)/2} dt
 
-    c_a w^a / D^{(a+2)/2} is the kernel K_a(r e^{it}) over w, w is (1-r)(1+r), and
-    1 - r cos t is written as (1-r) + 2r sin^2(t/2): neither cancels as r -> 1.
+    c_a w^a / D^{(a+2)/2} is the kernel K_a(r e^{it}) over w. It is r df/dr - J1.
     """
     a = as_alpha(a)
-    z = complex(z)
-    r = abs(z)
-    if r > q.r_max:
-        raise ValueError(f"evaluation point must satisfy |z| <= r_max = {q.r_max}")
-    F = _on_quad_grid(F, q)
-    n = F.n_samples
-    theta = math.atan2(z.imag, z.real)
-    kern, w = _grid_kernel(a, r, n), (1.0 - r) * (1.0 + r)
-    k1 = r * _grid_sin(n) * kern
-    k2 = ((1.0 - r) + 2.0 * r * _half_angle_sin2(n)) * kern
-    fdot = _shifted_samples(boundary_derivative(F), theta)
-    fval = _shifted_samples(F, theta)
-    dt = 2.0 * np.pi / n
-    term1 = -1.0 / (np.pi * w) * np.sum(fdot * k1) * dt
-    term2 = -a.alpha / (2.0 * np.pi * w) * np.sum(fval * k2) * dt
-    return complex(term1 + term2)
+    f, rdr = _point_values(a, F, complex(z), q, ("f", "rdr"))
+    return rdr - a.alpha * f
 
 
 def dr_f(a, F: BoundaryData, z: complex, q: QuadSpec) -> complex:
@@ -131,7 +106,7 @@ def dr_f(a, F: BoundaryData, z: complex, q: QuadSpec) -> complex:
     r = abs(complex(z))
     if r == 0.0:
         raise ValueError("df/dr is direction-dependent at the origin")
-    return (J1(a, F, z, q) + J2(a, F, z, q)) / r
+    return _point_values(a, F, complex(z), q, ("rdr",))[0] / r
 
 
 def dz_dzbar_f(a, F: BoundaryData, z: complex, q: QuadSpec) -> tuple[complex, complex]:
@@ -142,16 +117,11 @@ def dz_dzbar_f(a, F: BoundaryData, z: complex, q: QuadSpec) -> tuple[complex, co
     """
     z = complex(z)
     if z == 0.0:
-        h = _FD_H
-        fxp = poisson_integral(a, F, h, q)
-        fxm = poisson_integral(a, F, -h, q)
-        fyp = poisson_integral(a, F, 1j * h, q)
-        fym = poisson_integral(a, F, -1j * h, q)
-        dx = (fxp - fxm) / (2.0 * h)
-        dy = (fyp - fym) / (2.0 * h)
+        fxp, fxm, fyp, fym = poisson_integral(a, F, _FD_H * np.array([1, -1, 1j, -1j]), q)
+        dx, dy = (fxp - fxm) / (2.0 * _FD_H), (fyp - fym) / (2.0 * _FD_H)
         return (dx - 1j * dy) / 2.0, (dx + 1j * dy) / 2.0
-    rdr = J1(a, F, z, q) + J2(a, F, z, q)
-    return _wirtinger_pair(rdr, dtheta_f(a, F, z, q), z)
+    dth, rdr = _point_values(a, F, z, q, ("dtheta", "rdr"))
+    return _wirtinger_pair(rdr, dth, z)
 
 
 def fd_check(a, F: BoundaryData, z: complex, h: float, q: QuadSpec) -> float:
@@ -164,26 +134,15 @@ def fd_check(a, F: BoundaryData, z: complex, h: float, q: QuadSpec) -> float:
     r = abs(z)
     if r == 0.0 or r + h > q.r_max:
         raise ValueError("fd_check needs 0 < |z| and |z| + h <= r_max")
-    theta = math.atan2(z.imag, z.real)
-
-    def f(p):
-        return poisson_integral(a, F, p, q)
-
-    dx_fd = (f(z + h) - f(z - h)) / (2.0 * h)
-    dy_fd = (f(z + 1j * h) - f(z - 1j * h)) / (2.0 * h)
-    dz_fd = (dx_fd - 1j * dy_fd) / 2.0
-    dzbar_fd = (dx_fd + 1j * dy_fd) / 2.0
-    dr_fd = (f((r + h) * np.exp(1j * theta)) - f((r - h) * np.exp(1j * theta))) / (2.0 * h)
-    dth_fd = (f(r * np.exp(1j * (theta + h))) - f(r * np.exp(1j * (theta - h)))) / (2.0 * h)
-
-    dth = dtheta_f(a, F, z, q)
-    drv = dr_f(a, F, z, q)
-    dzv, dzbarv = dz_dzbar_f(a, F, z, q)
-
-    resid = 0.0
-    for got, ref in ((dth, dth_fd), (drv, dr_fd), (dzv, dz_fd), (dzbarv, dzbar_fd)):
-        resid = max(resid, abs(got - ref) / max(1.0, abs(got)))
-    return resid
+    e = z / r  # e^{i theta}
+    pts = [z + h, z - h, z + 1j * h, z - 1j * h,  # x and y
+           (r + h) * e, (r - h) * e, z * np.exp(1j * h), z * np.exp(-1j * h)]  # r and theta
+    fp = poisson_integral(a, F, np.array(pts), q)
+    dx_fd, dy_fd, dr_fd, dth_fd = (fp[0::2] - fp[1::2]) / (2.0 * h)
+    fd_wirtinger = ((dx_fd - 1j * dy_fd) / 2.0, (dx_fd + 1j * dy_fd) / 2.0)
+    pairs = ((dtheta_f(a, F, z, q), dth_fd), (dr_f(a, F, z, q), dr_fd),
+             *zip(dz_dzbar_f(a, F, z, q), fd_wirtinger))
+    return max(abs(got - ref) / max(1.0, abs(got)) for got, ref in pairs)
 
 
 @lru_cache(maxsize=8)
@@ -196,6 +155,8 @@ def _gauss_legendre_0_pi(n: int):
 
 # The n-point rule below resolves the kernel peak, of width 1 - r, while (1 - r) n^2 >= this.
 _SINE_RESOLVED = 512.0
+# The largest n sine_moment accepts: numpy's leggauss holds an n x n matrix, 8 n^2 bytes.
+_SINE_MAX_NODES = 4096
 
 
 def sine_moment(a, r: float, n: int = 512) -> float:
@@ -209,11 +170,14 @@ def sine_moment(a, r: float, n: int = 512) -> float:
     peak, of width 1 - r, only while (1 - r) n^2 >= 512 (r <= 1 - 1/512 at
     n = 512); past that it raises ValueError. Measured against sine_moment_exact
     for alpha in (-1, 10]: within 2e-11 relative for n <= 1024 and 1e-9 up to
-    n = 4096, where the nodes limit it; 4e-7 off at (1 - r) n^2 = 256.
+    n = 4096, where the nodes limit it; 4e-7 off at (1 - r) n^2 = 256. n past
+    4096 raises ValueError before any rule is built.
     """
     a = as_alpha(a)
     if not 0.0 <= r < 1.0:
         raise ValueError(f"r must lie in [0, 1), got {r}")
+    if not 1 <= n <= _SINE_MAX_NODES:
+        raise ValueError(f"n must lie in [1, {_SINE_MAX_NODES}], got {n}")
     if (1.0 - r) * n * n < _SINE_RESOLVED:
         r_max = 1.0 - _SINE_RESOLVED / (n * n)
         raise ValueError(f"r must satisfy (1-r) n^2 >= {_SINE_RESOLVED:g} for the {n}-point rule "
@@ -224,7 +188,8 @@ def sine_moment(a, r: float, n: int = 512) -> float:
 def _sine_rule(alpha: float, r: float, n: int) -> float:
     """The n-point Gauss-Legendre sum behind sine_moment, at any r in [0, 1)."""
     t, w = _gauss_legendre_0_pi(n)
-    # |1 - r e^{it}|^2 and 1 - r^2 written as _grid_kernel writes them: no cancellation as r -> 1
+    # |1 - r e^{it}|^2 and 1 - r^2 written as kernel._kernel_formula writes them: no
+    # cancellation as r -> 1
     dist_sq = (1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * t) ** 2
     integral = 2.0 * float(np.sum(w * r * np.sin(t) * dist_sq ** (-0.5 * (alpha + 2.0))))
     return ((1.0 - r) * (1.0 + r)) ** alpha * integral

@@ -8,19 +8,22 @@ plus optional closed-form evaluators), quadrature configuration, the
 integral operator itself, and boundary differentiation.
 
 Quadrature is the composite trapezoid rule on the uniform periodic grid,
-which is spectrally accurate for smooth integrands. A circle sweep is the
-same trapezoid sums at every grid angle at once: one cyclic convolution,
-the kernel's spectrum times the boundary's. _circle_spectra is the one
-circle operator: f, df/dtheta, r df/dr, df/dr, df/dz and df/dzbar on a
-circle are each one spectrum from it and one inverse FFT, and one grid
-kernel serves them all. On the grid the kernel is real and even in theta,
-so its spectrum is real and even: one real FFT of values built from a
-cached table of sin^2(theta_j/2), since |1 - r e^{it}|^2 =
-(1-r)^2 + 4r sin^2(t/2) does not cancel near t = 0 as r -> 1. Everything
-derived from a BoundaryData's samples (its resamples;
-boundary_derivative, the only code computing dF/dtheta; the spectrum
-fft(values), the only FFT of boundary samples) is computed once and
-memoized on it.
+which is spectrally accurate for smooth integrands. _point_values is the
+one pointwise operator: f, df/dtheta and r df/dr at any points, each a dot
+product of kernel weights with the samples of F or dF/dtheta. A circle
+sweep is the same trapezoid sums at every grid angle at once: one cyclic
+convolution, the kernel's spectrum times the boundary's. _circle_spectra
+is the one circle operator: f, df/dtheta, r df/dr, df/dr, df/dz and
+df/dzbar on a circle are each one spectrum from it and one inverse FFT,
+and one grid kernel serves them all. Both build the kernel from one
+formula, which kernel_K, the reference the tests compare against, writes
+independently. On the grid the kernel is real and even in theta, so its
+spectrum is real and even: one real FFT of values built from a cached
+table of sin^2(theta_j/2), since |1 - r e^{it}|^2 = (1-r)^2 + 4r
+sin^2(t/2) does not cancel near t = 0 as r -> 1. Everything derived from a
+BoundaryData's samples (its resamples; boundary_derivative, the only code
+computing dF/dtheta; the spectrum fft(values), the only FFT of boundary
+samples) is computed once and memoized on it.
 """
 
 from __future__ import annotations
@@ -158,7 +161,7 @@ class BoundaryData:
         if not np.all(np.isfinite(values)):
             raise ValueError("boundary samples must be finite")
         expected = _uniform_thetas(n)
-        if np.max(np.abs(thetas - expected)) > _UNIFORM_TOL:
+        if not np.max(np.abs(thetas - expected)) <= _UNIFORM_TOL:  # NaN fails too
             raise ValueError(
                 "boundary grid must be uniform with theta_0 = 0 "
                 f"(tolerance {_UNIFORM_TOL})"
@@ -265,7 +268,8 @@ class QuadSpec:
 def kernel_K(a, z) -> float:
     """Kernel value c_a (1-|z|^2)^(a+1) / |1-z|^(a+2) for |z| < 1.
 
-    Accepts a scalar or array z; strictly positive on the open disk.
+    Accepts a scalar or array z; strictly positive on the open disk. The
+    operators build the kernel from sin^2(t/2) instead; this is the tests' reference.
     """
     a = as_alpha(a)
     z = np.asarray(z, dtype=complex)
@@ -303,25 +307,56 @@ def poisson_integral(a, F: BoundaryData, z, q: QuadSpec) -> complex:
     error decays faster than any power of 1/N. Emits ResolutionWarning when
     N < 8/(1-|z|).
     """
-    a = as_alpha(a)
-    F = _on_quad_grid(F, q)
-    z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    radii = np.abs(z_arr)
-    if np.any(radii > q.r_max):
-        raise ValueError(f"evaluation points must satisfy |z| <= r_max = {q.r_max}")
-    _check_resolution(F.n_samples, float(np.max(radii, initial=0.0)))
-    weights = kernel_K(a, z_arr[:, None] * np.exp(-1j * F.thetas[None, :]))
-    out = weights @ F.values / F.n_samples
-    return complex(out[0]) if np.isscalar(z) or np.asarray(z).ndim == 0 else out
+    return _point_values(a, F, z, q, ("f",))[0]
+
+
+def _kernel_formula(a: AlphaParam, r, sin2):
+    """kernel_K(a, r e^{it}) from r and sin^2(t/2), with |1 - r e^{it}|^2 written as
+    (1-r)^2 + 4r sin^2(t/2), which does not cancel near t = 0 as r -> 1, and 1 - r^2 as
+    (1-r)(1+r), as kernel_K writes it. The one kernel formula of both operators."""
+    dist_sq = (1.0 - r) ** 2 + 4.0 * r * sin2
+    return (a.c_alpha * ((1.0 - r) * (1.0 + r)) ** (a.alpha + 1.0)
+            * dist_sq ** (-0.5 * (a.alpha + 2.0)))
 
 
 def _grid_kernel(a: AlphaParam, r: float, n: int) -> np.ndarray:
-    """kernel_K(a, r e^{i theta_j}) on the n-node grid, with |1 - r e^{i theta}|^2 written
-    as (1-r)^2 + 4r sin^2(theta/2), which does not cancel near theta = 0 as r -> 1, and
-    1 - r^2 as (1-r)(1+r), as kernel_K writes it."""
-    dist_sq = (1.0 - r) ** 2 + 4.0 * r * _half_angle_sin2(n)
-    return (a.c_alpha * ((1.0 - r) * (1.0 + r)) ** (a.alpha + 1.0)
-            * dist_sq ** (-0.5 * (a.alpha + 2.0)))
+    """kernel_K(a, r e^{i theta_j}) on the n-node grid."""
+    return _kernel_formula(a, r, _half_angle_sin2(n))
+
+
+def _point_values(a, F: BoundaryData, z, q: QuadSpec, quantities) -> list:
+    """[values, ...], one per name in quantities ("f", "dtheta" df/dtheta, "rdr" r df/dr)
+    at the points z: a complex for a scalar z, else an array shaped like z.
+
+    The one pointwise operator, twin of _circle_spectra: with F on the quadrature grid and
+    K the kernel at |z| e^{it}, t = theta_j - arg z, each is a dot product with the samples:
+    f = sum K F / N, df/dtheta = sum K dF/dt / N and r df/dr = J1 + J2 =
+    sum (alpha (K - K2 / w) F - (2 / w) K1 dF/dt) / N, w = 1 - r^2, with the J2 kernels
+    K1 = r sin t K and K2 = ((1-r) + 2r sin^2(t/2)) K that _fused_spectrum transforms.
+    """
+    a = as_alpha(a)
+    F = _on_quad_grid(F, q)
+    z = np.asarray(z, dtype=complex)
+    r = np.abs(z).reshape(-1, 1)
+    if np.any(r > q.r_max):
+        raise ValueError(f"evaluation points must satisfy |z| <= r_max = {q.r_max}")
+    n = F.n_samples
+    _check_resolution(n, float(np.max(r, initial=0.0)))
+    t = _uniform_thetas(n) - np.angle(z).reshape(-1, 1)
+    sin2 = np.sin(0.5 * t) ** 2
+    kern = _kernel_formula(a, r, sin2)
+    out = []
+    for name in quantities:
+        if name == "rdr":
+            w = (1.0 - r) * (1.0 + r)
+            k_val = a.alpha * (kern - ((1.0 - r) + 2.0 * r * sin2) * kern / w)
+            k_dot = (-2.0 / w) * r * np.sin(t) * kern
+            sums = k_val @ F.values + k_dot @ boundary_derivative(F).values
+        else:
+            sums = kern @ (F if name == "f" else boundary_derivative(F)).values
+        sums /= n
+        out.append(complex(sums[0]) if z.ndim == 0 else sums.reshape(z.shape))
+    return out
 
 
 def _invert(spec: np.ndarray, d: float) -> np.ndarray:

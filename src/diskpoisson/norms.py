@@ -70,7 +70,9 @@ def _mean_p(samples: np.ndarray, p: float) -> float:
     m = float(np.max(mags)) if mags.size else 0.0
     if math.isinf(p) or not 0.0 < m < math.inf:
         return m
-    return m * float(np.mean((mags / m) ** p) ** (1.0 / p))
+    scaled = mags / m
+    scaled **= p
+    return m * float(np.mean(scaled) ** (1.0 / p))
 
 
 def lp_norm_circle(G: Union[BoundaryData, np.ndarray], p: float) -> float:

@@ -280,6 +280,20 @@ class TestInputContract:
                                     "--point", "0.5,0"])
         assert "finite" in err
 
+    @pytest.mark.parametrize("field", [False, True])
+    def test_nan_theta_refused(self, capsys, tmp_path, field):
+        # NaN compares false with everything, so it must fail the grid check, not pass it.
+        path = tmp_path / "b.csv"
+        assert main(["example", "--id", "4.2", "--samples", "16", "--export", str(path)]) == 0
+        capsys.readouterr()
+        lines = path.read_text().splitlines()
+        lines[4] = "nan," + lines[4].split(",", 1)[1]
+        path.write_text("\n".join(lines) + "\n")
+        argv = ["eval", "--alpha", "0", "--boundary", str(path), "--point", "0.3,1",
+                "--nodes", "16"]
+        err = self.refused(capsys, argv + ["--field"] if field else argv)
+        assert str(path) in err and "uniform" in err
+
     def test_directory_as_boundary(self, capsys, tmp_path):
         self.refused(capsys, ["eval", "--alpha", "-0.5", "--boundary", str(tmp_path),
                               "--point", "0.5,0"])

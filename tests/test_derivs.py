@@ -3,6 +3,7 @@
 import io
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -37,9 +38,15 @@ from diskpoisson.kernel import (
     as_alpha,
     boundary_derivative,
     circle_poisson_values,
+    kernel_K,
     poisson_integral,
 )
-from diskpoisson.mappings import HypMonomial, log_series_value, phase_boundary
+from diskpoisson.mappings import (
+    HypMonomial,
+    log_series_boundary,
+    log_series_value,
+    phase_boundary,
+)
 from diskpoisson.norms import KernelQuantity
 
 
@@ -107,6 +114,24 @@ class TestRadialSplit:
             for z in (0.3 + 0.2j, -0.5 + 0.4j, 0.75j):
                 assert fd_check(alpha, F_mix, z, h, q) < 1e-6
 
+    @pytest.mark.filterwarnings("ignore:top-frequency energy")  # the log series' corner
+    @pytest.mark.parametrize("alpha", [0.0, 0.7])
+    def test_sampled_pieces_are_trapezoid_sums_on_the_samples_nodes(self, alpha, q):
+        # J1 and J2 are summed over the same nodes, the samples' own, at an off-grid
+        # point: the sums below written out with kernel_K, the reference kernel.
+        Fc = log_series_boundary(2048)
+        F = BoundaryData.from_samples(Fc.thetas, Fc.values)
+        n, dF = F.n_samples, boundary_derivative(F).values
+        for z in (0.99 * np.exp(0.123j), 0.6 * np.exp(-2.0j)):
+            r, s = abs(z), _uniform_thetas(n) - np.angle(z)
+            K = kernel_K(alpha, z * np.exp(-1j * _uniform_thetas(n)))
+            f = np.sum(K * F.values) / n
+            j2 = -np.sum(2.0 * r * np.sin(s) * K * dF
+                         + alpha * (1.0 - r * np.cos(s)) * K * F.values) / (n * (1.0 - r * r))
+            assert J2(alpha, F, z, q) == pytest.approx(j2, rel=1e-11, abs=1e-13)
+            assert dr_f(alpha, F, z, q) == pytest.approx((alpha * f + j2) / r, rel=1e-11)
+            assert J1(alpha, F, z, q) == pytest.approx(alpha * f, rel=1e-12)
+
     def test_origin_rejected(self, q, F_mix):
         with pytest.raises(ValueError, match="origin"):
             dr_f(0.0, F_mix, 0.0, q)
@@ -138,6 +163,23 @@ class TestWirtinger:
         assert dz0 == pytest.approx(1.0, abs=1e-9)
         assert abs(dzbar0) < 1e-9
 
+    def test_no_closed_form_call_once_built(self, q):
+        calls = []
+
+        def counted(fn):
+            def wrapped(th):
+                calls.append(fn)
+                return fn(th)
+            return wrapped
+
+        F = BoundaryData.from_function(counted(mix), 1024, deriv=counted(dmix))
+        dz_dzbar_f(-0.5, F, 0.3 + 0.1j, q)  # F on the quadrature grid and its derivative
+        calls.clear()
+        for z in (0.5 * np.exp(0.7j), 0.25 * np.exp(-2.0j), 0.9 + 0.0j):
+            dz_dzbar_f(-0.5, F, z, q)
+            dr_f(-0.5, F, z, q)
+        assert calls == []
+
     def test_conjugation_swaps_pair(self, q, F_mix):
         F_conj = BoundaryData.from_function(
             lambda th: np.conj(mix(th)), 2048,
@@ -154,13 +196,14 @@ class TestWirtinger:
 class TestCircleSweep:
     def test_matches_pointwise(self, q, F_mix):
         r = 0.65
-        dth, rdr = circle_derivs(-0.5, F_mix, r, q)
-        assert dth.shape == (2048,)
-        idx = np.arange(0, 2048, 256)
-        for j in idx:
-            z = r * np.exp(1j * F_mix.thetas[j])
-            assert dth[j] == pytest.approx(dtheta_f(-0.5, F_mix, z, q), rel=1e-10)
-            assert rdr[j] == pytest.approx(r * dr_f(-0.5, F_mix, z, q), rel=1e-10)
+        for F in (F_mix, BoundaryData.from_samples(F_mix.thetas, F_mix.values)):
+            dth, rdr = circle_derivs(-0.5, F, r, q)
+            assert dth.shape == (2048,)
+            idx = np.arange(0, 2048, 256)
+            for j in idx:
+                z = r * np.exp(1j * F.thetas[j])
+                assert dth[j] == pytest.approx(dtheta_f(-0.5, F, z, q), rel=1e-10)
+                assert rdr[j] == pytest.approx(r * dr_f(-0.5, F, z, q), rel=1e-10)
 
     def test_radius_domain(self, q, F_mix):
         with pytest.raises(ValueError, match="radius"):
@@ -253,7 +296,6 @@ class TestFusedCircles:
 
         monkeypatch.setattr(np.fft, "ifft", counting_ifft)
         monkeypatch.setattr(kernel, "_grid_kernel", counting_grid_kernel)
-        monkeypatch.setattr(derivs, "_grid_kernel", counting_grid_kernel)
         for quantity in ("dr", "dz", "dzbar"):
             calls.clear()
             KernelQuantity(0.7, F, quantity).circle_values(0.9, q)
@@ -401,6 +443,21 @@ class TestSineMoment:
             assert sine_moment(alpha, r) == pytest.approx(sine_moment_exact(alpha, r), rel=2e-11)
         with pytest.raises(ValueError, match="resolve"):
             sine_moment(0.0, math.nextafter(r, 1.0))
+
+    def test_refuses_node_counts_past_4096_before_building_the_rule(self):
+        # leggauss(n) holds an n x n matrix: 8 TiB at n = 2^20.
+        derivs._gauss_legendre_0_pi.cache_clear()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"n must lie in \[1, 4096\]"):
+                sine_moment(0.0, 0.5, n=2**20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert derivs._gauss_legendre_0_pi.cache_info().currsize == 0
+        with pytest.raises(ValueError, match="4096"):
+            sine_moment(0.0, 0.5, n=4097)
 
     def test_domain(self):
         for bad in (-0.1, 1.0, 1.5):
