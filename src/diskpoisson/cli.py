@@ -13,7 +13,6 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -39,6 +38,7 @@ from .kernel import (
     QuadSpec,
     _ANGULAR_CAP,
     _uniform_thetas,
+    _write_csv,
     circle_poisson_values,
     poisson_integral,
     read_boundary_csv,
@@ -51,7 +51,15 @@ from .mappings import (
     log_series_boundary,
     phase_boundary,
 )
-from .norms import KernelQuantity, QUANTITIES, divergence_probe
+from .norms import (
+    KernelQuantity,
+    QUANTITIES,
+    _finite_means,
+    _growth_report,
+    _mean_p,
+    _plan_probe,
+    divergence_probe,
+)
 from .regimes import (
     CertificationRecord,
     _boundary_checks,
@@ -257,9 +265,8 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
         stride = F.n_samples // n_th
         vals = np.concatenate([circle_poisson_values(ns.alpha, F, float(r), q)[::stride]
                                for r in q.radial_grid])
-        rows = list(zip(np.repeat(q.radial_grid, n_th).tolist(),
-                        np.tile(_uniform_thetas(n_th), len(q.radial_grid)).tolist(),
-                        vals.real.tolist(), vals.imag.tolist()))
+        columns = (np.repeat(q.radial_grid, n_th),
+                   np.tile(_uniform_thetas(n_th), len(q.radial_grid)), vals.real, vals.imag)
     else:
         pts = _parse_points(raw_points, q.r_max)
         rows = []
@@ -267,15 +274,15 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
             v = poisson_integral(ns.alpha, F, complex(z), q)
             theta = float(np.mod(np.angle(z), 2.0 * np.pi)) if abs(z) > 0 else 0.0
             rows.append((float(abs(z)), theta, float(v.real), float(v.imag)))
+        columns = tuple(np.array(rows).T)
 
     keys = ("r", "theta", "re", "im")
     if ns.format == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(keys)
-        writer.writerows(rows)  # csv writes a float as its repr
+        _write_csv(buf, keys, columns)
         _emit(buf.getvalue(), ns.output)
     else:
+        rows = zip(*(c.tolist() for c in columns))
         _emit_json({"alpha": ns.alpha, "nodes": F.n_samples,
                     "values": [dict(zip(keys, row)) for row in rows]}, ns.output)
     return 0
@@ -286,6 +293,10 @@ def _probe_row(f, p: float, cutoffs, kind: str, q: QuadSpec, quantity: str,
     """One divergence_probe as a JSON row, tagged with its norm kind."""
     rep = divergence_probe(f, p=p, cutoffs=cutoffs, kind=kind, q=q,
                            quantity=quantity, alpha=alpha)
+    return _growth_row(rep, kind)
+
+
+def _growth_row(rep, kind: str) -> dict:
     return dict(json.loads(rep.to_json()), kind=kind)
 
 
@@ -469,11 +480,22 @@ _DIVERGENCE_ROWS = (
 
 
 def _divergence_summaries(q: QuadSpec) -> list:
+    """The rows of _DIVERGENCE_ROWS, each equal to divergence_probe of its
+    component of HypMonomial.derivs. Every row probes the same circles, so
+    each circle is evaluated once and every row takes its mean from it."""
     m = HypMonomial(alpha=-0.5, n=1)
     picks = {"dz": 0, "dzbar": 1, "dr": 2}
-    return [_probe_row(lambda z, i=picks[quantity]: m.derivs(z)[i], p,
-                       (0.9, 0.99, 0.999), kind, q, quantity, -0.5)
-            for quantity, kind, p in _DIVERGENCE_ROWS]
+    plans = [_plan_probe(p, (0.9, 0.99, 0.999), kind, q) for _, kind, p in _DIVERGENCE_ROWS]
+    radii = plans[0][2]
+    unit = np.exp(1j * _uniform_thetas(q.angular_nodes))
+    means = np.empty((len(plans), len(radii)))
+    for j, r in enumerate(radii):
+        circle = m.derivs(float(r) * unit)
+        for i, (quantity, _, p) in enumerate(_DIVERGENCE_ROWS):
+            means[i, j] = _mean_p(circle[picks[quantity]], p)
+    return [_growth_row(_growth_report(*_finite_means(radii, row), p, cut, kind,
+                                       quantity, -0.5), kind)
+            for row, (quantity, kind, _), (p, cut, _, _) in zip(means, _DIVERGENCE_ROWS, plans)]
 
 
 _REGIME_SAMPLES = (

@@ -42,6 +42,7 @@ from .kernel import (
     _point_values,
     _read_only,
     _under_resolved,
+    _write_csv,
     as_alpha,
     poisson_integral,
 )
@@ -313,14 +314,10 @@ _DERIV_CSV_HEADER = [
 
 def write_deriv_rows(fh, fld: DerivField) -> None:
     """Write the field as CSV rows, one per grid point, to an open stream."""
-    r = np.abs(fld.points)
-    theta = np.mod(np.angle(fld.points), 2.0 * np.pi)
-    columns = [r.tolist(), theta.tolist()]
+    columns = [np.abs(fld.points), np.mod(np.angle(fld.points), 2.0 * np.pi)]
     for arr in (fld.dtheta, fld.dr, fld.dz, fld.dzbar):
-        columns += [np.real(arr).tolist(), np.imag(arr).tolist()]
-    writer = csv.writer(fh)
-    writer.writerow(_DERIV_CSV_HEADER)
-    writer.writerows(zip(*columns, fld.flags))  # csv writes a float as its repr
+        columns += [np.real(arr), np.imag(arr)]
+    _write_csv(fh, _DERIV_CSV_HEADER, columns, fld.flags)
 
 
 def write_deriv_csv(path: str, fld: DerivField) -> None:

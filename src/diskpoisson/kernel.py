@@ -168,8 +168,10 @@ class BoundaryData:
             )
         if self.closed_form is not None:
             exact = np.asarray(self.closed_form(thetas), dtype=complex)
-            scale = max(1.0, float(np.max(np.abs(exact))))
-            if np.max(np.abs(exact - values)) > _NODE_AGREEMENT_TOL * scale:
+            scale = float(np.max(np.abs(exact)))
+            if not np.isfinite(scale):  # NaN or inf at some node
+                raise ValueError("the closed form must be finite at every node")
+            if not np.max(np.abs(exact - values)) <= _NODE_AGREEMENT_TOL * max(1.0, scale):
                 raise ValueError("samples disagree with the closed form at the nodes")
         object.__setattr__(self, "_derived", {})
 
@@ -469,12 +471,38 @@ def _derivative(F: BoundaryData) -> BoundaryData:
     return BoundaryData(F.thetas, np.fft.ifft(1j * ks * fhat))
 
 
+_CSV_BLOCK = 2048  # rows formatted per write: memory stays bounded whatever the row count
+
+
+def _csv_field(s: str) -> str:
+    """s as csv.writer's default dialect writes it: quoted, with each quote
+    doubled, when it holds a comma, a quote or a line break."""
+    if any(c in s for c in ',"\r\n'):
+        return '"' + s.replace('"', '""') + '"'
+    return s
+
+
+def _write_csv(fh, header: Sequence[str], columns: Sequence[np.ndarray],
+               labels: Optional[Sequence[str]] = None) -> None:
+    """Write the header, then one row per index of the float columns, ending
+    with that index's label when labels are given, to an open text stream.
+
+    The bytes are csv.writer's with its default dialect: each float as its
+    repr, a label quoted as _csv_field says, CRLF line ends. Rows are
+    formatted and written _CSV_BLOCK at a time.
+    """
+    fh.write(",".join(header) + "\r\n")
+    for start in range(0, len(columns[0]), _CSV_BLOCK):
+        block = [list(map(repr, c[start:start + _CSV_BLOCK].tolist())) for c in columns]
+        if labels is not None:
+            block.append([_csv_field(s) for s in labels[start:start + _CSV_BLOCK]])
+        fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
+
+
 def write_boundary_csv(path: str, F: BoundaryData) -> None:
-    """Write samples as CSV with header theta,re,im (csv writes each float as its repr)."""
+    """Write samples as CSV with header theta,re,im, each float as its repr."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "re", "im"])
-        writer.writerows(zip(F.thetas.tolist(), F.values.real.tolist(), F.values.imag.tolist()))
+        _write_csv(fh, ("theta", "re", "im"), (F.thetas, F.values.real, F.values.imag))
 
 
 def read_boundary_csv(path: str) -> BoundaryData:

@@ -153,21 +153,23 @@ def _circle_mean(f, r: float, p: float, q: QuadSpec) -> float:
 
 
 def _circle_means(f, radii, p: float, q: QuadSpec):
-    """(radii, means) with non-finite circles dropped.
+    """(radii, means) of f's circles, with non-finite circles dropped by _finite_means."""
+    return _finite_means(radii, [_circle_mean(f, float(r), p, q) for r in radii])
+
+
+def _finite_means(radii, means):
+    """(radii, means) as arrays with non-finite circles dropped.
 
     A directional quantity can be undefined at an isolated interior point
     (df/dr at the origin); dropping that circle keeps every norm a lower
     bound without disturbing boundary growth.
     """
-    kept_r, kept_m = [], []
-    for r in radii:
-        m = _circle_mean(f, float(r), p, q)
-        if math.isfinite(m):
-            kept_r.append(float(r))
-            kept_m.append(m)
-    if not kept_m:
+    radii = np.asarray(radii, dtype=float)
+    means = np.asarray(means, dtype=float)
+    keep = np.isfinite(means)
+    if not np.any(keep):
         raise ValueError("no finite circle means on the radial grid")
-    return np.asarray(kept_r), np.asarray(kept_m)
+    return radii[keep], means[keep]
 
 
 def _status_from_tail(radii: np.ndarray, means: Sequence[float]) -> str:
@@ -309,6 +311,14 @@ def divergence_probe(
     in value ~ (1 - cutoff)^e from successive increments (None when the
     values do not grow enough to support a fit).
     """
+    p, cut, eval_radii, q = _plan_probe(p, cutoffs, kind, q)
+    radii, means = _circle_means(f, eval_radii, p, q)
+    return _growth_report(radii, means, p, cut, kind, quantity, alpha)
+
+
+def _plan_probe(p: float, cutoffs: Sequence[float], kind: str, q: Optional[QuadSpec]):
+    """A probe's validated (p, sorted cutoffs, radii to evaluate, q): the radial
+    grid up to the last cutoff together with the cutoffs themselves."""
     p = _check_p(p)
     if kind not in ("hardy", "bergman"):
         raise ValueError(f"kind must be 'hardy' or 'bergman', got {kind!r}")
@@ -320,9 +330,13 @@ def divergence_probe(
     if q is None:
         q = QuadSpec()
     base = [r for r in q.radial_grid if r <= cut[-1]]
-    eval_radii = np.asarray(sorted(set(base) | set(cut.tolist())))
-    radii, means = _circle_means(f, eval_radii, p, q)
+    return p, cut, np.asarray(sorted(set(base) | set(cut.tolist()))), q
 
+
+def _growth_report(radii: np.ndarray, means: np.ndarray, p: float, cut: np.ndarray,
+                   kind: str, quantity: Optional[str], alpha) -> GrowthReport:
+    """The GrowthReport of finite circle means at radii: the norm at each
+    cutoff, the divergence verdict and the growth exponent."""
     values = []
     for c in cut:
         k = int(np.searchsorted(radii, c, side="right"))

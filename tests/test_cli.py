@@ -1,5 +1,7 @@
 """Command-line interface: parsing, exit codes, JSON/CSV contracts, determinism."""
 
+import csv
+import io
 import json
 import math
 import tracemalloc
@@ -14,6 +16,7 @@ from diskpoisson.derivs import read_deriv_csv
 from diskpoisson.kernel import QuadSpec, circle_poisson_values, radial_grid, read_boundary_csv
 from diskpoisson.kernel import _ANGULAR_CAP
 from diskpoisson.mappings import HypMonomial
+from diskpoisson.norms import divergence_probe
 from diskpoisson.regimes import (
     certification_grid,
     check_angular_derivative_bound,
@@ -223,6 +226,27 @@ class TestEval:
             assert F.thetas[j] == pytest.approx(row["theta"], abs=1e-12)
             want = sweeps[row["r"]][j]
             assert abs(complex(row["re"], row["im"]) - want) < 1e-12
+
+    def test_grid_csv_bytes_equal_csv_writer(self, capsys, monomial_csv):
+        # 64 radii at 64 angles: 4096 rows, two of the writer's row blocks
+        code, out, _ = run_cli(
+            capsys,
+            ["eval", "--alpha", "-0.5", "--boundary", monomial_csv, "--grid",
+             "--grid-thetas", "64", "--r-max", "0.9", "--format", "csv"],
+        )
+        assert code == 0
+        F = read_boundary_csv(monomial_csv)
+        q = QuadSpec(r_max=0.9)
+        vals = np.concatenate([circle_poisson_values(-0.5, F, float(r), q)[::32]
+                               for r in q.radial_grid])
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["r", "theta", "re", "im"])
+        writer.writerows(zip(np.repeat(q.radial_grid, 64).tolist(),
+                             np.tile(kernel._uniform_thetas(64), len(q.radial_grid)).tolist(),
+                             vals.real.tolist(), vals.imag.tolist()))
+        assert len(q.radial_grid) * 64 > kernel._CSV_BLOCK
+        assert out == buf.getvalue()
 
     def test_grid_thetas_checked_against_csv_not_nodes(self, capsys, monomial_csv):
         code, _, err = run_cli(
@@ -608,6 +632,35 @@ class TestReport:
                     for K in k_list for k in range(len(radii))]
         got = [row["min_kprime"] for row in report["rows"]]
         assert got == pytest.approx([float(w) for w in want], rel=1e-10)
+
+    def test_divergence_rows_equal_their_probes(self):
+        q = QuadSpec()
+        m = HypMonomial(-0.5, 1)
+        picks = {"dz": 0, "dzbar": 1, "dr": 2}
+        rows = cli._divergence_summaries(q)
+        assert [(row["quantity"], row["kind"], row["p"]) for row in rows] == list(
+            cli._DIVERGENCE_ROWS)
+        for row, (quantity, kind, p) in zip(rows, cli._DIVERGENCE_ROWS):
+            rep = divergence_probe(lambda z, i=picks[quantity]: m.derivs(z)[i], p,
+                                   (0.9, 0.99, 0.999), kind, q, quantity, -0.5)
+            assert row == dict(json.loads(rep.to_json()), kind=kind)
+
+    def test_divergence_rows_evaluate_each_circle_once(self, monkeypatch):
+        derivs = HypMonomial.derivs
+        calls = Counter()
+
+        def counted(self, z, *args, **kwargs):
+            calls[float(np.abs(np.asarray(z)).flat[0])] += 1
+            return derivs(self, z, *args, **kwargs)
+
+        monkeypatch.setattr(HypMonomial, "derivs", counted)
+        q = QuadSpec()
+        cli._divergence_summaries(q)
+        eval_radii = {float(r) for r in q.radial_grid if r <= 0.999} | {0.9, 0.99, 0.999}
+        # one call per radius (the first point of each circle lies at theta = 0)
+        assert len(eval_radii) == 65
+        assert sorted(calls) == sorted(eval_radii)
+        assert set(calls.values()) == {1}
 
     def test_bundle_smoke(self, capsys, tmp_path):
         path = tmp_path / "report.json"

@@ -1,5 +1,6 @@
 """Partial derivatives: angular, radial split, Wirtinger pair, field export."""
 
+import csv
 import io
 import math
 import re
@@ -27,6 +28,7 @@ from diskpoisson.derivs import (
     sine_moment,
     sine_moment_exact,
     write_deriv_csv,
+    write_deriv_rows,
 )
 from diskpoisson.kernel import (
     BoundaryData,
@@ -534,7 +536,58 @@ class TestFromWirtinger:
         assert fld.dr[1] == pytest.approx(1.0)
 
 
+@pytest.fixture(scope="module")
+def hyp_field(q):
+    # the 4.1 field on 256 angles of the default grid: 16,129 rows, the first
+    # the origin, flagged origin_fd with a NaN df/dr
+    return deriv_field(-0.5, HypMonomial(-0.5, 1).boundary(), q, n_thetas=256)
+
+
+def csv_writer_rows(fld: DerivField) -> str:
+    """The field's CSV as csv.writer writes it, the reference for write_deriv_rows."""
+    columns = [np.abs(fld.points).tolist(), np.mod(np.angle(fld.points), 2.0 * np.pi).tolist()]
+    for arr in (fld.dtheta, fld.dr, fld.dz, fld.dzbar):
+        columns += [np.real(arr).tolist(), np.imag(arr).tolist()]
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(derivs._DERIV_CSV_HEADER)
+    writer.writerows(zip(*columns, fld.flags))
+    return buf.getvalue()
+
+
 class TestDerivCsv:
+    def test_bytes_equal_csv_writer(self, hyp_field):
+        assert hyp_field.flags[0] == FLAG_ORIGIN and math.isnan(hyp_field.dr[0].real)
+        assert len(hyp_field.points) == 16129
+        buf = io.StringIO()
+        write_deriv_rows(buf, hyp_field)
+        assert buf.getvalue() == csv_writer_rows(hyp_field)
+
+    def test_flags_quoted_as_csv_writer_quotes_them(self, tmp_path):
+        flags = ['a,b', 'say "x"', "two\nlines", "cr\r", "", " lead", "plain"]
+        n = len(flags)
+        pts = 0.5 * np.exp(1j * np.arange(n))
+        fld = DerivField.from_wirtinger(pts, np.ones(n, dtype=complex),
+                                        np.zeros(n, dtype=complex), flags)
+        buf = io.StringIO()
+        write_deriv_rows(buf, fld)
+        assert buf.getvalue() == csv_writer_rows(fld)
+        path = tmp_path / "flags.csv"
+        write_deriv_csv(str(path), fld)
+        assert read_deriv_csv(str(path)).flags == flags
+
+    def test_written_in_bounded_memory(self, hyp_field, tmp_path):
+        # csv.writer over whole .tolist() columns peaks at 5.3 MiB here; the
+        # writer holds one block of rows as Python floats and strings at a time.
+        path = tmp_path / "field.csv"
+        tracemalloc.start()
+        try:
+            write_deriv_csv(str(path), hyp_field)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
     def test_round_trip_bit_exact(self, tmp_path):
         m = HypMonomial(-0.5, 1)
         pts = np.concatenate([[0.0 + 0.0j], 0.7 * np.exp(1j * np.linspace(0, 5, 7))])

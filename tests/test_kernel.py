@@ -1,5 +1,7 @@
 """Weighted kernel, boundary-data model, quadrature operator, CSV round-trip."""
 
+import csv
+import io
 import math
 import warnings
 
@@ -192,6 +194,17 @@ class TestBoundaryData:
         with pytest.raises(ValueError, match="disagree"):
             BoundaryData(thetas, np.zeros(16, dtype=complex),
                          closed_form=harmonic_mix)
+
+    def test_closed_form_nan_at_a_node_refused(self):
+        # NaN compares false against the agreement tolerance; it is refused by name.
+        thetas = _uniform_thetas(16)
+
+        def fn(t):
+            t = np.asarray(t, dtype=float)
+            return np.where(t == 0.0, np.nan, np.exp(1j * t))
+
+        with pytest.raises(ValueError, match="closed form must be finite"):
+            BoundaryData(thetas, np.exp(1j * thetas), closed_form=fn)
 
     def test_eval_uses_interpolant_when_sampled_only(self):
         n = 32
@@ -410,6 +423,19 @@ class TestBoundaryDerivative:
 
 
 class TestCsvRoundTrip:
+    def test_bytes_equal_csv_writer(self, tmp_path):
+        # 4100 rows: two full blocks of the writer and a partial one.
+        n = 4100
+        thetas = _uniform_thetas(n)
+        F = BoundaryData.from_samples(thetas, np.exp(1j * thetas) + 1e-300j)
+        path = tmp_path / "boundary.csv"
+        write_boundary_csv(str(path), F)
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["theta", "re", "im"])
+        writer.writerows(zip(F.thetas.tolist(), F.values.real.tolist(), F.values.imag.tolist()))
+        assert path.read_bytes() == buf.getvalue().encode()
+
     def test_bit_exact(self, tmp_path):
         rng = np.random.default_rng(3)
         n = 32
