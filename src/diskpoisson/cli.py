@@ -235,7 +235,7 @@ def _example_facts(name: str, params: dict, F: BoundaryData) -> dict:
 
 def _cmd_eval(ns: argparse.Namespace) -> int:
     F = read_boundary_csv(ns.boundary)
-    q = _quad(ns)
+    q = QuadSpec(r_max=ns.r_max)  # a CSV boundary is swept at its own sample count
     raw_points = ns.point or []
     _require(bool(raw_points) != ns.grid,
              "eval needs exactly one of --point (repeatable) or --grid")
@@ -258,7 +258,6 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
         return 0
 
     if ns.grid:
-        # A CSV boundary is swept at its own sample count, whatever --nodes says.
         n_th = ns.grid_thetas
         _require(F.n_samples % n_th == 0,
                  f"grid-thetas must divide the boundary's {F.n_samples} samples")
@@ -288,22 +287,16 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _probe_row(f, p: float, cutoffs, kind: str, q: QuadSpec, quantity: str,
-               alpha: float) -> dict:
-    """One divergence_probe as a JSON row, tagged with its norm kind."""
-    rep = divergence_probe(f, p=p, cutoffs=cutoffs, kind=kind, q=q,
-                           quantity=quantity, alpha=alpha)
-    return _growth_row(rep, kind)
-
-
 def _growth_row(rep, kind: str) -> dict:
+    """A GrowthReport as a JSON row, tagged with its norm kind."""
     return dict(json.loads(rep.to_json()), kind=kind)
 
 
 def _cmd_norm(ns: argparse.Namespace) -> int:
     label, F = _load_boundary(ns)
-    kq = KernelQuantity(ns.alpha, F, ns.quantity)
-    payload = _probe_row(kq, ns.p, ns.cutoffs, ns.kind, _quad(ns), ns.quantity, ns.alpha)
+    rep = divergence_probe(KernelQuantity(ns.alpha, F, ns.quantity), p=ns.p, cutoffs=ns.cutoffs,
+                           kind=ns.kind, q=_quad(ns), quantity=ns.quantity, alpha=ns.alpha)
+    payload = _growth_row(rep, ns.kind)
     payload["boundary"] = label
     _emit_json(payload, ns.output)
     return 0
@@ -441,13 +434,13 @@ def _cmd_example(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _nested_fields(circle, radii: Sequence[float], n_thetas: int = 64) -> list:
+def _nested_fields(circle, radii: Sequence[float]) -> list:
     """Nested polar-circle fields: field k covers radii[:k+1].
 
-    circle(r, pts) gives (df/dz, df/dzbar) at the n_thetas uniform points
-    pts of |z| = r; each circle is built once and the fields concatenate them.
+    circle(r, pts) gives (df/dz, df/dzbar) at the 64 uniform points pts of
+    |z| = r; each circle is built once and the fields concatenate them.
     """
-    thetas = _uniform_thetas(n_thetas)
+    thetas = _uniform_thetas(64)
     circles, fields = [], []
     for r in radii:
         pts = r * np.exp(1j * thetas)
@@ -535,18 +528,18 @@ def _cmd_report(ns: argparse.Namespace) -> int:
 _DEFAULT_CUTOFFS = "0.9,0.99,0.999"
 
 
-def _add_common(sp, handler, nodes=True, output=True) -> None:
+def _add_common(sp, handler, *shared) -> None:
     sp.set_defaults(handler=handler)
-    if nodes:
+    if "--nodes" in shared:
         sp.add_argument("--nodes", type=int, default=2048,
                         help=f"angular quadrature nodes (even, 16 to {_ANGULAR_CAP})")
+    if "--r-max" in shared:
         sp.add_argument("--r-max", type=float, default=0.999,
                         help="outermost radius of the radial grid")
-    sp.add_argument("--threads", type=int, default=None,
-                    help=f"worker threads (default ${THREADS_ENV} or 1)")
-    if output:
-        sp.add_argument("--output", default=None,
-                        help="write the report here instead of stdout")
+    if "--threads" in shared:  # only the subcommands that run jobs on a thread pool
+        sp.add_argument("--threads", type=int, default=None,
+                        help=f"worker threads (default ${THREADS_ENV} or 1)")
+    sp.add_argument("--output", default=None, help="write the report here instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -568,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="emit all four partial derivatives as CSV")
     sp.add_argument("--format", choices=("json", "csv"), default=None,
                     help="json for values (default), csv for tables")
-    _add_common(sp, _cmd_eval)
+    _add_common(sp, _cmd_eval, "--r-max")
 
     sp = sub.add_parser("norm", help="growth probe of a Hardy or Bergman norm")
     sp.add_argument("--alpha", type=float, required=True)
@@ -582,18 +575,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=1)
     sp.add_argument("--n-trunc", type=int, default=None)
     sp.add_argument("--samples", type=int, default=2048)
-    _add_common(sp, _cmd_norm)
+    _add_common(sp, _cmd_norm, "--nodes", "--r-max")
 
     sp = sub.add_parser("regime", help="classify (alpha, p) and list predictions")
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--p", type=float, required=True, help="norm order; 'inf' allowed")
-    _add_common(sp, _cmd_regime, nodes=False)
+    _add_common(sp, _cmd_regime)
 
     sp = sub.add_parser("verify", help="run a certification suite")
     sp.add_argument("--suite", choices=("inequalities", "oracle", "all"),
                     default="inequalities")
     sp.add_argument("--seed", type=int, default=0)
-    _add_common(sp, _cmd_verify)
+    _add_common(sp, _cmd_verify, "--nodes", "--r-max", "--threads")
 
     sp = sub.add_parser("example", help="describe or export a bundled example")
     sp.add_argument("--id", required=True, dest="example_id",
@@ -603,11 +596,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-trunc", type=int, default=None)
     sp.add_argument("--samples", type=int, default=2048)
     sp.add_argument("--export", default=None, help="write the boundary CSV here")
-    _add_common(sp, _cmd_example, nodes=False)
+    _add_common(sp, _cmd_example)
 
     sp = sub.add_parser("report", help="bundled summary: certifications, regimes, probes")
     sp.add_argument("--seed", type=int, default=0)
-    _add_common(sp, _cmd_report)
+    _add_common(sp, _cmd_report, "--nodes", "--r-max", "--threads")
 
     return ap
 
@@ -622,14 +615,15 @@ def _check_count(name: str, value: int) -> None:
 def _check_args(ns: argparse.Namespace) -> None:
     """Check every argument before any work, and fill the derived defaults in ns.
 
-    Fills threads from $DISKPOISSON_THREADS, the output format (csv with
+    Fills --threads from $DISKPOISSON_THREADS, the output format (csv with
     --field, else json) and the parsed cutoff tuple.
     """
-    if ns.threads is None:
-        ns.threads = _default_threads()
-    _require(ns.threads >= 1, f"threads must be >= 1, got {ns.threads}")
+    if "threads" in ns:
+        ns.threads = _default_threads() if ns.threads is None else ns.threads
+        _require(ns.threads >= 1, f"threads must be >= 1, got {ns.threads}")
     if "nodes" in ns:
         _check_count("nodes", ns.nodes)
+    if "r_max" in ns:
         _require(0.0 < ns.r_max <= 1.0 - 1e-6,
                  f"r-max must lie in (0, 1 - 1e-6], got {ns.r_max}")
     if getattr(ns, "alpha", None) is not None:

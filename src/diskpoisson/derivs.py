@@ -146,49 +146,43 @@ def fd_check(a, F: BoundaryData, z: complex, h: float, q: QuadSpec) -> float:
     return max(abs(got - ref) / max(1.0, abs(got)) for got, ref in pairs)
 
 
-@lru_cache(maxsize=8)
-def _gauss_legendre_0_pi(n: int):
-    """(nodes, weights) of the n-point Gauss-Legendre rule on [0, pi], read-only and
-    shared per n: numpy's leggauss costs tens of milliseconds at n = 512."""
-    x, wts = np.polynomial.legendre.leggauss(n)
+# Nodes of sine_moment's Gauss-Legendre rule. They crowd toward t = 0 like (k/n)^2, so
+# the rule resolves the kernel peak, of width 1 - r, while (1 - r) n^2 >= 512.
+_SINE_NODES = 512
+_SINE_R_MAX = 1.0 - 512.0 / (_SINE_NODES * _SINE_NODES)
+
+
+@lru_cache(maxsize=1)
+def _gauss_legendre_0_pi():
+    """(nodes, weights) of the _SINE_NODES-point Gauss-Legendre rule on [0, pi], read-only
+    and built once: numpy's leggauss costs tens of milliseconds at 512 nodes."""
+    x, wts = np.polynomial.legendre.leggauss(_SINE_NODES)
     return _read_only(0.5 * math.pi * (x + 1.0)), _read_only(0.5 * math.pi * wts)
 
 
-# The n-point rule below resolves the kernel peak, of width 1 - r, while (1 - r) n^2 >= this.
-_SINE_RESOLVED = 512.0
-# The largest n sine_moment accepts: numpy's leggauss holds an n x n matrix, 8 n^2 bytes.
-_SINE_MAX_NODES = 4096
-
-
-def sine_moment(a, r: float, n: int = 512) -> float:
+def sine_moment(a, r: float) -> float:
     """Weighted sine moment of the radial-derivative kernel.
 
     (1 - r^2)^a * int_0^{2pi} r |sin t| / |1 - r e^{it}|^{a+2} dt, the
-    quantity controlling the J2 term. Evaluated by Gauss-Legendre on
-    [0, pi], where |sin t| = sin t and the integrand is smooth.
+    quantity controlling the J2 term. Evaluated by 512-point Gauss-Legendre
+    on [0, pi], where |sin t| = sin t and the integrand is smooth.
 
-    The nodes crowd toward t = 0 like (k/n)^2, so the rule resolves the kernel
-    peak, of width 1 - r, only while (1 - r) n^2 >= 512 (r <= 1 - 1/512 at
-    n = 512); past that it raises ValueError. Measured against sine_moment_exact
-    for alpha in (-1, 10]: within 2e-11 relative for n <= 1024 and 1e-9 up to
-    n = 4096, where the nodes limit it; 4e-7 off at (1 - r) n^2 = 256. n past
-    4096 raises ValueError before any rule is built.
+    The rule resolves the kernel peak only for r <= 1 - 1/512; past that it
+    raises ValueError. Measured against sine_moment_exact for alpha in
+    (-1, 10]: within 2e-11 relative up to that radius.
     """
     a = as_alpha(a)
     if not 0.0 <= r < 1.0:
         raise ValueError(f"r must lie in [0, 1), got {r}")
-    if not 1 <= n <= _SINE_MAX_NODES:
-        raise ValueError(f"n must lie in [1, {_SINE_MAX_NODES}], got {n}")
-    if (1.0 - r) * n * n < _SINE_RESOLVED:
-        r_max = 1.0 - _SINE_RESOLVED / (n * n)
-        raise ValueError(f"r must satisfy (1-r) n^2 >= {_SINE_RESOLVED:g} for the {n}-point rule "
-                         f"to resolve the kernel peak (r <= {r_max:.6g}), got {r}")
-    return _sine_rule(a.alpha, r, n)
+    if r > _SINE_R_MAX:
+        raise ValueError(f"r must satisfy (1-r) n^2 >= 512 for the {_SINE_NODES}-point rule "
+                         f"to resolve the kernel peak (r <= {_SINE_R_MAX:.6g}), got {r}")
+    return _sine_rule(a.alpha, r)
 
 
-def _sine_rule(alpha: float, r: float, n: int) -> float:
-    """The n-point Gauss-Legendre sum behind sine_moment, at any r in [0, 1)."""
-    t, w = _gauss_legendre_0_pi(n)
+def _sine_rule(alpha: float, r: float) -> float:
+    """The Gauss-Legendre sum behind sine_moment, at any r in [0, 1)."""
+    t, w = _gauss_legendre_0_pi()
     # |1 - r e^{it}|^2 and 1 - r^2 written as kernel._kernel_formula writes them: no
     # cancellation as r -> 1
     dist_sq = (1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * t) ** 2

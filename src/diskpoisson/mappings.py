@@ -21,8 +21,8 @@ Three families:
     while |df/dz| is unbounded, so no ellipticity constant works.
 
 The public evaluators take arbitrary points and sum their power series
-term by term (Horner's rule for the log-series boundary). On m uniform
-angles of one circle |z| = r the same series is one circle sum,
+term by term (_power_sum; Horner's rule for the log-series boundary). On
+m uniform angles of one circle |z| = r the same series is one circle sum,
 sum_k c_k r^k e^{i k theta_j}: a length-m inverse FFT of the coefficients
 r^k c_k folded mod m (_circle_sum). The report's phase and log-series
 circles and the log-series boundary samples on the shared uniform grids
@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .specfun import gauss_value, hyp2f1, pochhammer
-from .kernel import BoundaryData, _uniform_thetas, _warn
+from .kernel import BoundaryData, _read_only, _uniform_thetas, _warn
 from .derivs import DerivField
 
 __all__ = [
@@ -65,6 +65,26 @@ def _circle_sum(coeffs: np.ndarray, r: float, m: int) -> np.ndarray:
     terms = coeffs * float(r) ** np.arange(len(coeffs))
     folded = np.pad(terms, (0, -len(terms) % m)).reshape(-1, m).sum(axis=0)
     return np.fft.ifft(folded, norm="forward")
+
+
+def _power_sum(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] z^k at the points z, accumulated term by term from k = 0:
+    the pointwise twin of _circle_sum."""
+    acc = np.zeros_like(z)
+    zpow = np.ones_like(z)
+    for c in coeffs:
+        acc += c * zpow
+        zpow *= z
+    return acc
+
+
+def _disk_points(z):
+    """(z as a complex array, max |z|), refused unless every point lies in the open disk."""
+    z = np.asarray(z, dtype=complex)
+    rmax = float(np.max(np.abs(z))) if z.size else 0.0
+    if rmax >= 1.0:
+        raise ValueError("the power series are summed on the open disk |z| < 1 only")
+    return z, rmax
 
 
 def _grid_size(thetas) -> Optional[int]:
@@ -259,42 +279,27 @@ def _phase_circle(r: float, m: int):
     return _circle_sum(cpos, r, m), np.conj(_circle_sum(np.conj(cneg), r, m))
 
 
-def phase_wirtinger(z, kmax: Optional[int] = None):
+def phase_wirtinger(z):
     """(df/dz, df/dzbar) of the harmonic extension of the phase-corner boundary.
 
     Power series f = sum_{k>=1} c_k z^k + sum_{k>=1} c_{-k} zbar^k summed
-    with exact coefficients; kmax defaults to 42/(1-max|z|) so the geometric
-    tail is below double precision at the requested radii.
+    with exact coefficients over 42/(1-max|z|) terms, so the geometric tail
+    is below double precision at the requested radii.
     """
-    z = np.asarray(z, dtype=complex)
-    rmax = float(np.max(np.abs(z))) if z.size else 0.0
-    if rmax >= 1.0:
-        raise ValueError("the extension's derivatives exist on the open disk only")
-    if kmax is None:
-        kmax = _phase_kmax(rmax)
-    cpos, cneg = _phase_deriv_coeffs(kmax)
+    z, rmax = _disk_points(z)
+    cpos, cneg = _phase_deriv_coeffs(_phase_kmax(rmax))
     zf = z.reshape(-1)
-    zb = np.conj(zf)
-    dz = np.zeros_like(zf)
-    dzbar = np.zeros_like(zf)
-    zpow = np.ones_like(zf)       # z^{k-1} accumulator
-    zbpow = np.ones_like(zf)      # zbar^{k-1} accumulator
-    for i in range(kmax):
-        dz += cpos[i] * zpow
-        dzbar += cneg[i] * zbpow
-        zpow *= zf
-        zbpow *= zb
-    dz = dz.reshape(z.shape)
-    dzbar = dzbar.reshape(z.shape)
+    dz = _power_sum(cpos, zf).reshape(z.shape)
+    dzbar = _power_sum(cneg, np.conj(zf)).reshape(z.shape)
     if z.ndim == 0:
         return complex(dz), complex(dzbar)
     return dz, dzbar
 
 
-def phase_field(points, kmax: Optional[int] = None) -> DerivField:
+def phase_field(points) -> DerivField:
     """DerivField of the phase-corner extension at the given points."""
     points = np.asarray(points, dtype=complex)
-    dz, dzbar = phase_wirtinger(points, kmax)
+    dz, dzbar = phase_wirtinger(points)
     return DerivField.from_wirtinger(points, dz, dzbar)
 
 
@@ -317,8 +322,21 @@ def _warn_tail(r: float, n_trunc: int) -> None:
 
 @lru_cache(maxsize=64)
 def _log_coeffs(n_trunc: int) -> tuple:
+    """Power-series coefficients, lowest power first, read-only: those of
+    g = sum_{n=2}^{N} z^n / (n log n) and of g' = sum_{n=2}^{N} z^{n-1} / log n."""
     ns = np.arange(2, n_trunc + 1, dtype=float)
-    return ns, 1.0 / (ns * np.log(ns)), 1.0 / np.log(ns)
+    return (_read_only(np.concatenate([np.zeros(2), 1.0 / (ns * np.log(ns))])),
+            _read_only(np.concatenate([[0.0], 1.0 / np.log(ns)])))
+
+
+def _log_series_points(z, n_trunc: int) -> np.ndarray:
+    """z as a complex array, refused off the open disk or for n_trunc < 2; warns when
+    the truncation tail exceeds _LOG_TAIL_TOL at max |z|."""
+    if n_trunc < 2:
+        raise ValueError("n_trunc must be at least 2")
+    z, rmax = _disk_points(z)
+    _warn_tail(rmax, n_trunc)
+    return z
 
 
 def log_series_value(z, n_trunc: int = 4096):
@@ -327,21 +345,8 @@ def log_series_value(z, n_trunc: int = 4096):
     Warns when the geometric tail bound |z|^{N+1}/((N+1) log(N+1) (1-|z|))
     exceeds 1e-8.
     """
-    if n_trunc < 2:
-        raise ValueError("n_trunc must be at least 2")
-    z = np.asarray(z, dtype=complex)
-    rmax = float(np.max(np.abs(z))) if z.size else 0.0
-    if rmax >= 1.0:
-        raise ValueError("the disk series needs |z| < 1")
-    _warn_tail(rmax, n_trunc)
-    ns, inv_nlog, _ = _log_coeffs(n_trunc)
-    zf = z.reshape(-1)
-    acc = np.zeros_like(zf)
-    zpow = zf * zf  # z^2
-    for i in range(len(ns)):
-        acc = acc + inv_nlog[i] * zpow
-        zpow = zpow * zf
-    out = acc.imag.reshape(z.shape)
+    z = _log_series_points(z, n_trunc)
+    out = _power_sum(_log_coeffs(n_trunc)[0], z.reshape(-1)).imag.reshape(z.shape)
     return float(out) if z.ndim == 0 else out
 
 
@@ -351,21 +356,8 @@ def log_series_derivs(z, n_trunc: int = 4096):
     df/dz = (1/2i) sum_{n=2}^{N} z^{n-1} / log n and df/dzbar is its
     conjugate, because the function is real-valued.
     """
-    if n_trunc < 2:
-        raise ValueError("n_trunc must be at least 2")
-    z = np.asarray(z, dtype=complex)
-    rmax = float(np.max(np.abs(z))) if z.size else 0.0
-    if rmax >= 1.0:
-        raise ValueError("the disk series needs |z| < 1")
-    _warn_tail(rmax, n_trunc)
-    ns, _, inv_log = _log_coeffs(n_trunc)
-    zf = z.reshape(-1)
-    gprime = np.zeros_like(zf)
-    zpow = zf.copy()  # z^{n-1} starting at n = 2
-    for i in range(len(ns)):
-        gprime = gprime + inv_log[i] * zpow
-        zpow = zpow * zf
-    dz = (gprime / 2j).reshape(z.shape)
+    z = _log_series_points(z, n_trunc)
+    dz = (_power_sum(_log_coeffs(n_trunc)[1], z.reshape(-1)) / 2j).reshape(z.shape)
     dzbar = np.conj(dz)
     if z.ndim == 0:
         return complex(dz), complex(dzbar)
@@ -376,8 +368,7 @@ def _log_series_circle(r: float, m: int, n_trunc: int):
     """(df/dz, df/dzbar) of the truncated log series at the m uniform angles of
     |z| = r < 1: log_series_derivs as one circle sum of z^{n-1} / log n."""
     _warn_tail(r, n_trunc)
-    _, _, inv_log = _log_coeffs(n_trunc)
-    dz = _circle_sum(np.concatenate([[0.0], inv_log]), r, m) / 2j
+    dz = _circle_sum(_log_coeffs(n_trunc)[1], r, m) / 2j
     return dz, np.conj(dz)
 
 
@@ -391,10 +382,9 @@ def log_series_boundary(n_samples: int = 2048, n_trunc: Optional[int] = None) ->
     """
     if n_trunc is None:
         n_trunc = min(4096, n_samples // 2 - 1)
-    _, inv_nlog, inv_log = _log_coeffs(n_trunc)
     # Coefficients of e^{i n theta}, lowest power first; c_0 = c_1 = 0.
-    coeffs_f = np.concatenate([np.zeros(2), inv_nlog])
-    coeffs_df = np.concatenate([np.zeros(2), inv_log])
+    coeffs_f, coeffs_g = _log_coeffs(n_trunc)
+    coeffs_df = np.concatenate([[0.0], coeffs_g])
 
     def series(coeffs, thetas):
         m = _grid_size(thetas)

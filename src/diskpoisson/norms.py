@@ -29,7 +29,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .kernel import BoundaryData, QuadSpec, _circle_spectra, _invert, _uniform_thetas, as_alpha
+from .kernel import (BoundaryData, QuadSpec, _circle_spectra, _invert, _on_quad_grid,
+                     _uniform_thetas, as_alpha)
 from .derivs import dz_dzbar_f
 
 __all__ = [
@@ -121,17 +122,18 @@ class KernelQuantity:
         self.quantity = quantity
 
     def circle_values(self, r: float, q: QuadSpec) -> np.ndarray:
-        if r == 0.0 and self.quantity != "f":
-            dz0, dzbar0 = dz_dzbar_f(self.a, self.F, 0.0, q)
-            thetas = _uniform_thetas(q.angular_nodes)
-            if self.quantity == "dz":
-                return np.full(q.angular_nodes, dz0)
-            if self.quantity == "dzbar":
-                return np.full(q.angular_nodes, dzbar0)
-            if self.quantity == "dr":
-                return dz0 * np.exp(1j * thetas) + dzbar0 * np.exp(-1j * thetas)
-            return np.zeros(q.angular_nodes, dtype=complex)
-        return _invert(*_circle_spectra(self.a, self.F, r, q, (self.quantity,))[0])
+        """The quantity at every grid angle of |z| = r, on the grid the circle operator
+        uses: q.angular_nodes for a closed form, the sample count for sampled data."""
+        if r != 0.0 or self.quantity == "f":
+            return _invert(*_circle_spectra(self.a, self.F, r, q, (self.quantity,))[0])
+        n = _on_quad_grid(self.F, q).n_samples
+        if self.quantity == "dtheta":
+            return np.zeros(n, dtype=complex)
+        dz0, dzbar0 = dz_dzbar_f(self.a, self.F, 0.0, q)
+        if self.quantity == "dr":
+            thetas = _uniform_thetas(n)
+            return dz0 * np.exp(1j * thetas) + dzbar0 * np.exp(-1j * thetas)
+        return np.full(n, dz0 if self.quantity == "dz" else dzbar0)
 
 
 def _circle_samples(f, r: float, q: QuadSpec) -> np.ndarray:
@@ -225,22 +227,26 @@ def bergman_norm(f, p: float, q: QuadSpec) -> NormEstimate:
 
     Integrates the circle means against normalized area measure on the
     radial grid; p = inf reduces to the sup over the sampled disk. The
-    status comes from divergence_probe over the nested cutoffs
-    1 - 100 w, 1 - 10 w, 1 - w with w = 1 - r_max, so slow blow-up
-    spread over decades is still visible.
+    status is divergence_probe's over the nested cutoffs 1 - 100 w,
+    1 - 10 w, 1 - w with w = 1 - r_max, so slow blow-up spread over
+    decades is still visible; each circle is evaluated once for both.
     """
     p = _check_p(p)
-    radii, means = _circle_means(f, q.radial_grid, p, q)
-    value = _bergman_value(radii, means, p)
     w = 1.0 - q.r_max
     cutoffs = [1.0 - 100.0 * w, 1.0 - 10.0 * w, q.r_max]
     if cutoffs[0] <= 0.0:
+        radii, means = _circle_means(f, q.radial_grid, p, q)
         status = _status_from_tail(radii, list(means))
     else:
-        probe = divergence_probe(f, p, cutoffs, kind="bergman", q=q)
-        status = probe.status
+        # divergence_probe's circles hold the radial grid: evaluate each one once
+        p, cut, eval_radii, _ = _plan_probe(p, cutoffs, "bergman", q)
+        all_means = np.array([_circle_mean(f, float(r), p, q) for r in eval_radii])
+        on_grid = np.isin(eval_radii, q.radial_grid)
+        radii, means = _finite_means(eval_radii[on_grid], all_means[on_grid])
+        status = _growth_report(*_finite_means(eval_radii, all_means), p, cut, "bergman",
+                                None, None).status
     return NormEstimate(
-        value=value,
+        value=_bergman_value(radii, means, p),
         p=p,
         r_max=float(radii[-1]),
         n_nodes=q.angular_nodes,

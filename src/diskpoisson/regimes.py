@@ -48,7 +48,10 @@ __all__ = [
     "certification_grid",
 ]
 
+# Additive slack on each certificate's right side: _ANGULAR_SLACK for the
+# angular-derivative bound, _SLACK for the others.
 _SLACK = 1e-8
+_ANGULAR_SLACK = 1e-6
 
 PREDICTIONS = {
     "Pi1": ("hardy_all_partials_bounded",),
@@ -125,8 +128,7 @@ def _mean_distance_power(r: float, s: float, n: int) -> float:
     return float(np.mean(((1.0 - r) ** 2 + 4.0 * r * _half_angle_sin2(n)) ** (-0.5 * s)))
 
 
-def check_kernel_mean_bound(alpha: float, r: float, q: QuadSpec,
-                            slack: float = _SLACK) -> CertificationRecord:
+def check_kernel_mean_bound(alpha: float, r: float, q: QuadSpec) -> CertificationRecord:
     """Certify (1/2pi) int (1-r^2)^a / |1-r e^{i t}|^{a+1} dt <= Gamma(a)/Gamma((a+1)/2)^2.
 
     Holds for every a > 0 and r in [0, 1); the right side is the sharp
@@ -144,12 +146,11 @@ def check_kernel_mean_bound(alpha: float, r: float, q: QuadSpec,
         params={"alpha": alpha, "r": float(r), "nodes": q.angular_nodes},
         lhs=lhs,
         rhs=float(rhs),
-        holds=bool(lhs <= rhs + slack),
+        holds=bool(lhs <= rhs + _SLACK),
     )
 
 
-def check_distance_integral_bound(alpha: float, r: float, q: QuadSpec,
-                                  slack: float = _SLACK) -> CertificationRecord:
+def check_distance_integral_bound(alpha: float, r: float, q: QuadSpec) -> CertificationRecord:
     """Certify int_0^{2pi} dt / |1-r e^{i t}|^{a+1} <= 3^{(a+1)/2} 2^{1-a} Gamma(-a) sqrt(pi) / Gamma(1/2-a).
 
     Valid for -1 < a < 0 and r in [1/2, 1); the integrand's exponent a+1
@@ -168,7 +169,7 @@ def check_distance_integral_bound(alpha: float, r: float, q: QuadSpec,
         params={"alpha": alpha, "r": float(r), "nodes": q.angular_nodes},
         lhs=lhs,
         rhs=float(rhs),
-        holds=bool(lhs <= rhs + slack),
+        holds=bool(lhs <= rhs + _SLACK),
     )
 
 
@@ -194,8 +195,7 @@ def _resolved_sweeps(F: BoundaryData, q: QuadSpec):
 
 
 def _boundary_checks(a, F: BoundaryData, q: QuadSpec, ps=(), scaled: bool = False,
-                     label: Optional[str] = None, angular_slack: float = 1e-6,
-                     scaled_slack: float = _SLACK) -> list:
+                     label: Optional[str] = None) -> list:
     """The angular-derivative records for each p in ps, then the scaled-kernel record
     when scaled: one walk of the radial grid for (alpha, F).
 
@@ -228,19 +228,18 @@ def _boundary_checks(a, F: BoundaryData, q: QuadSpec, ps=(), scaled: bool = Fals
     records = [CertificationRecord(
         check="angular_derivative_bound",
         params={"alpha": a.alpha, "p": p, **common},
-        lhs=float(ratio), rhs=1.0, holds=bool(ratio <= 1.0 + angular_slack),
+        lhs=float(ratio), rhs=1.0, holds=bool(ratio <= 1.0 + _ANGULAR_SLACK),
     ) for p, ratio in zip(ps, max_ratio)]
     if scaled:
         rhs = abs(a.alpha) * float(np.max(np.abs(F.values)))
         records.append(CertificationRecord(
             check="scaled_kernel_bound", params={"alpha": a.alpha, **common},
-            lhs=sup_j1, rhs=rhs, holds=bool(sup_j1 <= rhs + scaled_slack),
+            lhs=sup_j1, rhs=rhs, holds=bool(sup_j1 <= rhs + _SLACK),
         ))
     return records
 
 
 def check_angular_derivative_bound(a, F: BoundaryData, p: float, q: QuadSpec,
-                                   slack: float = 1e-6,
                                    label: Optional[str] = None) -> CertificationRecord:
     """Certify M_p(r, df/dtheta) <= ||dF/dt||_{L^p} across the radial grid.
 
@@ -249,18 +248,17 @@ def check_angular_derivative_bound(a, F: BoundaryData, p: float, q: QuadSpec,
     like 1-r), capped at 2^17; sampled-only boundary data is used at its
     native resolution.
     """
-    return _boundary_checks(a, F, q, (p,), label=label, angular_slack=slack)[0]
+    return _boundary_checks(a, F, q, (p,), label=label)[0]
 
 
 def check_scaled_kernel_bound(a, F: BoundaryData, q: QuadSpec,
-                              slack: float = _SLACK,
                               label: Optional[str] = None) -> CertificationRecord:
     """Certify sup |J1| <= |alpha| sup |F| over the radial grid.
 
     J1 = alpha K_a[F] and the operator is an average against a unit-mass
     positive kernel, so the bound is the maximum principle scaled by alpha.
     """
-    return _boundary_checks(a, F, q, scaled=True, label=label, scaled_slack=slack)[0]
+    return _boundary_checks(a, F, q, scaled=True, label=label)[0]
 
 
 KERNEL_MEAN_GRID = {

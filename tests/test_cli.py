@@ -61,9 +61,7 @@ class TestRegime:
         assert "p must" in err
 
     def test_thread_count_validated(self, capsys):
-        code, _, err = run_cli(
-            capsys, ["regime", "--alpha", "0.5", "--p", "2", "--threads", "0"]
-        )
+        code, _, err = run_cli(capsys, ["verify", "--suite", "oracle", "--threads", "0"])
         assert code == 2
         assert "threads" in err
 
@@ -252,7 +250,7 @@ class TestEval:
         code, _, err = run_cli(
             capsys,
             ["eval", "--alpha", "-0.5", "--boundary", monomial_csv,
-             "--grid", "--grid-thetas", "4096", "--nodes", "4096"],
+             "--grid", "--grid-thetas", "4096"],
         )
         assert code == 2
         assert "divide" in err
@@ -313,8 +311,7 @@ class TestInputContract:
         lines = path.read_text().splitlines()
         lines[4] = "nan," + lines[4].split(",", 1)[1]
         path.write_text("\n".join(lines) + "\n")
-        argv = ["eval", "--alpha", "0", "--boundary", str(path), "--point", "0.3,1",
-                "--nodes", "16"]
+        argv = ["eval", "--alpha", "0", "--boundary", str(path), "--point", "0.3,1"]
         err = self.refused(capsys, argv + ["--field"] if field else argv)
         assert str(path) in err and "uniform" in err
 
@@ -411,14 +408,27 @@ class TestArgumentChecks:
     @pytest.mark.parametrize("argv,name", [
         (NORM_41 + ["--nodes", str((1 << 17) + 2)], "nodes"),
         (NORM_41 + ["--samples", str(1 << 40)], "samples"),
-        (["eval", "--alpha", "0", "--boundary", "b.csv", "--grid", "--nodes", str(1 << 18)],
-         "nodes"),
+        (["report", "--nodes", str(1 << 18)], "nodes"),
         (["example", "--id", "4.2", "--samples", str((1 << 17) + 2)], "samples"),
         (["verify", "--nodes", str(1 << 62)], "nodes"),
     ])
     def test_node_and_sample_caps(self, capsys, argv, name):
         err = self.refused(capsys, argv)
         assert err.startswith(f"error: {name} must be at most {_ANGULAR_CAP}, got ")
+
+    def test_threads_only_where_read_and_eval_takes_no_nodes(self, capsys):
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        options = {name: {opt for act in sp._actions for opt in act.option_strings}
+                   for name, sp in sub.choices.items()}
+        assert {name for name, opts in options.items() if "--threads" in opts} == {
+            "verify", "report"}
+        assert "--nodes" not in options["eval"] and "--r-max" in options["eval"]
+        for argv in (["regime", "--alpha", "0.5", "--p", "2", "--threads", "1"],
+                     ["eval", "--alpha", "0", "--boundary", "b.csv", "--grid", "--nodes", "2048"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["report", "verify"])
     def test_negative_seed(self, capsys, command):

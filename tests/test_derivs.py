@@ -408,29 +408,28 @@ class TestSineMoment:
             return leggauss(n)
 
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting_leggauss)
-        # Radii within (1-r) 37^2 >= 512, the bound sine_moment resolves.
         for alpha, r in ((0.5, 0.1), (-0.5, 0.3), (2.0, 0.6)):
-            x, wts = leggauss(37)
+            x, wts = leggauss(512)
             t, w = 0.5 * math.pi * (x + 1.0), 0.5 * math.pi * wts
             dist_sq = (1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * t) ** 2
             integral = 2.0 * float(np.sum(w * r * np.sin(t) * dist_sq ** (-0.5 * (alpha + 2.0))))
             want = ((1.0 - r) * (1.0 + r)) ** alpha * integral
-            assert sine_moment(alpha, r, n=37) == want
-        assert calls == [37]
+            assert sine_moment(alpha, r) == want
+        assert calls == [512]
 
     @pytest.mark.parametrize("alpha", [-0.5, 2.0])
     def test_no_cancellation_near_the_boundary(self, alpha):
-        # The same 64-point rule summed by mpmath: 1 - 2r cos t + r^2 and 1 - r r
-        # cancelled, 1e-6 off at alpha = 2 and r = 1 - 1e-6 with 512 points.
+        # The same 512-point rule summed by mpmath: 1 - 2r cos t + r^2 and 1 - r r
+        # cancelled, 1e-6 off at alpha = 2 and r = 1 - 1e-6.
         mpmath = pytest.importorskip("mpmath")
         r = 1.0 - 1e-6
-        t, w = derivs._gauss_legendre_0_pi(64)
+        t, w = derivs._gauss_legendre_0_pi()
         with mpmath.workdps(40):
             R, a = mpmath.mpf(r), mpmath.mpf(alpha)
             want = 2 * (1 - R * R) ** a * mpmath.fsum(
                 wi * R * mpmath.sin(ti) * (1 - 2 * R * mpmath.cos(ti) + R * R) ** (-(a + 2) / 2)
                 for ti, wi in zip(map(mpmath.mpf, t.tolist()), map(mpmath.mpf, w.tolist())))
-            assert abs(derivs._sine_rule(alpha, r, 64) / want - 1) <= 1e-14
+            assert abs(derivs._sine_rule(alpha, r) / want - 1) <= 1e-14
 
     @pytest.mark.parametrize("r", [0.9999, 1.0 - 1e-6])
     def test_refuses_radii_the_rule_cannot_resolve(self, r):
@@ -445,21 +444,6 @@ class TestSineMoment:
             assert sine_moment(alpha, r) == pytest.approx(sine_moment_exact(alpha, r), rel=2e-11)
         with pytest.raises(ValueError, match="resolve"):
             sine_moment(0.0, math.nextafter(r, 1.0))
-
-    def test_refuses_node_counts_past_4096_before_building_the_rule(self):
-        # leggauss(n) holds an n x n matrix: 8 TiB at n = 2^20.
-        derivs._gauss_legendre_0_pi.cache_clear()
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match=r"n must lie in \[1, 4096\]"):
-                sine_moment(0.0, 0.5, n=2**20)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
-        assert derivs._gauss_legendre_0_pi.cache_info().currsize == 0
-        with pytest.raises(ValueError, match="4096"):
-            sine_moment(0.0, 0.5, n=4097)
 
     def test_domain(self):
         for bad in (-0.1, 1.0, 1.5):

@@ -27,7 +27,6 @@ bad_counts = st.one_of(st.integers(min_value=-64, max_value=64),
 small_counts = st.sampled_from([16, 32, 64])  # valid counts stay small, so a run is quick
 # option: (values in range, values out of range)
 OPTIONS = {
-    "threads": (st.integers(1, 2), st.integers(-2, 0)),
     "alpha": (st.floats(min_value=-0.99, max_value=1.0), reals),
     "p": (st.sampled_from([1.0, 1.5, 2.0, math.inf]), reals),
     "samples": (small_counts, bad_counts),
@@ -40,10 +39,9 @@ OPTIONS = {
     "id": (st.sampled_from(["4.1", "4.2", "4.3", "hyp-monomial"]), st.sampled_from(["4.4", ""])),
 }
 COMMANDS = {
-    "regime": ("alpha", "p", "threads"),
-    "example": ("id", "alpha", "samples", "n", "n-trunc", "threads"),
-    "norm": ("id", "alpha", "p", "cutoffs", "r-max", "nodes", "samples", "n", "n-trunc",
-             "threads"),
+    "regime": ("alpha", "p"),
+    "example": ("id", "alpha", "samples", "n", "n-trunc"),
+    "norm": ("id", "alpha", "p", "cutoffs", "r-max", "nodes", "samples", "n", "n-trunc"),
 }
 
 

@@ -12,6 +12,7 @@ from diskpoisson.mappings import (
     _circle_sum,
     _log_series_circle,
     _phase_circle,
+    _phase_deriv_coeffs,
     log_series_boundary,
     log_series_derivs,
     log_series_field,
@@ -176,12 +177,13 @@ class TestPhaseCorner:
 
     def test_wirtinger_truncation_settled(self):
         # At moderate radius the default term count is far past the
-        # geometric tail: an explicit larger kmax changes nothing.
+        # geometric tail: a direct sum of 4096 terms changes nothing.
         z = 0.5 * np.exp(1.3j)
-        a = phase_wirtinger(z, kmax=256)
-        b = phase_wirtinger(z, kmax=4096)
-        assert abs(a[0] - b[0]) < 1e-14
-        assert abs(a[1] - b[1]) < 1e-14
+        a = phase_wirtinger(z)
+        cpos, cneg = _phase_deriv_coeffs(4096)
+        powers = z ** np.arange(4096)
+        assert abs(a[0] - np.sum(cpos * powers)) < 1e-14
+        assert abs(a[1] - np.sum(cneg * np.conj(powers))) < 1e-14
 
     def test_domain(self):
         with pytest.raises(ValueError, match="open disk"):
@@ -189,8 +191,8 @@ class TestPhaseCorner:
 
     def test_field_wiring(self):
         pts = np.array([0.2 + 0.1j, 0.5j])
-        fld = phase_field(pts, kmax=512)
-        dz, dzbar = phase_wirtinger(pts, kmax=512)
+        fld = phase_field(pts)
+        dz, dzbar = phase_wirtinger(pts)
         assert np.array_equal(fld.dz, dz)
         assert np.array_equal(fld.dzbar, dzbar)
 

@@ -16,9 +16,13 @@ from diskpoisson.norms import (
     STATUS_LOWER_BOUND,
     GrowthReport,
     KernelQuantity,
+    NormEstimate,
     _circle_mean,
+    _bergman_value,
+    _circle_means,
     _increment_exponent,
     _mean_p,
+    _status_from_tail,
     bergman_norm,
     dfield_norms,
     divergence_probe,
@@ -83,6 +87,15 @@ class TestKernelQuantity:
         assert np.max(np.abs(vals - np.exp(1j * thetas))) < 1e-8
         dth = KernelQuantity(0.0, F, "dtheta").circle_values(0.0, q)
         assert np.max(np.abs(dth)) == 0.0
+
+    def test_origin_circle_on_the_sampled_grid(self, q):
+        # A sampled boundary is swept at its own sample count, the origin included.
+        F = phase_boundary(8192)
+        F = BoundaryData.from_samples(F.thetas, F.values)
+        for r in (0.0, 0.5):
+            lengths = {quantity: len(KernelQuantity(0.3, F, quantity).circle_values(r, q))
+                       for quantity in QUANTITIES}
+            assert set(lengths.values()) == {8192}, (r, lengths)
 
     def test_circle_values_match_closed_form(self, q):
         m = HypMonomial(-0.5, 1)
@@ -196,6 +209,30 @@ class TestBergmanNorm:
     def test_sup_at_p_inf(self, q):
         est = bergman_norm(lambda z: z, math.inf, q)
         assert est.value == pytest.approx(q.r_max, rel=1e-14)
+
+
+    @pytest.mark.parametrize("r_max,circles", [(0.999, 64), (0.9999, 66), (0.99, 64)])
+    def test_each_circle_evaluated_once(self, r_max, circles):
+        # At r_max 0.9999 the cutoffs 0.99 and 0.999 lie off the 64-radius grid.
+        q = QuadSpec(r_max=r_max)
+        radii = []
+
+        def f(z):
+            radii.append(float(np.max(np.abs(z))))
+            return z * (1.0 - np.abs(z)) ** -0.6
+
+        est = bergman_norm(f, 2.0, q)
+        assert len(radii) == len(set(radii)) == circles
+        grid_radii, means = _circle_means(f, q.radial_grid, 2.0, q)
+        w = 1.0 - r_max
+        if r_max > 0.99:
+            status = divergence_probe(f, 2.0, [1.0 - 100.0 * w, 1.0 - 10.0 * w, r_max],
+                                      kind="bergman", q=q).status
+        else:
+            status = _status_from_tail(grid_radii, list(means))
+        assert est == NormEstimate(value=_bergman_value(grid_radii, means, 2.0), p=2.0,
+                                   r_max=float(grid_radii[-1]), n_nodes=q.angular_nodes,
+                                   status=status)
 
 
 class TestIncrementExponent:
