@@ -17,8 +17,8 @@ from diskpoisson.norms import (
     GrowthReport,
     KernelQuantity,
     NormEstimate,
-    _circle_mean,
     _bergman_value,
+    _circle_mean,
     _circle_means,
     _increment_exponent,
     _mean_p,
@@ -209,7 +209,6 @@ class TestBergmanNorm:
     def test_sup_at_p_inf(self, q):
         est = bergman_norm(lambda z: z, math.inf, q)
         assert est.value == pytest.approx(q.r_max, rel=1e-14)
-
 
     @pytest.mark.parametrize("r_max,circles", [(0.999, 64), (0.9999, 66), (0.99, 64)])
     def test_each_circle_evaluated_once(self, r_max, circles):
