@@ -13,7 +13,6 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
@@ -126,18 +125,20 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(text: str, output: Optional[str]) -> None:
+def _emit(write, output: Optional[str]) -> None:
+    """write(stream) to the file output, or else to sys.stdout as bound at this call
+    (pytest's capsys and redirect_stdout rebind it)."""
     if output is None:
-        sys.stdout.write(text)
+        write(sys.stdout)
     else:
         with open(output, "w") as fh:
-            fh.write(text)
+            write(fh)
 
 
 def _emit_json(payload, output: Optional[str]) -> None:
     text = json.dumps(_jsonable(payload), indent=2, sort_keys=True,
                       allow_nan=False) + "\n"
-    _emit(text, output)
+    _emit(lambda fh: fh.write(text), output)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -175,14 +176,9 @@ def _parse_points(raw_points: Sequence[str], r_max: float) -> np.ndarray:
 
 def _load_boundary(ns: argparse.Namespace) -> tuple:
     """(label, BoundaryData) from --boundary or --example options."""
-    if ns.boundary is not None and ns.example is not None:
-        raise UsageError("--boundary and --example are mutually exclusive")
     if ns.boundary is not None:
         return os.path.basename(ns.boundary), read_boundary_csv(ns.boundary)
-    if ns.example is not None:
-        name, _, F = _build_example(ns, ns.example)
-        return name, F
-    raise UsageError("a boundary source is required: --boundary CSV or --example ID")
+    return ns.example, _build_example(ns, ns.example)[1]
 
 
 def _resolve_example_id(raw: str) -> str:
@@ -193,22 +189,26 @@ def _resolve_example_id(raw: str) -> str:
     return name
 
 
-def _build_example(ns: argparse.Namespace, raw_id: str) -> tuple:
-    """(name, params dict, BoundaryData) for a bundled example."""
-    name = _resolve_example_id(raw_id)
+# The options each bundled example is built from; _check_args checks these alone.
+_EXAMPLE_OPTIONS = {
+    "hyp-monomial": ("samples", "alpha", "n"),
+    "piecewise-phase": ("samples",),
+    "log-series": ("samples", "n_trunc"),
+}
+
+
+def _build_example(ns: argparse.Namespace, name: str) -> tuple:
+    """(params dict, BoundaryData) for the bundled example name, from options
+    _check_args has checked."""
     samples = ns.samples
     if name == "hyp-monomial":
-        alpha = ns.alpha if ns.alpha is not None else -0.5
-        _require(-1.0 < alpha < 0.0,
-                 f"hyp-monomial needs alpha in (-1, 0), got {alpha}")
-        _require(ns.n >= 1, f"hyp-monomial needs n >= 1, got {ns.n}")
-        m = HypMonomial(alpha=alpha, n=ns.n)
-        return name, {"alpha": alpha, "n": ns.n, "samples": samples}, m.boundary(samples)
+        m = HypMonomial(alpha=ns.alpha, n=ns.n)
+        return {"alpha": ns.alpha, "n": ns.n, "samples": samples}, m.boundary(samples)
     if name == "piecewise-phase":
-        return name, {"samples": samples}, phase_boundary(samples)
+        return {"samples": samples}, phase_boundary(samples)
     F = log_series_boundary(samples, ns.n_trunc)
     used = ns.n_trunc if ns.n_trunc is not None else min(4096, samples // 2 - 1)
-    return name, {"samples": samples, "n_trunc": used}, F
+    return {"samples": samples, "n_trunc": used}, F
 
 
 def _example_facts(name: str, params: dict, F: BoundaryData) -> dict:
@@ -222,7 +222,7 @@ def _example_facts(name: str, params: dict, F: BoundaryData) -> dict:
         return {
             "deriv_sup_norm": (math.pi + 1.0) / math.pi,
             "deriv_l1_mean": 1.0,
-            "corner_nodes": list(F.flagged_nodes),
+            "corner_nodes": [0, F.n_samples // 2],  # theta = 0 and pi
         }
     return {
         "boundary_sup": float(np.max(np.abs(F.values))),
@@ -252,9 +252,7 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
             for i, z in enumerate(pts):
                 dz[i], dzbar[i] = dz_dzbar_f(ns.alpha, F, complex(z), q)
             fld = DerivField.from_wirtinger(pts, dz, dzbar)
-        buf = io.StringIO()
-        write_deriv_rows(buf, fld)
-        _emit(buf.getvalue(), ns.output)
+        _emit(lambda fh: write_deriv_rows(fh, fld), ns.output)
         return 0
 
     if ns.grid:
@@ -277,9 +275,7 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
 
     keys = ("r", "theta", "re", "im")
     if ns.format == "csv":
-        buf = io.StringIO()
-        _write_csv(buf, keys, columns)
-        _emit(buf.getvalue(), ns.output)
+        _emit(lambda fh: _write_csv(fh, keys, columns), ns.output)
     else:
         rows = zip(*(c.tolist() for c in columns))
         _emit_json({"alpha": ns.alpha, "nodes": F.n_samples,
@@ -289,7 +285,7 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
 
 def _growth_row(rep, kind: str) -> dict:
     """A GrowthReport as a JSON row, tagged with its norm kind."""
-    return dict(json.loads(rep.to_json()), kind=kind)
+    return dict(asdict(rep), kind=kind)
 
 
 def _cmd_norm(ns: argparse.Namespace) -> int:
@@ -419,7 +415,8 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
 
 
 def _cmd_example(ns: argparse.Namespace) -> int:
-    name, params, F = _build_example(ns, ns.example_id)
+    name = ns.example_id
+    params, F = _build_example(ns, name)
     payload = {
         "id": name,
         "alias": EXAMPLE_IDS[name],
@@ -613,10 +610,11 @@ def _check_count(name: str, value: int) -> None:
 
 
 def _check_args(ns: argparse.Namespace) -> None:
-    """Check every argument before any work, and fill the derived defaults in ns.
-
-    Fills --threads from $DISKPOISSON_THREADS, the output format (csv with
-    --field, else json) and the parsed cutoff tuple.
+    """Check every argument the command reads before any work, and fill the derived
+    defaults in ns: --threads from $DISKPOISSON_THREADS, the output format (csv with
+    --field, else json), the parsed cutoffs, the resolved example id and
+    hyp-monomial's default alpha. Example options are checked where an example is
+    built, and only those its id reads.
     """
     if "threads" in ns:
         ns.threads = _default_threads() if ns.threads is None else ns.threads
@@ -626,16 +624,32 @@ def _check_args(ns: argparse.Namespace) -> None:
     if "r_max" in ns:
         _require(0.0 < ns.r_max <= 1.0 - 1e-6,
                  f"r-max must lie in (0, 1 - 1e-6], got {ns.r_max}")
-    if getattr(ns, "alpha", None) is not None:
+    reads = ()  # the example options read
+    if ns.command == "example":
+        ns.example_id = _resolve_example_id(ns.example_id)
+        reads = _EXAMPLE_OPTIONS[ns.example_id]
+    elif ns.command == "norm":
+        _require(ns.boundary is None or ns.example is None,
+                 "--boundary and --example are mutually exclusive")
+        _require(ns.boundary is not None or ns.example is not None,
+                 "a boundary source is required: --boundary CSV or --example ID")
+        if ns.example is not None:
+            ns.example = _resolve_example_id(ns.example)
+            reads = _EXAMPLE_OPTIONS[ns.example]
+    if "alpha" in ns and ns.alpha is not None and (ns.command != "example" or "alpha" in reads):
         _require(ns.alpha > -1.0, f"alpha must exceed -1, got {ns.alpha}")
     if "p" in ns:
         _require(ns.p >= 1.0, f"p must satisfy 1 <= p <= inf, got {ns.p}")
     if "cutoffs" in ns:
         ns.cutoffs = _parse_cutoffs(ns.cutoffs or _DEFAULT_CUTOFFS, ns.r_max)
-    if "samples" in ns:
+    if "samples" in reads:
         _check_count("samples", ns.samples)
-    if getattr(ns, "n_trunc", None) is not None:
+    if "n_trunc" in reads and ns.n_trunc is not None:
         _require(ns.n_trunc >= 2, f"n-trunc must be >= 2, got {ns.n_trunc}")
+    if "n" in reads:  # hyp-monomial
+        ns.alpha = -0.5 if ns.alpha is None else ns.alpha
+        _require(-1.0 < ns.alpha < 0.0, f"hyp-monomial needs alpha in (-1, 0), got {ns.alpha}")
+        _require(ns.n >= 1, f"hyp-monomial needs n >= 1, got {ns.n}")
     if "seed" in ns:
         _require(ns.seed >= 0, f"seed must be >= 0, got {ns.seed}")
     if "grid_thetas" in ns:

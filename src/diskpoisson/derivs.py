@@ -24,9 +24,7 @@ finite differences, flagging the point.
 
 from __future__ import annotations
 
-import csv
 import math
-from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
@@ -37,10 +35,12 @@ from .kernel import (
     BoundaryData,
     QuadSpec,
     _circle_spectra,
+    _distance_sq,
     _invert,
     _on_quad_grid,
     _point_values,
     _read_only,
+    _read_table,
     _under_resolved,
     _write_csv,
     as_alpha,
@@ -183,9 +183,9 @@ def sine_moment(a, r: float) -> float:
 def _sine_rule(alpha: float, r: float) -> float:
     """The Gauss-Legendre sum behind sine_moment, at any r in [0, 1)."""
     t, w = _gauss_legendre_0_pi()
-    # |1 - r e^{it}|^2 and 1 - r^2 written as kernel._kernel_formula writes them: no
+    # |1 - r e^{it}|^2 and 1 - r^2 written as in kernel._kernel_formula: no
     # cancellation as r -> 1
-    dist_sq = (1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * t) ** 2
+    dist_sq = _distance_sq(r, np.sin(0.5 * t) ** 2)
     integral = 2.0 * float(np.sum(w * r * np.sin(t) * dist_sq ** (-0.5 * (alpha + 2.0))))
     return ((1.0 - r) * (1.0 + r)) ** alpha * integral
 
@@ -321,36 +321,13 @@ def write_deriv_csv(path: str, fld: DerivField) -> None:
 
 
 def read_deriv_csv(path: str) -> DerivField:
-    """Read a field written by write_deriv_csv.
-
-    Every refusal is a ValueError that names the file, and the line when
-    one row is at fault, as read_boundary_csv's do.
-    """
-    n_fields = len(_DERIV_CSV_HEADER)
-    numbers = array("d")  # every field of every row but the flag, as packed doubles
-    flags = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != _DERIV_CSV_HEADER:
-                raise ValueError(f"{path}: unexpected derivative CSV header: {header!r}")
-            for row in reader:
-                if len(row) != n_fields:
-                    raise ValueError(f"{path}, line {reader.line_num}: expected {n_fields} "
-                                     f"fields, got {len(row)}")
-                try:
-                    numbers.extend([float(x) for x in row[:-1]])
-                except ValueError:
-                    raise ValueError(f"{path}, line {reader.line_num}: every field but the "
-                                     f"flag must be a real number, got {row!r}") from None
-                flags.append(row[-1])
-        except csv.Error as exc:
-            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    cols = np.frombuffer(numbers).reshape(len(flags), n_fields - 1)
+    """Read a field written by write_deriv_csv; refusals name the file (and line)
+    as read_boundary_csv's do, through the same reading loop."""
+    cols, flags = _read_table(path, _DERIV_CSV_HEADER, len(_DERIV_CSV_HEADER) - 1)
+    if not np.all(np.isfinite(cols[:, :2])):
+        raise ValueError(f"{path}: r and theta must be finite")
     points = np.array([r * complex(math.cos(theta), math.sin(theta))
                        for r, theta in cols[:, :2].tolist()], dtype=complex)
-    dtheta, dr, dz, dzbar = (cols[:, 2 + 2 * k] + 1j * cols[:, 3 + 2 * k] for k in range(4))
+    # each row's re, im pairs, viewed as complex: no arithmetic, so inf and nan pass as read
+    dtheta, dr, dz, dzbar = cols[:, 2:].copy().view(complex).T
     return DerivField(points, dtheta, dr, dz, dzbar, flags)

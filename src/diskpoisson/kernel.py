@@ -5,7 +5,8 @@ c_a = Gamma(1+a/2)^2 / Gamma(1+a) reproduces a family of disk functions
 from boundary data: f(z) = (1/2pi) int K_a(z e^{-it}) F(e^{it}) dt.
 This module provides the kernel, the boundary-data model (uniform samples
 plus optional closed-form evaluators), quadrature configuration, the
-integral operator itself, and boundary differentiation.
+integral operator itself, boundary differentiation, and the one CSV table
+reader and writer that boundary and derivative-field files share.
 
 Quadrature is the composite trapezoid rule on the uniform periodic grid,
 which is spectrally accurate for smooth integrands. _point_values is the
@@ -35,6 +36,7 @@ import warnings
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -146,7 +148,6 @@ class BoundaryData:
     values: np.ndarray
     closed_form: Optional[Callable[[np.ndarray], np.ndarray]] = None
     closed_form_deriv: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    flagged_nodes: tuple = ()
 
     def __post_init__(self) -> None:
         thetas = np.asarray(self.thetas, dtype=float)
@@ -176,17 +177,11 @@ class BoundaryData:
         object.__setattr__(self, "_derived", {})
 
     @classmethod
-    def from_function(
-        cls,
-        fn: Callable[[np.ndarray], np.ndarray],
-        n: int = 2048,
-        deriv: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        flagged_nodes: tuple = (),
-    ) -> "BoundaryData":
+    def from_function(cls, fn: Callable[[np.ndarray], np.ndarray], n: int = 2048,
+                      deriv: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> "BoundaryData":
         thetas = _uniform_thetas(n)
         values = np.asarray(fn(thetas), dtype=complex)
-        return cls(thetas, values, closed_form=fn, closed_form_deriv=deriv,
-                   flagged_nodes=flagged_nodes)
+        return cls(thetas, values, closed_form=fn, closed_form_deriv=deriv)
 
     @classmethod
     def from_samples(cls, thetas: Sequence[float], values: Sequence[complex]) -> "BoundaryData":
@@ -312,11 +307,15 @@ def poisson_integral(a, F: BoundaryData, z, q: QuadSpec) -> complex:
     return _point_values(a, F, z, q, ("f",))[0]
 
 
+def _distance_sq(r, sin2):
+    """|1 - r e^{it}|^2 as (1-r)^2 + 4r sin^2(t/2): no cancellation near t = 0 as r -> 1."""
+    return (1.0 - r) ** 2 + 4.0 * r * sin2
+
+
 def _kernel_formula(a: AlphaParam, r, sin2):
-    """kernel_K(a, r e^{it}) from r and sin^2(t/2), with |1 - r e^{it}|^2 written as
-    (1-r)^2 + 4r sin^2(t/2), which does not cancel near t = 0 as r -> 1, and 1 - r^2 as
-    (1-r)(1+r), as kernel_K writes it. The one kernel formula of both operators."""
-    dist_sq = (1.0 - r) ** 2 + 4.0 * r * sin2
+    """kernel_K(a, r e^{it}) from r and sin^2(t/2), with 1 - r^2 written as (1-r)(1+r), as
+    kernel_K writes it. The one kernel formula of both operators."""
+    dist_sq = _distance_sq(r, sin2)
     return (a.c_alpha * ((1.0 - r) * (1.0 + r)) ** (a.alpha + 1.0)
             * dist_sq ** (-0.5 * (a.alpha + 2.0)))
 
@@ -457,8 +456,7 @@ def boundary_derivative(F: BoundaryData) -> BoundaryData:
 def _derivative(F: BoundaryData) -> BoundaryData:
     n = F.n_samples
     if F.closed_form_deriv is not None:
-        return BoundaryData.from_function(F.closed_form_deriv, n,
-                                          flagged_nodes=F.flagged_nodes)
+        return BoundaryData.from_function(F.closed_form_deriv, n)
     fhat = F._spectrum()
     energy = np.abs(fhat) ** 2
     total = float(np.sum(energy))
@@ -505,41 +503,50 @@ def write_boundary_csv(path: str, F: BoundaryData) -> None:
         _write_csv(fh, ("theta", "re", "im"), (F.thetas, F.values.real, F.values.imag))
 
 
-def read_boundary_csv(path: str) -> BoundaryData:
-    """Read boundary samples from CSV (theta,re,im); validates grid uniformity.
-
-    Every refusal is a ValueError that names the file, and the line when
-    one row is at fault. A row past the angular cap of 2^17 samples is
-    refused as it is read, and samples are held as packed doubles, so a
-    long file costs at most 24 bytes a row before the refusal.
-    """
-    thetas = array("d")
-    values = array("d")  # re, im pairs
+def _read_table(path: str, header: Sequence[str], n_numbers: int,
+                cap: Optional[int] = None) -> tuple:
+    """(numbers, labels) of a CSV file under header: the first n_numbers fields of each
+    row as an array of shape (rows, n_numbers) and, when the header names one more
+    column, the text of that column. The one CSV reading loop: each refusal is a
+    ValueError naming the file (and the line of a faulty row); a row past cap rows is
+    refused as it is read, and numbers are held as packed doubles until then."""
+    names = ",".join(header)
+    labelled = len(header) > n_numbers
+    numbers = array("d")
+    labels = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["theta", "re", "im"]:
-                raise ValueError(f"{path}: expected header theta,re,im, got {header!r}")
-            for row in reader:
-                if len(thetas) == _ANGULAR_CAP:
-                    raise ValueError(f"{path}, line {reader.line_num}: more than "
-                                     f"{_ANGULAR_CAP} samples (the angular node cap)")
-                if len(row) != 3:
-                    raise ValueError(f"{path}, line {reader.line_num}: expected 3 fields "
-                                     f"theta,re,im, got {len(row)}")
+            first = next(reader, None)
+            if first is None or [h.strip() for h in first] != list(header):
+                raise ValueError(f"{path}: expected header {names}, got {first!r}")
+            for row in islice(reader, cap):
+                if len(row) != len(header):
+                    raise ValueError(f"{path}, line {reader.line_num}: expected "
+                                     f"{len(header)} fields {names}, got {len(row)}")
                 try:
-                    theta, re, im = (float(x) for x in row)
+                    numbers.extend(map(float, row[:n_numbers]))
                 except ValueError:
-                    raise ValueError(f"{path}, line {reader.line_num}: theta,re,im must be "
-                                     f"real numbers, got {row!r}") from None
-                thetas.append(theta)
-                values.extend((re, im))
+                    raise ValueError(f"{path}, line {reader.line_num}: "
+                                     f"{','.join(header[:n_numbers])} must be real "
+                                     f"numbers, got {row!r}") from None
+                if labelled:
+                    labels.append(row[-1])
+            if next(reader, None) is not None:  # only after cap rows
+                raise ValueError(f"{path}, line {reader.line_num}: more than "
+                                 f"{cap} samples (the angular node cap)")
         except csv.Error as exc:
             raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from None
-    try:
-        return BoundaryData.from_samples(np.frombuffer(thetas), np.frombuffer(values, complex))
+    return np.frombuffer(numbers).reshape(-1, n_numbers), labels
+
+
+def read_boundary_csv(path: str) -> BoundaryData:
+    """Read boundary samples from CSV (theta,re,im); validates grid uniformity.
+    Refusals name the file (and line); rows past the 2^17-sample cap are refused."""
+    cols, _ = _read_table(path, ("theta", "re", "im"), 3, cap=_ANGULAR_CAP)
+    try:  # each row's re, im pair, viewed as one complex
+        return BoundaryData.from_samples(cols[:, 0], cols[:, 1:].copy().view(complex)[:, 0])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

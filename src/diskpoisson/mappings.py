@@ -229,7 +229,7 @@ def phase_boundary(n_samples: int = 2048) -> BoundaryData:
     phi(0) = 1 and phi is continuous with slopes (pi-1)/pi on the upper
     half-circle and (pi+1)/pi on the lower one. The derivative channel
     takes the one-sided value from the right at the two slope corners
-    theta = 0 and theta = pi; those two nodes are flagged.
+    theta = 0 and theta = pi, nodes 0 and n_samples / 2 of every grid.
     """
 
     def fn(thetas):
@@ -238,8 +238,7 @@ def phase_boundary(n_samples: int = 2048) -> BoundaryData:
     def dfn(thetas):
         return 1j * _phase_slope(thetas) * np.exp(1j * _phase(thetas))
 
-    return BoundaryData.from_function(fn, n_samples, deriv=dfn,
-                                      flagged_nodes=(0, n_samples // 2))
+    return BoundaryData.from_function(fn, n_samples, deriv=dfn)
 
 
 def phase_fourier_coeff(k) -> np.ndarray:

@@ -32,7 +32,8 @@ import numpy as np
 
 from .specfun import gamma
 from .kernel import (BoundaryData, QuadSpec, _ANGULAR_CAP, _circle_spectra,
-                     _half_angle_sin2, _invert, as_alpha, boundary_derivative)
+                     _distance_sq, _half_angle_sin2, _invert, as_alpha,
+                     boundary_derivative)
 # circle_derivs stays bound: perfbench's test_wrappers_are_all_removed asserts it is traced.
 from .derivs import circle_derivs  # noqa: F401
 from .norms import lp_norm_circle, integral_mean
@@ -123,9 +124,8 @@ class CertificationRecord:
 
 
 def _mean_distance_power(r: float, s: float, n: int) -> float:
-    """Mean of |1 - r e^{i t}|^(-s) over the n-node grid, with |1 - r e^{i t}|^2 written as
-    (1-r)^2 + 4r sin^2(t/2), which does not cancel near t = 0 as r -> 1."""
-    return float(np.mean(((1.0 - r) ** 2 + 4.0 * r * _half_angle_sin2(n)) ** (-0.5 * s)))
+    """Mean of |1 - r e^{i t}|^(-s) over the n-node grid, |1 - r e^{i t}|^2 from _distance_sq."""
+    return float(np.mean(_distance_sq(r, _half_angle_sin2(n)) ** (-0.5 * s)))
 
 
 def check_kernel_mean_bound(alpha: float, r: float, q: QuadSpec) -> CertificationRecord:

@@ -12,7 +12,7 @@ import pytest
 
 from diskpoisson import cli, kernel, mappings, regimes
 from diskpoisson.cli import THREADS_ENV, main
-from diskpoisson.derivs import read_deriv_csv
+from diskpoisson.derivs import deriv_field, read_deriv_csv, write_deriv_csv
 from diskpoisson.kernel import QuadSpec, circle_poisson_values, radial_grid, read_boundary_csv
 from diskpoisson.kernel import _ANGULAR_CAP
 from diskpoisson.mappings import HypMonomial
@@ -246,6 +246,31 @@ class TestEval:
         assert len(q.radial_grid) * 64 > kernel._CSV_BLOCK
         assert out == buf.getvalue()
 
+    @pytest.mark.parametrize("table", ["--field", "csv"])
+    def test_grid_tables_write_the_same_bytes_to_stdout_and_output(self, capsys, monomial_csv,
+                                                                    tmp_path, table):
+        argv = ["eval", "--alpha", "-0.5", "--boundary", monomial_csv, "--grid",
+                "--grid-thetas", "64", "--r-max", "0.9"]
+        argv += ["--field"] if table == "--field" else ["--format", "csv"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        path = tmp_path / "table.csv"
+        assert run_cli(capsys, argv + ["--output", str(path)])[:2] == (0, "")
+        F = read_boundary_csv(monomial_csv)
+        q = QuadSpec(r_max=0.9)
+        want = tmp_path / "want.csv"
+        if table == "--field":
+            write_deriv_csv(str(want), deriv_field(-0.5, F, q, n_thetas=64))
+        else:
+            vals = np.concatenate([circle_poisson_values(-0.5, F, float(r), q)[::32]
+                                   for r in q.radial_grid])
+            with open(want, "w", newline="") as fh:
+                kernel._write_csv(fh, ("r", "theta", "re", "im"), (
+                    np.repeat(q.radial_grid, 64),
+                    np.tile(kernel._uniform_thetas(64), len(q.radial_grid)),
+                    vals.real, vals.imag))
+        assert out.encode() == path.read_bytes() == want.read_bytes()
+
     def test_grid_thetas_checked_against_csv_not_nodes(self, capsys, monomial_csv):
         code, _, err = run_cli(
             capsys,
@@ -430,6 +455,22 @@ class TestArgumentChecks:
             assert exc.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["example", "--id", "4.1", "--alpha", "-5"], "alpha must exceed -1, got -5.0"),
+        (["example", "--id", "hyp-monomial", "--alpha", "0.5"],
+         "hyp-monomial needs alpha in (-1, 0), got 0.5"),
+        (["example", "--id", "4.1", "--n", "0"], "hyp-monomial needs n >= 1, got 0"),
+        (["example", "--id", "4.3", "--n-trunc", "1"], "n-trunc must be >= 2, got 1"),
+        (["example", "--id", "4.4"], "unknown example id '4.4'"),
+        (NORM_41 + ["--alpha", "0.5"], "hyp-monomial needs alpha in (-1, 0), got 0.5"),
+        (["norm", "--alpha", "0", "--p", "2", "--example", "log-series", "--n-trunc", "1"],
+         "n-trunc must be >= 2, got 1"),
+        (NORM_41 + ["--boundary", "b.csv"], "--boundary and --example are mutually exclusive"),
+        (["norm", "--alpha", "0", "--p", "2"], "a boundary source is required"),
+    ])
+    def test_example_options_checked_where_read(self, capsys, argv, message):
+        assert self.refused(capsys, argv).startswith(f"error: {message}")
+
     @pytest.mark.parametrize("command", ["report", "verify"])
     def test_negative_seed(self, capsys, command):
         assert self.refused(capsys, [command, "--seed", "-1"]) == "error: seed must be >= 0, got -1\n"
@@ -439,6 +480,24 @@ class TestArgumentChecks:
             ns = cli.build_parser().parse_args(NORM_41 + ["--nodes", nodes, "--samples", nodes])
             cli._check_args(ns)
             assert ns.nodes == ns.samples == int(nodes)
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "--alpha", "0", "--p", "2", "--samples", "17"],
+    ["norm", "--alpha", "0", "--p", "2", "--n-trunc", "1"],
+    ["norm", "--alpha", "0", "--p", "2", "--n", "0"],
+    ["example", "--id", "4.2", "--alpha", "-5"],
+    ["example", "--id", "piecewise-phase", "--n-trunc", "1"],
+    ["example", "--id", "4.3", "--alpha", "-5"],
+    ["example", "--id", "4.1", "--n-trunc", "1"],
+])
+def test_options_the_command_ignores_are_not_checked(capsys, monomial_csv, argv):
+    # --boundary reads no example option, and each example only its own.
+    if argv[0] == "norm":
+        argv = argv + ["--boundary", monomial_csv, "--r-max", "0.9", "--cutoffs", "0.5,0.7,0.9"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("{")
 
 
 class TestNorm:

@@ -596,15 +596,17 @@ class TestDerivCsv:
     def test_empty_file_named(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
+        header = ",".join(derivs._DERIV_CSV_HEADER)
         with pytest.raises(ValueError, match=re.escape(
-                f"{path}: unexpected derivative CSV header")):
+                f"{path}: expected header {header}, got None")):
             read_deriv_csv(str(path))
 
     def test_short_row_named_with_its_line(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text(",".join(derivs._DERIV_CSV_HEADER) + "\n0.5,0.0,1.0\n")
         with pytest.raises(ValueError, match=re.escape(
-                f"{path}, line 2: expected 11 fields, got 3")):
+                f"{path}, line 2: expected 11 fields r,theta,re_dtheta,im_dtheta,re_dr,"
+                "im_dr,re_dz,im_dz,re_dzbar,im_dzbar,flag, got 3")):
             read_deriv_csv(str(path))
 
     def test_non_numeric_cell_named_with_its_line(self, tmp_path):
@@ -613,8 +615,25 @@ class TestDerivCsv:
         path.write_text(",".join(derivs._DERIV_CSV_HEADER) + f"\n{good}\n"
                         + good.replace("1.0", "one", 1) + "\n")
         with pytest.raises(ValueError, match=re.escape(
-                f"{path}, line 3: every field but the flag")):
+                f"{path}, line 3: r,theta,re_dtheta,im_dtheta,re_dr,im_dr,re_dz,im_dz,"
+                "re_dzbar,im_dzbar must be real numbers, got ['0.5', '0.0', 'one'")):
             read_deriv_csv(str(path))
+
+    @pytest.mark.parametrize("r,theta", [("0.5", "inf"), ("0.5", "nan"), ("inf", "0.0")])
+    def test_non_finite_point_named_with_its_file(self, tmp_path, r, theta):
+        path = tmp_path / "point.csv"
+        path.write_text(",".join(derivs._DERIV_CSV_HEADER) + f"\n{r},{theta}" + ",1.0" * 8 + ",\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: r and theta must be finite")):
+            read_deriv_csv(str(path))
+
+    def test_non_finite_derivatives_read_as_written(self, tmp_path):
+        path = tmp_path / "inf.csv"
+        path.write_text(",".join(derivs._DERIV_CSV_HEADER)
+                        + "\n0.5,0.0,0.0,inf,-0.0,nan,-inf,0.0,1.0,-1.0,\n")
+        fld = read_deriv_csv(str(path))
+        assert (fld.dtheta[0], fld.dz[0], fld.dzbar[0]) == (complex(0.0, math.inf),
+                                                             complex(-math.inf, 0.0), 1 - 1j)
+        assert math.copysign(1.0, fld.dr[0].real) == -1.0 and math.isnan(fld.dr[0].imag)
 
     def test_rows_stream(self):
         fld = DerivField.from_wirtinger(

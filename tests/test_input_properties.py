@@ -1,8 +1,9 @@
 """Property tests of the input contract: fuzzed argv and fuzzed boundary CSV text.
 
 Any argv of numbers exits 0 or 2 and never raises; exit 2 prints one
-`error:` line. Any CSV text either reads as BoundaryData or is refused with
-a ValueError that names the file.
+`error:` line. Any CSV text either reads as BoundaryData (or, through the
+field reader, as a DerivField) or is refused with a ValueError that names
+the file.
 """
 
 import contextlib
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from diskpoisson.cli import main
+from diskpoisson.derivs import _DERIV_CSV_HEADER, DerivField, read_deriv_csv
 from diskpoisson.kernel import _ANGULAR_CAP, BoundaryData, read_boundary_csv
 
 # Reals of every kind argparse accepts for a float option, out-of-range ones included.
@@ -83,35 +85,49 @@ fields = st.one_of(
     st.sampled_from(["", " ", "np.float64(0.0)", "1e999", "nan", "0x1p-3", "1,5", '"2"']),
     st.text(alphabet="0123456789.-+eEinf \"'\r\n,", max_size=8),
 )
-headers = st.sampled_from(["theta,re,im", " theta , re , im ", "theta,re", "x,y,z", ""])
+FIELD_HEADER = ",".join(_DERIV_CSV_HEADER)
+headers = st.sampled_from(["theta,re,im", " theta , re , im ", "theta,re", "x,y,z", "",
+                           FIELD_HEADER, FIELD_HEADER.replace(",flag", "")])
+flags = st.sampled_from(["", "origin_fd", "under_resolved", '"a,b"', 'x"'])
 
 
 @st.composite
 def csv_texts(draw):
-    kind = draw(st.sampled_from(["uniform", "rows", "text"]))
+    kind = draw(st.sampled_from(["uniform", "field", "rows", "text"]))
     if kind == "text":
         return draw(st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=200))
-    if kind == "uniform":
-        # A uniform grid, occasionally with one field swapped for a fuzzed one.
+    if kind in ("uniform", "field"):
+        # A uniform boundary grid or derivative rows (ten reals and a flag), under
+        # their own header half the time, occasionally with one field fuzzed.
         n = draw(st.integers(min_value=1, max_value=24)) * 2
-        rows = [[repr(6.283185307179586 * j / n), repr(draw(st.floats(-2.0, 2.0))), "0.0"]
-                for j in range(n)]
+        if kind == "uniform":
+            header = "theta,re,im"
+            rows = [[repr(6.283185307179586 * j / n), repr(draw(st.floats(-2.0, 2.0))), "0.0"]
+                    for j in range(n)]
+        else:
+            header = FIELD_HEADER
+            rows = [[repr(draw(st.floats(-2.0, 2.0))) for _ in range(10)] + [draw(flags)]
+                    for _ in range(n)]
+        header = draw(st.one_of(st.just(header), headers))
         if draw(st.booleans()):
-            rows[draw(st.integers(0, n - 1))][draw(st.integers(0, 2))] = draw(fields)
+            rows[draw(st.integers(0, n - 1))][draw(st.integers(0, len(rows[0]) - 1))] = draw(fields)
     else:
+        header = draw(headers)
         rows = draw(st.lists(st.lists(fields, min_size=0, max_size=4), max_size=20))
-    return "\n".join([draw(headers)] + [",".join(row) for row in rows]) + "\n"
+    return "\n".join([header] + [",".join(row) for row in rows]) + "\n"
 
 
-@settings(max_examples=200, deadline=None,
+@settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(text=csv_texts())
-def test_csv_reads_or_names_the_file(tmp_path, text):
+@given(text=csv_texts(), reader=st.sampled_from([(read_boundary_csv, BoundaryData),
+                                                 (read_deriv_csv, DerivField)]))
+def test_csv_reads_or_names_the_file(tmp_path, text, reader):
+    read, kind = reader
     path = tmp_path / "fuzz.csv"
     path.write_text(text, encoding="utf-8", newline="")
     try:
-        F = read_boundary_csv(str(path))
+        got = read(str(path))
     except ValueError as exc:
         assert str(path) in str(exc), str(exc)
     else:
-        assert isinstance(F, BoundaryData)
+        assert isinstance(got, kind)

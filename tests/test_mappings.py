@@ -133,7 +133,8 @@ class TestPhaseCorner:
         F = phase_boundary(2048)
         assert F.values[0] == pytest.approx(np.exp(1j), rel=1e-14)
         assert F.values[1024] == pytest.approx(-1.0 + 0.0j, rel=1e-12)
-        assert F.flagged_nodes == (0, 1024)
+        # the corners theta = 0 and pi are nodes 0 and n/2, which example 4.2 reports
+        assert (F.thetas[0], F.thetas[1024]) == (0.0, pytest.approx(np.pi, abs=1e-15))
 
     def test_unimodular(self):
         F = phase_boundary(2048)
