@@ -167,6 +167,8 @@ def _parse_points(raw_points: Sequence[str], r_max: float) -> np.ndarray:
             r, theta = float(toks[0]), float(toks[1])
         except ValueError:
             raise UsageError(f"each --point must be 'r,theta' with real entries, got {raw!r}")
+        _require(math.isfinite(r) and math.isfinite(theta),
+                 f"each --point must have a finite r and theta, got {raw!r}")
         _require(r >= 0.0, f"point radius must be nonnegative, got {r}")
         pts.append(r * complex(math.cos(theta), math.sin(theta)))
     pts = np.asarray(pts, dtype=complex)
@@ -247,10 +249,7 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
             fld = deriv_field(ns.alpha, F, q, n_thetas=ns.grid_thetas)
         else:
             pts = _parse_points(raw_points, q.r_max)
-            dz = np.empty(len(pts), dtype=complex)
-            dzbar = np.empty(len(pts), dtype=complex)
-            for i, z in enumerate(pts):
-                dz[i], dzbar[i] = dz_dzbar_f(ns.alpha, F, complex(z), q)
+            dz, dzbar = np.array([dz_dzbar_f(ns.alpha, F, complex(z), q) for z in pts]).T
             fld = DerivField.from_wirtinger(pts, dz, dzbar)
         _emit(lambda fh: write_deriv_rows(fh, fld), ns.output)
         return 0
@@ -637,6 +636,7 @@ def _check_args(ns: argparse.Namespace) -> None:
             ns.example = _resolve_example_id(ns.example)
             reads = _EXAMPLE_OPTIONS[ns.example]
     if "alpha" in ns and ns.alpha is not None and (ns.command != "example" or "alpha" in reads):
+        _require(math.isfinite(ns.alpha), f"alpha must be finite, got {ns.alpha}")
         _require(ns.alpha > -1.0, f"alpha must exceed -1, got {ns.alpha}")
     if "p" in ns:
         _require(ns.p >= 1.0, f"p must satisfy 1 <= p <= inf, got {ns.p}")

@@ -18,8 +18,9 @@ Wirtinger pair, i df/dtheta add up in the spectrum, and the frame factor
 e^{+-i theta} is a roll by one bin. circle_derivs inverts its df/dtheta
 and r df/dr spectra. At a point, kernel._point_values, the one pointwise
 operator, sums f, df/dtheta and r df/dr over the same nodes. At the origin
-the polar frame degenerates; df/dz and df/dzbar fall back to central
-finite differences, flagging the point.
+the polar frame degenerates; there df/dz and df/dzbar are the circle
+operator's limit at r = 0, exact for the quadrature sums, and the point
+is flagged.
 """
 
 from __future__ import annotations
@@ -63,8 +64,6 @@ __all__ = [
     "write_deriv_csv",
     "read_deriv_csv",
 ]
-
-_FD_H = 1e-5
 
 FLAG_NONE = ""
 FLAG_ORIGIN = "origin_fd"
@@ -113,14 +112,14 @@ def dr_f(a, F: BoundaryData, z: complex, q: QuadSpec) -> complex:
 def dz_dzbar_f(a, F: BoundaryData, z: complex, q: QuadSpec) -> tuple[complex, complex]:
     """Wirtinger derivatives (df/dz, df/dzbar) at z.
 
-    Uses the polar-frame combination away from the origin; at z = 0 falls
-    back to central finite differences in x and y with step 1e-5.
+    Uses the polar-frame combination away from the origin; at z = 0 they are
+    the circle operator's limit there, c_a (1 + a/2) times the boundary's
+    Fourier coefficients of order 1 and -1.
     """
     z = complex(z)
     if z == 0.0:
-        fxp, fxm, fyp, fym = poisson_integral(a, F, _FD_H * np.array([1, -1, 1j, -1j]), q)
-        dx, dy = (fxp - fxm) / (2.0 * _FD_H), (fyp - fym) / (2.0 * _FD_H)
-        return (dx - 1j * dy) / 2.0, (dx + 1j * dy) / 2.0
+        dz, dzbar = _circle_spectra(a, F, 0.0, q, ("dz", "dzbar"))
+        return complex(_invert(*dz)[0]), complex(_invert(*dzbar)[0])
     dth, rdr = _point_values(a, F, z, q, ("dtheta", "rdr"))
     return _wirtinger_pair(rdr, dth, z)
 
@@ -214,10 +213,10 @@ def circle_derivs(a, F: BoundaryData, r: float, q: QuadSpec):
 class DerivField:
     """Derivative samples on a polar grid: df/dtheta, df/dr, df/dz, df/dzbar.
 
-    flags holds one string per point: "" for a clean value, "origin_fd" when
-    the Wirtinger pair came from finite differences at z = 0 (df/dr is NaN
-    there), "under_resolved" when the angular grid was too coarse for the
-    point's radius.
+    flags holds one string per point: "" for a clean value, "origin_fd" at
+    z = 0, where df/dr is NaN and the Wirtinger pair is the operator's limit
+    (the token's name predates that limit), "under_resolved" when the angular
+    grid was too coarse for the point's radius.
     """
 
     points: np.ndarray
@@ -269,7 +268,7 @@ def deriv_field(a, F: BoundaryData, q: QuadSpec, n_thetas: int = 256) -> DerivFi
     Radii come from q.radial_grid; each circle is swept at q.angular_nodes
     and subsampled to n_thetas output angles (which must divide it). Points
     whose radius needs more than q.angular_nodes angular nodes are flagged
-    under_resolved; the origin uses the finite-difference fallback.
+    under_resolved; the origin row holds dz_dzbar_f's limit at z = 0.
     """
     a = as_alpha(a)
     F = _on_quad_grid(F, q)

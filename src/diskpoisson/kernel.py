@@ -15,13 +15,13 @@ product of kernel weights with the samples of F or dF/dtheta. A circle
 sweep is the same trapezoid sums at every grid angle at once: one cyclic
 convolution, the kernel's spectrum times the boundary's. _circle_spectra
 is the one circle operator: f, df/dtheta, r df/dr, df/dr, df/dz and
-df/dzbar on a circle are each one spectrum from it and one inverse FFT,
-and one grid kernel serves them all. Both build the kernel from one
-formula, which kernel_K, the reference the tests compare against, writes
-independently. On the grid the kernel is real and even in theta, so its
-spectrum is real and even: one real FFT of values built from a cached
-table of sin^2(theta_j/2), since |1 - r e^{it}|^2 = (1-r)^2 + 4r
-sin^2(t/2) does not cancel near t = 0 as r -> 1. Everything derived from a
+df/dzbar on a circle, r = 0 included, are each one spectrum from it and
+one inverse FFT. Both build the kernel from one formula, which kernel_K,
+the reference the tests compare against, writes independently. On the
+grid the kernel is real and even in theta, so its spectrum is real and
+even: one real FFT of values built from a cached table of
+sin^2(theta_j/2), since |1 - r e^{it}|^2 = (1-r)^2 + 4r sin^2(t/2) does
+not cancel near t = 0 as r -> 1. Everything derived from a
 BoundaryData's samples (its resamples; boundary_derivative, the only code
 computing dF/dtheta; the spectrum fft(values), the only FFT of boundary
 samples) is computed once and memoized on it.
@@ -67,7 +67,12 @@ def c_alpha(alpha: float) -> float:
     """Kernel normalizer Gamma(1+a/2)^2 / Gamma(1+a), positive for a > -1."""
     if alpha <= -1.0:
         raise ValueError(f"alpha must exceed -1, got {alpha!r}")
-    return gamma(1.0 + alpha / 2.0) ** 2 / gamma(1.0 + alpha)
+    try:  # the square leaves the double range from alpha ~ 196.15 on
+        half_sq = gamma(1.0 + alpha / 2.0) ** 2
+    except OverflowError:
+        raise OverflowError(f"c_alpha overflows at alpha={alpha!r}: Gamma(1+alpha/2)^2 "
+                            "exceeds the double range") from None
+    return half_sq / gamma(1.0 + alpha)
 
 
 @dataclass(frozen=True)
@@ -396,16 +401,31 @@ def _fused_spectrum(a: AlphaParam, F: BoundaryData, kern_hat: np.ndarray, kern: 
 _FRAME_SIGN = {"rdr": 0, "dr": 0, "dzbar": 1, "dz": -1}
 
 
+def _origin_spectrum(a: AlphaParam, F: BoundaryData, name: str) -> tuple:
+    """(S, 1) of a derivative on the circle r = 0, the operator's limit there: of the kernel's
+    modes only m = +-1 have a first derivative at the origin, each lam = c_a (1 + a/2), so
+    df/dz = lam fft(F)[1] / N and df/dzbar = lam fft(F)[N-1] / N on the whole circle,
+    df/dr = df/dz e^{i theta} + df/dzbar e^{-i theta}, and df/dtheta = r df/dr = 0."""
+    dz, dzbar = a.c_alpha * (1.0 + 0.5 * a.alpha) * F._spectrum()[[1, -1]]  # N times each
+    spec = np.zeros(F.n_samples, dtype=complex)
+    if name == "dr":
+        spec[1], spec[-1] = dz, dzbar
+    elif name in ("dz", "dzbar"):
+        spec[0] = dz if name == "dz" else dzbar
+    return spec, 1.0
+
+
 def _circle_spectra(a, F: BoundaryData, r: float, q: QuadSpec, quantities) -> list:
     """[(S, d), ...], one pair per name in quantities, with ifft(S) / d that quantity at
     every grid angle of the circle |z| = r: "f" the extension, "dtheta" df/dtheta, "rdr"
-    r df/dr, and "dr", "dz", "dzbar" (these three need r > 0).
+    r df/dr, and "dr", "dz", "dzbar".
 
     The one circle operator: F goes on the quadrature grid, and one grid kernel and its
     spectrum serve every quantity. f and df/dtheta are that spectrum times fft(F) or
-    fft(dF/dt); the partials are one fused spectrum each. On the grid the kernel is real
-    and even, so its spectrum is one rfft, mirrored. Only a circle of f warns about
-    resolution.
+    fft(dF/dt); the partials are one fused spectrum each. At r = 0, where the polar frame
+    degenerates, each derivative is the limit _origin_spectrum gives. On the grid the
+    kernel is real and even, so its spectrum is one rfft, mirrored. Only a circle of f
+    warns about resolution.
     """
     a = as_alpha(a)
     F = _on_quad_grid(F, q)
@@ -418,13 +438,15 @@ def _circle_spectra(a, F: BoundaryData, r: float, q: QuadSpec, quantities) -> li
     kern_hat = _mirror(np.fft.rfft(kern).real)
     out = []
     for name in quantities:
-        if name in ("f", "dtheta"):
+        if name != "f" and r == 0.0:
+            out.append(_origin_spectrum(a, F, name))
+        elif name in ("f", "dtheta"):
             G = F if name == "f" else boundary_derivative(F)
             out.append((kern_hat * G._spectrum(), n))
-            continue
-        s = _FRAME_SIGN[name]
-        spec = _fused_spectrum(a, F, kern_hat, kern, r, s)
-        out.append((np.roll(spec, s), 2.0 * r) if s else (spec, r if name == "dr" else 1.0))
+        else:
+            s = _FRAME_SIGN[name]
+            spec = _fused_spectrum(a, F, kern_hat, kern, r, s)
+            out.append((np.roll(spec, s), 2.0 * r) if s else (spec, r if name == "dr" else 1.0))
     return out
 
 

@@ -5,13 +5,14 @@ mean on the circle |z| = r; the Bergman norm integrates the p-th power of
 those means against the normalized area measure 2 r dr. Both are computed
 on a truncated, boundary-refined radial grid, so every reported value is a
 lower bound of the untruncated norm; the status field says whether the
-truncated values look settled, still growing, or cleanly divergent.
+truncated values look settled, still growing, or cleanly divergent, past
+r_max = 0.99 by divergence_probe's verdict over nested cutoffs.
 
-A KernelQuantity circle at r > 0 is one spectrum S from the circle
+A KernelQuantity circle, r = 0 included, is one spectrum S from the circle
 operator kernel._circle_spectra, whose inverse FFT, divided by d, gives its
 N values. For p = 2 the circle's mean then comes from the spectrum by
-Parseval, sqrt(sum |S_m|^2) / (N |d|), with no inverse FFT; every other p,
-the circle at r = 0 and plain callables take the mean of the values.
+Parseval, sqrt(sum |S_m|^2) / (N |d|), with no inverse FFT; every other p
+and plain callables take the mean of the values.
 
 divergence_probe sharpens that: it evaluates the norm at nested cutoff
 radii, flags divergence when the values grow monotonically with a last-pair
@@ -31,7 +32,6 @@ import numpy as np
 
 from .kernel import (BoundaryData, QuadSpec, _circle_spectra, _invert, _on_quad_grid,
                      _uniform_thetas, as_alpha)
-from .derivs import dz_dzbar_f
 
 __all__ = [
     "NormEstimate",
@@ -109,9 +109,9 @@ class KernelQuantity:
     """A disk quantity derived from boundary data: the extension f itself or
     one of its partials dtheta, dr, dz, dzbar.
 
-    Supports fast whole-circle evaluation (FFT sweeps) for norm scans, and
-    pointwise calls for spot checks. At the origin, dr means the directional
-    radial derivative as a function of the approach angle.
+    Supports fast whole-circle evaluation (FFT sweeps) for norm scans. At the
+    origin, dr means the directional radial derivative as a function of the
+    approach angle.
     """
 
     def __init__(self, a, F: BoundaryData, quantity: str):
@@ -124,34 +124,21 @@ class KernelQuantity:
     def circle_values(self, r: float, q: QuadSpec) -> np.ndarray:
         """The quantity at every grid angle of |z| = r, on the grid the circle operator
         uses: q.angular_nodes for a closed form, the sample count for sampled data."""
-        if r != 0.0 or self.quantity == "f":
-            return _invert(*_circle_spectra(self.a, self.F, r, q, (self.quantity,))[0])
-        n = _on_quad_grid(self.F, q).n_samples
-        if self.quantity == "dtheta":
-            return np.zeros(n, dtype=complex)
-        dz0, dzbar0 = dz_dzbar_f(self.a, self.F, 0.0, q)
-        if self.quantity == "dr":
-            thetas = _uniform_thetas(n)
-            return dz0 * np.exp(1j * thetas) + dzbar0 * np.exp(-1j * thetas)
-        return np.full(n, dz0 if self.quantity == "dz" else dzbar0)
-
-
-def _circle_samples(f, r: float, q: QuadSpec) -> np.ndarray:
-    if hasattr(f, "circle_values"):
-        return f.circle_values(r, q)
-    return np.asarray(f(r * np.exp(1j * _uniform_thetas(q.angular_nodes))))
+        return _invert(*_circle_spectra(self.a, self.F, r, q, (self.quantity,))[0])
 
 
 def _circle_mean(f, r: float, p: float, q: QuadSpec) -> float:
     """L^p mean of f on the circle |z| = r.
 
-    A KernelQuantity circle at r > 0 has the N values ifft(S) / d, so by
-    Parseval its L^2 mean is sqrt(sum |S_m|^2) / (N |d|): no inverse FFT.
+    A KernelQuantity circle has the N values ifft(S) / d, so by Parseval
+    its L^2 mean is sqrt(sum |S_m|^2) / (N |d|): no inverse FFT.
     """
-    if p == 2.0 and r > 0.0 and isinstance(f, KernelQuantity):
+    if p == 2.0 and isinstance(f, KernelQuantity):
         spec, d = _circle_spectra(f.a, f.F, r, q, (f.quantity,))[0]
         return float(np.linalg.norm(spec)) / (len(spec) * abs(d))
-    return _mean_p(_circle_samples(f, r, q), p)
+    if hasattr(f, "circle_values"):
+        return _mean_p(f.circle_values(r, q), p)
+    return _mean_p(np.asarray(f(r * np.exp(1j * _uniform_thetas(q.angular_nodes)))), p)
 
 
 def _circle_means(f, radii, p: float, q: QuadSpec):
@@ -162,8 +149,8 @@ def _circle_means(f, radii, p: float, q: QuadSpec):
 def _finite_means(radii, means):
     """(radii, means) as arrays with non-finite circles dropped.
 
-    A directional quantity can be undefined at an isolated interior point
-    (df/dr at the origin); dropping that circle keeps every norm a lower
+    A callable can be undefined at an isolated interior point (a directional
+    derivative at the origin); dropping that circle keeps every norm a lower
     bound without disturbing boundary growth.
     """
     radii = np.asarray(radii, dtype=float)
@@ -192,25 +179,6 @@ def _status_from_tail(radii: np.ndarray, means: Sequence[float]) -> str:
     return STATUS_LOWER_BOUND
 
 
-def hardy_norm(f, p: float, q: QuadSpec) -> NormEstimate:
-    """Hardy-type norm: sup over the radial grid of the circle L^p means.
-
-    f is either a callable on arrays of disk points or an object with a
-    circle_values(r, q) method. The value is a lower bound of the true
-    supremum; status reports whether the means have settled (converged),
-    grow at 1.5x or more per decade of 1-r (diverging), or neither.
-    """
-    p = _check_p(p)
-    radii, means = _circle_means(f, q.radial_grid, p, q)
-    return NormEstimate(
-        value=float(np.max(means)),
-        p=p,
-        r_max=float(radii[-1]),
-        n_nodes=q.angular_nodes,
-        status=_status_from_tail(radii, means),
-    )
-
-
 def _bergman_value(radii: np.ndarray, means: np.ndarray, p: float) -> float:
     """Bergman norm up to radii[-1]: the p-th root of the trapezoid of mean(r)^p
     against the area weight 2 r dr, the largest mean m for p = inf. Formed as
@@ -222,34 +190,43 @@ def _bergman_value(radii: np.ndarray, means: np.ndarray, p: float) -> float:
     return m * float(np.sum(0.5 * (g[1:] + g[:-1]) * np.diff(radii))) ** (1.0 / p)
 
 
-def bergman_norm(f, p: float, q: QuadSpec) -> NormEstimate:
-    """Bergman-type norm on the truncated disk r <= r_max.
+def hardy_norm(f, p: float, q: QuadSpec) -> NormEstimate:
+    """Hardy-type norm: sup over the radial grid of the circle L^p means, a lower
+    bound of the true supremum, with its status as _norm reads it. f is a callable
+    on arrays of disk points or an object with a circle_values(r, q) method."""
+    return _norm(f, p, q, "hardy")
 
-    Integrates the circle means against normalized area measure on the
-    radial grid; p = inf reduces to the sup over the sampled disk. The
-    status is divergence_probe's over the nested cutoffs 1 - 100 w,
-    1 - 10 w, 1 - w with w = 1 - r_max, so slow blow-up spread over
-    decades is still visible; each circle is evaluated once for both.
-    """
+
+def bergman_norm(f, p: float, q: QuadSpec) -> NormEstimate:
+    """Bergman-type norm on the truncated disk r <= r_max: the circle means integrated
+    against normalized area measure on the radial grid (p = inf gives the sup over the
+    sampled disk), with its status as _norm reads it."""
+    return _norm(f, p, q, "bergman")
+
+
+def _norm(f, p: float, q: QuadSpec, kind: str) -> NormEstimate:
+    """The Hardy or Bergman norm over q.radial_grid, by kind, on the grid its circles were
+    swept at, and its status: converged, diverging (growth of 1.5x or more per decade of
+    1-r) or lower_bound_only. When r_max > 0.99 that is divergence_probe's verdict over the
+    nested cutoffs 1 - 100 w, 1 - 10 w, 1 - w (w = 1 - r_max), so slow blow-up spread over
+    decades stays visible; its circles hold the radial grid, so each is evaluated once for
+    both. Shallower grids read the tail of their own means."""
     p = _check_p(p)
     w = 1.0 - q.r_max
     cutoffs = [1.0 - 100.0 * w, 1.0 - 10.0 * w, q.r_max]
-    if cutoffs[0] <= 0.0:
-        radii, means = _circle_means(f, q.radial_grid, p, q)
-        status = _status_from_tail(radii, list(means))
-    else:
-        # divergence_probe's circles hold the radial grid: evaluate each one once
-        p, cut, eval_radii, _ = _plan_probe(p, cutoffs, "bergman", q)
-        all_means = np.array([_circle_mean(f, float(r), p, q) for r in eval_radii])
-        on_grid = np.isin(eval_radii, q.radial_grid)
-        radii, means = _finite_means(eval_radii[on_grid], all_means[on_grid])
-        status = _growth_report(*_finite_means(eval_radii, all_means), p, cut, "bergman",
-                                None, None).status
+    probed = cutoffs[0] > 0.0
+    eval_radii = _plan_probe(p, cutoffs, kind, q)[2] if probed else q.radial_grid
+    radii, means = _circle_means(f, eval_radii, p, q)
+    status = (_growth_report(radii, means, p, np.asarray(cutoffs), kind, None, None).status
+              if probed else _status_from_tail(radii, means))
+    on_grid = np.isin(radii, q.radial_grid)
+    radii, means = radii[on_grid], means[on_grid]
     return NormEstimate(
-        value=_bergman_value(radii, means, p),
+        value=float(np.max(means)) if kind == "hardy" else _bergman_value(radii, means, p),
         p=p,
         r_max=float(radii[-1]),
-        n_nodes=q.angular_nodes,
+        n_nodes=(_on_quad_grid(f.F, q).n_samples if isinstance(f, KernelQuantity)
+                 else q.angular_nodes),
         status=status,
     )
 

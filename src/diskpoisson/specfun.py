@@ -69,6 +69,8 @@ def gamma(x: float) -> float:
     Lanczos rational approximation for x >= 0.5, reflection below.
     """
     x = float(x)
+    if not math.isfinite(x):  # the Lanczos sum would give inf * 0 = nan
+        raise ValueError(f"gamma needs a finite x, got x={x!r}")
     if _is_nonpositive_integer(x):
         raise ValueError(f"gamma pole at nonpositive integer x={x!r}")
     if x < 0.5:

@@ -391,6 +391,23 @@ class TestNamedRefusals:
         assert err == "error: Gamma(x) overflows at x=201.0; this evaluation holds for x <= 171\n"
 
 
+    @pytest.mark.parametrize("argv,message", [
+        (["eval", "--alpha", "inf", "--point", "0.5,1"], "alpha must be finite, got inf"),
+        (["regime", "--alpha", "inf", "--p", "2"], "alpha must be finite, got inf"),
+        (["eval", "--alpha", "200", "--point", "0.5,1"],
+         "c_alpha overflows at alpha=200.0: Gamma(1+alpha/2)^2 exceeds the double range"),
+        (["eval", "--alpha", "0", "--point", "0.5,inf"],
+         "each --point must have a finite r and theta, got '0.5,inf'"),
+    ], ids=["eval-alpha-inf", "regime-alpha-inf", "eval-alpha-200", "eval-point-inf"])
+    def test_non_finite_or_overflowing_numbers(self, capsys, tmp_path, argv, message):
+        if argv[0] == "eval":
+            path = tmp_path / "b.csv"
+            kernel.write_boundary_csv(str(path), HypMonomial(-0.5, 1).boundary(16))
+            argv = argv + ["--boundary", str(path)]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 NORM_41 = ["norm", "--alpha", "-0.5", "--p", "2", "--example", "4.1"]
 
 

@@ -42,6 +42,8 @@ from diskpoisson.kernel import (
     circle_poisson_values,
     kernel_K,
     poisson_integral,
+    read_boundary_csv,
+    write_boundary_csv,
 )
 from diskpoisson.mappings import (
     HypMonomial,
@@ -164,6 +166,20 @@ class TestWirtinger:
         dz0, dzbar0 = dz_dzbar_f(0.0, F, 0.0, q)
         assert dz0 == pytest.approx(1.0, abs=1e-9)
         assert abs(dzbar0) < 1e-9
+
+    @pytest.mark.parametrize("alpha", [-0.9, -0.5, -0.1])
+    def test_origin_is_the_operators_limit(self, q, alpha):
+        # HypMonomial(alpha, 1) has df/dz = 1 and df/dzbar = 0 at z = 0, and the
+        # operator's own limit there meets both to rounding.
+        dz0, dzbar0 = dz_dzbar_f(alpha, HypMonomial(alpha, 1).boundary(2048), 0.0, q)
+        assert abs(dz0 - 1.0) <= 1e-14 and abs(dzbar0) <= 1e-14
+
+    def test_origin_pair_of_a_sampled_boundary_without_modes_one(self, q, tmp_path):
+        # Example 4.3 has no Fourier modes +-1, so its Wirtinger pair vanishes at z = 0.
+        path = str(tmp_path / "b43.csv")
+        write_boundary_csv(path, log_series_boundary(2048))
+        for z in dz_dzbar_f(0.7, read_boundary_csv(path), 0.0, q):
+            assert abs(z) <= 1e-15
 
     def test_no_closed_form_call_once_built(self, q):
         calls = []
@@ -311,10 +327,12 @@ class TestOneSweep:
     @pytest.mark.parametrize("sampled", [False, True])
     def test_dtheta_is_a_sweep_of_the_boundary_derivative(self, sampled, F_mix):
         # K_a commutes with d/dtheta: a circle of df/dtheta is the plain
-        # kernel sweep of dF/dt, to the last bit.
+        # kernel sweep of dF/dt, to the last bit. At r = 0 it is the operator's
+        # limit, exact zeros.
         q = QuadSpec(angular_nodes=512, r_max=0.95)
         F = BoundaryData.from_samples(F_mix.thetas, F_mix.values) if sampled else F_mix
-        for r in (0.0, 0.3, 0.6, 0.9):
+        assert not np.any(circle_derivs(-0.5, F, 0.0, q)[0])
+        for r in (0.3, 0.6, 0.9):
             dth, _ = circle_derivs(-0.5, F, r, q)
             assert np.array_equal(dth, circle_poisson_values(-0.5, boundary_derivative(F), r, q))
 

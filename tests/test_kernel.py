@@ -69,6 +69,14 @@ class TestNormalizer:
         with pytest.raises(ValueError, match="alpha"):
             c_alpha(alpha)
 
+    def test_overflow_is_named(self):
+        # Gamma(1 + a/2)^2 leaves the double range from a ~ 196.15, before Gamma(1 + a)
+        # would be reached; past 170 that overflow is refused by name too.
+        with pytest.raises(OverflowError, match=r"c_alpha overflows at alpha=200\.0"):
+            c_alpha(200.0)
+        with pytest.raises(OverflowError, match=r"Gamma\(x\) overflows at x=193\.0"):
+            c_alpha(192.0)
+
     def test_alpha_param_caches_normalizer(self):
         a = AlphaParam(-0.5)
         assert a.c_alpha == c_alpha(-0.5)

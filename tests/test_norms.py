@@ -138,13 +138,13 @@ class TestParsevalMeans:
             warnings.simplefilter("ignore", ResolutionWarning)
             for quantity in QUANTITIES:
                 f = KernelQuantity(alpha, boundaries[data], quantity)
-                for r in (0.3, 0.9, 0.99, 0.9999, 1.0 - 1e-6):
+                for r in (0.0, 0.3, 0.9, 0.99, 0.9999, 1.0 - 1e-6):
                     want = _mean_p(f.circle_values(r, q), 2.0)
                     assert abs(_circle_mean(f, r, 2.0, q) - want) <= 1e-14 * want, (quantity, r)
 
     @pytest.mark.parametrize("quantity", QUANTITIES)
     def test_inverse_ffts_only_off_the_spectrum_path(self, monkeypatch, boundaries, quantity):
-        # p = 2 inverts no circle but the one at r = 0; p = 1 inverts every circle once.
+        # p = 2 inverts no circle, r = 0 included; p = 1 inverts every circle once.
         F = boundaries["sampled"]
         q = QuadSpec(angular_nodes=2048, r_max=0.99, radial_grid=[0.0, 0.5, 0.9, 0.95, 0.99])
         f = KernelQuantity(0.7, F, quantity)
@@ -158,10 +158,10 @@ class TestParsevalMeans:
 
         monkeypatch.setattr(np.fft, "ifft", counting_ifft)
         divergence_probe(f, 2.0, (0.9, 0.95, 0.99), q=q)
-        assert len(calls) == (1 if quantity == "f" else 0)
+        assert len(calls) == 0
         calls.clear()
         divergence_probe(f, 1.0, (0.9, 0.95, 0.99), q=q)
-        assert len(calls) == (5 if quantity == "f" else 4)
+        assert len(calls) == 5
 
     def test_warnings_equal_the_values_path(self):
         F = HypMonomial(-0.5, 1).boundary(2048)
@@ -193,6 +193,43 @@ class TestHardyNorm:
         est = hardy_norm(lambda z: (1.0 - np.abs(z)) ** -0.5, 1.0, q)
         assert est.status == STATUS_DIVERGING
         assert est.value == pytest.approx((1.0 - q.r_max) ** -0.5, rel=1e-12)
+
+
+    @pytest.mark.parametrize("quantity", ["f", "dr"])
+    def test_status_is_the_probe_verdict(self, q, monomial, quantity):
+        # past r_max = 0.99 the status is divergence_probe's over the nested cutoffs,
+        # as bergman_norm's and the CLI norm's are
+        f = KernelQuantity(-0.5, monomial.boundary(2048), quantity)
+        w = 1.0 - q.r_max
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)
+            want = divergence_probe(f, 2.0, (1.0 - 100.0 * w, 1.0 - 10.0 * w, q.r_max),
+                                    "hardy", q).status
+            assert hardy_norm(f, 2.0, q).status == want
+
+    def test_each_probe_circle_evaluated_once(self):
+        # At r_max 0.9999 the cutoffs 0.99 and 0.999 lie off the 64-radius grid: they
+        # serve the status alone, and the value is the sup over the grid.
+        q = QuadSpec(r_max=0.9999)
+        radii = []
+
+        def f(z):
+            radii.append(float(np.max(np.abs(z))))
+            return z * (1.0 - np.abs(z)) ** -0.6
+
+        est = hardy_norm(f, 2.0, q)
+        assert len(radii) == len(set(radii)) == 66
+        assert est.value == _circle_means(f, q.radial_grid, 2.0, q)[1].max()
+        assert est.status == divergence_probe(f, 2.0, (0.99, 0.999, 0.9999), q=q).status
+
+    @pytest.mark.parametrize("norm", [hardy_norm, bergman_norm])
+    def test_n_nodes_is_the_grid_swept(self, q, norm):
+        # sampled data is swept at its own sample count, not at q.angular_nodes
+        phase = phase_boundary(8192)
+        F = BoundaryData.from_samples(phase.thetas, phase.values)
+        f = KernelQuantity(0.0, F, "dzbar")
+        assert norm(f, 2.0, q).n_nodes == len(f.circle_values(0.5, q)) == 8192
+        assert norm(KernelQuantity(0.0, phase, "dzbar"), 2.0, q).n_nodes == q.angular_nodes
 
 
 class TestBergmanNorm:

@@ -404,6 +404,12 @@ class TestGammaOverflow:
             with pytest.raises(OverflowError, match=r"holds for x <= 171$"):
                 gamma(x)
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_x_is_refused_by_name(self, x):
+        # the Lanczos sum would return inf * 0 = nan at x = inf
+        with pytest.raises(ValueError, match="gamma needs a finite x"):
+            gamma(x)
+
     def test_largest_finite_values_keep_their_bits(self):
         assert gamma(142.0) == float.fromhex("0x1.1ca9fcdf65160p+808")
         assert gamma(0.3) == float.fromhex("0x1.7eebbb8aec4aap+1")
