@@ -21,7 +21,9 @@ the reference the tests compare against, writes independently. On the
 grid the kernel is real and even in theta, so its spectrum is real and
 even: one real FFT of values built from a cached table of
 sin^2(theta_j/2), since |1 - r e^{it}|^2 = (1-r)^2 + 4r sin^2(t/2) does
-not cancel near t = 0 as r -> 1. Everything derived from a
+not cancel near t = 0 as r -> 1. That FFT is taken on every s-th node,
+the fewest that hold the kernel's modes at that radius (_kernel_stride),
+and brought to the N bins of F (_band_rfft). Everything derived from a
 BoundaryData's samples (its resamples; boundary_derivative, the only code
 computing dF/dtheta; the spectrum fft(values), the only FFT of boundary
 samples) is computed once and memoized on it.
@@ -325,9 +327,36 @@ def _kernel_formula(a: AlphaParam, r, sin2):
             * dist_sq ** (-0.5 * (a.alpha + 2.0)))
 
 
-def _grid_kernel(a: AlphaParam, r: float, n: int) -> np.ndarray:
-    """kernel_K(a, r e^{i theta_j}) on the n-node grid."""
-    return _kernel_formula(a, r, _half_angle_sin2(n))
+def _grid_kernel(a: AlphaParam, r: float, n: int, s: int = 1) -> np.ndarray:
+    """kernel_K(a, r e^{i theta_j}) on every s-th node of the n-node grid."""
+    return _kernel_formula(a, r, _half_angle_sin2(n)[::s])
+
+
+def _kernel_stride(n: int, r: float, alpha: float) -> int:
+    """The stride s of the fewest nodes, every s-th of the n-node grid, that hold the whole
+    spectrum of the kernel at radius r: m = n/s halves while 4 divides it (so m stays even)
+    and (m/2)(1-r) >= 72 + 4 max(alpha, 0), which also keeps m/2 >= 16. The kernel's modes
+    mu_k(r) decay like k^(alpha/2) r^k past the peak, so beyond m/2 they are below the
+    rounding of the largest."""
+    need = 72.0 + 4.0 * max(alpha, 0.0)
+    m = n
+    while m % 4 == 0 and (m // 4) * (1.0 - r) >= need:
+        m //= 2
+    return n // m
+
+
+def _band_rfft(values: np.ndarray, n: int) -> np.ndarray:
+    """Bins 0..n/2 of the n-node rfft of a kernel given on every s-th node, m = n/s values
+    whose spectrum lies in bins below m/2 (_kernel_stride): the m-node rfft's bins
+    0..m/2-1 times s, which is exact as s is a power of two, and zeros above. At m = n it
+    is the n-node rfft itself."""
+    half = np.fft.rfft(values)
+    m = len(values)
+    if m == n:
+        return half
+    out = np.zeros(n // 2 + 1, dtype=half.dtype)
+    out[:m // 2] = half[:m // 2] * (n // m)
+    return out
 
 
 def _point_values(a, F: BoundaryData, z, q: QuadSpec, quantities) -> list:
@@ -375,19 +404,23 @@ def _invert(spec: np.ndarray, d: float) -> np.ndarray:
 def _fused_spectrum(a: AlphaParam, F: BoundaryData, kern_hat: np.ndarray, kern: np.ndarray,
                     r: float, s: int = 0) -> np.ndarray:
     """The spectrum whose inverse FFT is r df/dr + s i df/dtheta at every grid angle of
-    |z| = r, from F on the grid, the kernel spectrum kern_hat and the kernel values kern.
+    |z| = r, from F on the grid, the kernel spectrum kern_hat and the kernel values kern
+    on every stride-th node of F's grid (_kernel_stride).
 
     Each trapezoid sum is a correlation with a real kernel on the grid, so with
     w = 1 - r^2, J1 + J2 + s i df/dtheta = ifft(A fft(F) + B fft(dF/dt)) where
     A = (alpha/N) (K^ - K2^/w) and B = (2/(N w)) K1^ + (s i/N) K^. The J2 kernels
     K1 = r sin t K (odd) and K2 = ((1-r) + 2r sin^2(t/2)) K (even) come from the
     kernel values K, and one rfft of K1 + K2 gives both spectra: its real part is
-    fft(K2), its imaginary part fft(K1)/i.
+    fft(K2), its imaginary part fft(K1)/i. That rfft is taken on the kernel's own nodes
+    (_band_rfft): where they are fewer than N, the sums are the N-node trapezoid's to
+    rounding, not bit for bit.
     """
     n = F.n_samples
+    stride = n // len(kern)
     w = (1.0 - r) * (1.0 + r)
-    half = np.fft.rfft(((1.0 - r) + 2.0 * r * _half_angle_sin2(n)
-                        + r * _grid_sin(n)) * kern)
+    half = _band_rfft(((1.0 - r) + 2.0 * r * _half_angle_sin2(n)[::stride]
+                       + r * _grid_sin(n)[::stride]) * kern, n)
     a_hat = (a.alpha / n) * (kern_hat - _mirror(half.real) / w)
     b_hat = (2.0 / (n * w)) * _mirror(half.imag, odd=True)
     if s:
@@ -424,8 +457,11 @@ def _circle_spectra(a, F: BoundaryData, r: float, q: QuadSpec, quantities) -> li
     spectrum serve every quantity. f and df/dtheta are that spectrum times fft(F) or
     fft(dF/dt); the partials are one fused spectrum each. At r = 0, where the polar frame
     degenerates, each derivative is the limit _origin_spectrum gives. On the grid the
-    kernel is real and even, so its spectrum is one rfft, mirrored. Only a circle of f
-    warns about resolution.
+    kernel is real and even, so its spectrum is one rfft, mirrored. That rfft is taken on
+    every s-th node, the fewest that hold the kernel's spectrum (_kernel_stride): where
+    s > 1 the spectrum is the N-node one to its rounding (3e-14 of its largest bin), not
+    bit for bit; at s = 1 it is the N-node one. Only a circle of f warns about resolution,
+    keyed on N.
     """
     a = as_alpha(a)
     F = _on_quad_grid(F, q)
@@ -434,8 +470,8 @@ def _circle_spectra(a, F: BoundaryData, r: float, q: QuadSpec, quantities) -> li
     n = F.n_samples
     if "f" in quantities:
         _check_resolution(n, r)
-    kern = _grid_kernel(a, r, n)
-    kern_hat = _mirror(np.fft.rfft(kern).real)
+    kern = _grid_kernel(a, r, n, _kernel_stride(n, r, a.alpha))
+    kern_hat = _mirror(_band_rfft(kern, n).real)
     out = []
     for name in quantities:
         if name != "f" and r == 0.0:
@@ -453,9 +489,11 @@ def _circle_spectra(a, F: BoundaryData, r: float, q: QuadSpec, quantities) -> li
 def circle_poisson_values(a, F: BoundaryData, r: float, q: QuadSpec) -> np.ndarray:
     """Values of the integral operator at every grid angle on the circle |z| = r.
 
-    Cyclic-convolution (FFT) evaluation of exactly the trapezoid sums that
-    poisson_integral would compute at z = r e^{i theta_j}; returns an array
-    aligned with the boundary grid angles.
+    Cyclic-convolution (FFT) evaluation of the trapezoid sums that poisson_integral
+    would compute at z = r e^{i theta_j}: exactly those sums where the kernel needs
+    every node, and within rounding (3e-14 of the kernel spectrum's largest bin) where
+    _circle_spectra takes its spectrum on fewer nodes. Returns an array aligned with
+    the boundary grid angles.
     """
     return _invert(*_circle_spectra(a, F, r, q, ("f",))[0])
 

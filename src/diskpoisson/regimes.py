@@ -201,7 +201,8 @@ def _boundary_checks(a, F: BoundaryData, q: QuadSpec, ps=(), scaled: bool = Fals
 
     Each circle is one call of the circle operator, so its kernel spectrum is built
     once. It feeds one dtheta sweep, whose integral means serve every p, and, when
-    scaled, one value sweep for |J1|, the only sweep that warns about resolution.
+    scaled and alpha != 0, one value sweep for |J1|, the only sweep that warns about
+    resolution. At alpha = 0, J1 = alpha K[F] is 0 and no value sweep is taken.
     """
     a = as_alpha(a)
     ps = [float(p) for p in ps]
@@ -210,8 +211,9 @@ def _boundary_checks(a, F: BoundaryData, q: QuadSpec, ps=(), scaled: bool = Fals
             raise ValueError(f"p must be finite and >= 1, got {p!r}")
     max_ratio = [0.0] * len(ps)
     sup_j1 = 0.0
-    quantities = ("dtheta",) * bool(ps) + ("f",) * scaled
-    for F_n, q_n, radii in _resolved_sweeps(F, q):
+    j1 = scaled and a.alpha != 0.0
+    quantities = ("dtheta",) * bool(ps) + ("f",) * j1
+    for F_n, q_n, radii in _resolved_sweeps(F, q) if quantities else ():
         dF = boundary_derivative(F_n)
         rhs_n = [lp_norm_circle(dF, p) for p in ps]
         for r in radii:
@@ -221,7 +223,7 @@ def _boundary_checks(a, F: BoundaryData, q: QuadSpec, ps=(), scaled: bool = Fals
                 for i, p in enumerate(ps):
                     if rhs_n[i] > 0.0:
                         max_ratio[i] = max(max_ratio[i], integral_mean(mags, r, p) / rhs_n[i])
-            if scaled:
+            if j1:
                 sup_j1 = max(sup_j1, float(np.max(np.abs(a.alpha * _invert(*spectra[-1])))))
     common = {"boundary": label or "unnamed", "nodes": q.angular_nodes,
               "r_max": float(q.radial_grid[-1])}

@@ -174,6 +174,80 @@ class TestKernelSpectrum:
         assert np.array_equal(table, np.sin(0.5 * _uniform_thetas(2048)) ** 2)
 
 
+BAND_ALPHAS = (-0.9, -0.5, 0.0, 1.0, 2.0, 5.0, 20.0, 100.0)
+BAND_RADII = (0.0, 0.3, 0.9, 0.99, 0.998)
+
+
+def random_boundary(n):
+    """Complex samples with a flat spectrum, so that every bin of a circle's spectrum counts."""
+    rng = np.random.default_rng(n)
+    return BoundaryData.from_samples(_uniform_thetas(n),
+                                     rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+def assert_band_matches_all_nodes(alpha, F, r):
+    """The f spectrum, and the one rfft of the J2 kernels, taken on the kernel's own nodes,
+    agree with their transforms on all N nodes to 1e-13 of the largest bin."""
+    n, a = F.n_samples, as_alpha(alpha)
+    s = kernel._kernel_stride(n, r, alpha)
+    assert n % s == 0 and (n // s) % 2 == 0
+    q = QuadSpec(angular_nodes=n, r_max=0.999)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResolutionWarning)
+        (got, d), = _circle_spectra(a, F, r, q, ("f",))
+    kern = _grid_kernel(a, r, n)
+    want = kernel._mirror(np.fft.rfft(kern).real) * F._spectrum()
+    assert d == n
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (alpha, r, s)
+    j2 = ((1.0 - r) + 2.0 * r * _half_angle_sin2(n) + r * kernel._grid_sin(n)) * kern
+    want = np.fft.rfft(j2)
+    got = kernel._band_rfft(j2[::s], n)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (alpha, r, s)
+
+
+class TestKernelBand:
+    """A circle's kernel is transformed on every s-th node, the fewest that hold its modes."""
+
+    @pytest.mark.parametrize("n", [81920, 6144, 2052, 2050])
+    @pytest.mark.parametrize("alpha", BAND_ALPHAS)
+    def test_spectrum_matches_all_nodes(self, n, alpha):
+        # 6144 and 2052 halve to odd multiples of 2 and 2050 not at all; m stays even.
+        # alpha = 100 at r = 0.9 on 6144 nodes is the case a margin without the alpha
+        # term misses: it keeps 768 of the modes, 2.7e-12 off.
+        F = random_boundary(n)
+        for r in BAND_RADII:
+            assert_band_matches_all_nodes(alpha, F, r)
+
+    @pytest.mark.parametrize("n, alpha, r", [(81920, 100.0, 0.99), (2048, 0.0, 0.999)])
+    def test_every_node_needed_is_bit_for_bit(self, n, alpha, r):
+        # (m/2)(1-r) < 72 + 4 max(alpha, 0) at the first halving, so m = N, the transform
+        # of all N nodes.
+        assert kernel._kernel_stride(n, r, alpha) == 1
+        a, F = as_alpha(alpha), random_boundary(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)
+            (got, _), = _circle_spectra(a, F, r, QuadSpec(angular_nodes=n), ("f",))
+        want = kernel._mirror(np.fft.rfft(_grid_kernel(a, r, n)).real) * F._spectrum()
+        assert np.array_equal(got, want)
+
+    def test_no_table_cached_per_kernel_grid(self):
+        n = 81920
+        F = BoundaryData.from_function(harmonic_mix, n, deriv=harmonic_mix_deriv)
+        q = QuadSpec(angular_nodes=n, r_max=0.999)
+        quantities = ("f", "dtheta", "rdr", "dr", "dz", "dzbar")
+        tables = (_half_angle_sin2, kernel._grid_sin, _uniform_thetas)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)
+            _circle_spectra(0.0, F, 0.5, q, quantities)  # the N-node tables
+            before = [t.cache_info() for t in tables]
+            for alpha in BAND_ALPHAS:
+                for r in BAND_RADII:
+                    _circle_spectra(alpha, F, r, q, quantities)
+        for table, info in zip(tables, before):
+            now = table.cache_info()
+            assert (now.misses, now.currsize) == (info.misses, info.currsize), table
+
+
 class TestBoundaryData:
     def test_from_function_grid(self):
         F = BoundaryData.from_function(harmonic_mix, 32)
