@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from typing import Optional, Sequence
 
@@ -25,6 +24,7 @@ import numpy as np
 
 from .derivs import (
     DerivField,
+    _point_flag,
     deriv_field,
     dz_dzbar_f,
     sine_moment,
@@ -68,8 +68,6 @@ from .regimes import (
 
 __all__ = ["UsageError", "main", "run"]
 
-THREADS_ENV = "DISKPOISSON_THREADS"
-
 EXAMPLE_IDS = {
     "hyp-monomial": "4.1",
     "piecewise-phase": "4.2",
@@ -84,23 +82,6 @@ class UsageError(Exception):
 
 def _quad(ns: argparse.Namespace) -> QuadSpec:
     return QuadSpec(angular_nodes=ns.nodes, r_max=ns.r_max)
-
-
-def _default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items: Sequence, threads: int) -> list:
-    """Order-preserving map, optionally on a thread pool."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _jsonable(obj):
@@ -170,7 +151,7 @@ def _parse_points(raw_points: Sequence[str], r_max: float) -> np.ndarray:
         _require(math.isfinite(r) and math.isfinite(theta),
                  f"each --point must have a finite r and theta, got {raw!r}")
         _require(r >= 0.0, f"point radius must be nonnegative, got {r}")
-        pts.append(r * complex(math.cos(theta), math.sin(theta)))
+        pts.append(r * complex(math.cos(theta), math.sin(theta)) if r > 0.0 else 0j)
     pts = np.asarray(pts, dtype=complex)
     _require(float(np.max(np.abs(pts))) <= r_max, f"eval points must satisfy |z| <= r_max = {r_max}")
     return pts
@@ -250,7 +231,8 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
         else:
             pts = _parse_points(raw_points, q.r_max)
             dz, dzbar = np.array([dz_dzbar_f(ns.alpha, F, complex(z), q) for z in pts]).T
-            fld = DerivField.from_wirtinger(pts, dz, dzbar)
+            flags = [_point_flag(F.n_samples, abs(z)) for z in pts]
+            fld = DerivField.from_wirtinger(pts, dz, dzbar, flags)
         _emit(lambda fh: write_deriv_rows(fh, fld), ns.output)
         return 0
 
@@ -265,12 +247,8 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
                    np.tile(_uniform_thetas(n_th), len(q.radial_grid)), vals.real, vals.imag)
     else:
         pts = _parse_points(raw_points, q.r_max)
-        rows = []
-        for z in pts:
-            v = poisson_integral(ns.alpha, F, complex(z), q)
-            theta = float(np.mod(np.angle(z), 2.0 * np.pi)) if abs(z) > 0 else 0.0
-            rows.append((float(abs(z)), theta, float(v.real), float(v.imag)))
-        columns = tuple(np.array(rows).T)
+        vals = np.array([poisson_integral(ns.alpha, F, z, q) for z in pts])
+        columns = (np.abs(pts), np.mod(np.angle(pts), 2.0 * np.pi), vals.real, vals.imag)
 
     keys = ("r", "theta", "re", "im")
     if ns.format == "csv":
@@ -320,68 +298,48 @@ def _bundled_boundaries(samples: int = 2048) -> list:
     ]
 
 
-def _inequality_records(q: QuadSpec, threads: int) -> list:
+def _inequality_records(q: QuadSpec) -> list:
     """The certification grid, then per (boundary, alpha) the angular-derivative
     records for every bundled p and the scaled-kernel record: one radial pass each."""
     records = certification_grid(q)
-    jobs = [(label, F, alpha) for label, F in _bundled_boundaries(q.angular_nodes)
-            for alpha in _BUNDLED_ALPHAS]
-
-    def run_job(job):
-        label, F, alpha = job
-        return _boundary_checks(alpha, F, q, _BUNDLED_PS, scaled=True, label=label)
-
-    for job_records in _pmap(run_job, jobs, threads):
-        records.extend(job_records)
+    for label, F in _bundled_boundaries(q.angular_nodes):
+        for alpha in _BUNDLED_ALPHAS:
+            records.extend(_boundary_checks(alpha, F, q, _BUNDLED_PS, scaled=True, label=label))
     return records
 
 
-def _oracle_records(q: QuadSpec, seed: int, threads: int) -> list:
+def _oracle_records(q: QuadSpec, seed: int) -> list:
     records = []
     rng = np.random.default_rng(seed)
+    for alpha in (-0.9, -0.5, -0.1):
+        for n in (1, 2, 3):
+            m = HypMonomial(alpha=alpha, n=n)
+            pts = 0.9 * np.sqrt(rng.uniform(0.0, 1.0, 50)) * np.exp(
+                2j * np.pi * rng.uniform(0.0, 1.0, 50))
+            want = m.value(pts)
+            F = m.boundary(q.angular_nodes)
+            got = np.array([poisson_integral(alpha, F, z, q) for z in pts])
+            worst = float(np.max(np.abs(got - want) / np.maximum(1e-30, np.abs(want))))
+            records.append(CertificationRecord(
+                check="kernel_extension_oracle",
+                params={"alpha": alpha, "n": n, "points": 50, "seed": seed,
+                        "nodes": q.angular_nodes},
+                lhs=worst, rhs=1e-6, holds=bool(worst <= 1e-6),
+            ))
 
-    def extension_job(args):
-        alpha, n = args
-        m = HypMonomial(alpha=alpha, n=n)
-        F = m.boundary(q.angular_nodes)
-        pts = 0.9 * np.sqrt(rng.uniform(0.0, 1.0, 50)) * np.exp(
-            2j * np.pi * rng.uniform(0.0, 1.0, 50))
-        worst = 0.0
-        for z in pts:
-            got = poisson_integral(alpha, F, complex(z), q)
-            want = m.value(complex(z))
-            scale = max(1e-30, abs(want))
-            worst = max(worst, abs(got - want) / scale)
-        return CertificationRecord(
-            check="kernel_extension_oracle",
-            params={"alpha": alpha, "n": n, "points": 50, "seed": seed,
-                    "nodes": q.angular_nodes},
-            lhs=worst, rhs=1e-6, holds=bool(worst <= 1e-6),
-        )
-
-    # rng draws happen in job order; build points eagerly for determinism
-    ext_args = [(alpha, n) for alpha in (-0.9, -0.5, -0.1) for n in (1, 2, 3)]
-    records.extend([extension_job(a) for a in ext_args])
-
-    def harmonic_job(n):
+    k = np.arange(20)
+    radii, thetas = 0.9 * (k + 1) / 20.0, 2.0 * np.pi * k / 20.0
+    for n in range(1, 9):
         F = BoundaryData.from_function(
-            lambda t: np.exp(1j * n * np.asarray(t)), q.angular_nodes,
-            deriv=lambda t: 1j * n * np.exp(1j * n * np.asarray(t)))
-        worst = 0.0
-        for k in range(20):
-            r = 0.9 * (k + 1) / 20.0
-            theta = 2.0 * np.pi * k / 20.0
-            z = r * complex(math.cos(theta), math.sin(theta))
-            got = poisson_integral(0.0, F, z, q)
-            want = (r ** n) * complex(math.cos(n * theta), math.sin(n * theta))
-            worst = max(worst, abs(got - want))
-        return CertificationRecord(
+            lambda t, n=n: np.exp(1j * n * np.asarray(t)), q.angular_nodes,
+            deriv=lambda t, n=n: 1j * n * np.exp(1j * n * np.asarray(t)))
+        got = np.array([poisson_integral(0.0, F, z, q) for z in radii * np.exp(1j * thetas)])
+        worst = float(np.max(np.abs(got - radii ** n * np.exp(1j * n * thetas))))
+        records.append(CertificationRecord(
             check="harmonic_power",
             params={"alpha": 0.0, "n": n, "nodes": q.angular_nodes},
             lhs=worst, rhs=1e-8, holds=bool(worst <= 1e-8),
-        )
-
-    records.extend(_pmap(harmonic_job, range(1, 9), threads))
+        ))
 
     for alpha in _BUNDLED_ALPHAS:
         for r in (0.25, 0.5, 0.9):
@@ -400,9 +358,9 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
     q = _quad(ns)
     records = []
     if ns.suite in ("inequalities", "all"):
-        records.extend(_inequality_records(q, ns.threads))
+        records.extend(_inequality_records(q))
     if ns.suite in ("oracle", "all"):
-        records.extend(_oracle_records(q, ns.seed, ns.threads))
+        records.extend(_oracle_records(q, ns.seed))
     all_hold = all(rec.holds for rec in records)
     _emit_json({
         "suite": ns.suite,
@@ -496,8 +454,8 @@ _REGIME_SAMPLES = (
 
 def _cmd_report(ns: argparse.Namespace) -> int:
     q = _quad(ns)
-    records = _inequality_records(q, ns.threads)
-    records.extend(_oracle_records(q, ns.seed, ns.threads))
+    records = _inequality_records(q)
+    records.extend(_oracle_records(q, ns.seed))
     failures = [rec.as_dict() for rec in records if not rec.holds]
     regimes = []
     for alpha, p in _REGIME_SAMPLES:
@@ -532,9 +490,6 @@ def _add_common(sp, handler, *shared) -> None:
     if "--r-max" in shared:
         sp.add_argument("--r-max", type=float, default=0.999,
                         help="outermost radius of the radial grid")
-    if "--threads" in shared:  # only the subcommands that run jobs on a thread pool
-        sp.add_argument("--threads", type=int, default=None,
-                        help=f"worker threads (default ${THREADS_ENV} or 1)")
     sp.add_argument("--output", default=None, help="write the report here instead of stdout")
 
 
@@ -582,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--suite", choices=("inequalities", "oracle", "all"),
                     default="inequalities")
     sp.add_argument("--seed", type=int, default=0)
-    _add_common(sp, _cmd_verify, "--nodes", "--r-max", "--threads")
+    _add_common(sp, _cmd_verify, "--nodes", "--r-max")
 
     sp = sub.add_parser("example", help="describe or export a bundled example")
     sp.add_argument("--id", required=True, dest="example_id",
@@ -596,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("report", help="bundled summary: certifications, regimes, probes")
     sp.add_argument("--seed", type=int, default=0)
-    _add_common(sp, _cmd_report, "--nodes", "--r-max", "--threads")
+    _add_common(sp, _cmd_report, "--nodes", "--r-max")
 
     return ap
 
@@ -610,14 +565,10 @@ def _check_count(name: str, value: int) -> None:
 
 def _check_args(ns: argparse.Namespace) -> None:
     """Check every argument the command reads before any work, and fill the derived
-    defaults in ns: --threads from $DISKPOISSON_THREADS, the output format (csv with
-    --field, else json), the parsed cutoffs, the resolved example id and
-    hyp-monomial's default alpha. Example options are checked where an example is
-    built, and only those its id reads.
+    defaults in ns: the output format (csv with --field, else json), the parsed
+    cutoffs, the resolved example id and hyp-monomial's default alpha. Example options
+    are checked where an example is built, and only those its id reads.
     """
-    if "threads" in ns:
-        ns.threads = _default_threads() if ns.threads is None else ns.threads
-        _require(ns.threads >= 1, f"threads must be >= 1, got {ns.threads}")
     if "nodes" in ns:
         _check_count("nodes", ns.nodes)
     if "r_max" in ns:

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -262,6 +261,11 @@ class DerivField:
         return cls(points, dtheta, dr, dz, dzbar, list(flags))
 
 
+def _point_flag(n: int, r: float) -> str:
+    """The flag of a field point at radius r whose derivatives are sums over n nodes."""
+    return FLAG_ORIGIN if r == 0.0 else FLAG_UNDER_RESOLVED if _under_resolved(n, r) else FLAG_NONE
+
+
 def deriv_field(a, F: BoundaryData, q: QuadSpec, n_thetas: int = 256) -> DerivField:
     """Evaluate all four derivatives of the kernel extension on a polar grid.
 
@@ -290,8 +294,7 @@ def deriv_field(a, F: BoundaryData, q: QuadSpec, n_thetas: int = 256) -> DerivFi
         dth, rdr = dth[sel], rdr[sel]
         zs = r * np.exp(1j * thetas_out)
         columns.append((zs, dth, rdr / r, *_wirtinger_pair(rdr, dth, zs)))
-        point_flag = FLAG_UNDER_RESOLVED if _under_resolved(n, r) else FLAG_NONE
-        flags.extend([point_flag] * len(zs))
+        flags.extend([_point_flag(n, r)] * len(zs))
     return DerivField(*(np.concatenate(col) for col in zip(*columns)), flags)
 
 

@@ -368,6 +368,8 @@ def _point_values(a, F: BoundaryData, z, q: QuadSpec, quantities) -> list:
     f = sum K F / N, df/dtheta = sum K dF/dt / N and r df/dr = J1 + J2 =
     sum (alpha (K - K2 / w) F - (2 / w) K1 dF/dt) / N, w = 1 - r^2, with the J2 kernels
     K1 = r sin t K and K2 = ((1-r) + 2r sin^2(t/2)) K that _fused_spectrum transforms.
+    dF/dt enters less its trapezoid mean, as the mean of a periodic derivative is 0: samples
+    of a closed-form derivative that jumps (example 4.2) have a mean of order 1/N.
     """
     a = as_alpha(a)
     F = _on_quad_grid(F, q)
@@ -380,15 +382,18 @@ def _point_values(a, F: BoundaryData, z, q: QuadSpec, quantities) -> list:
     t = _uniform_thetas(n) - np.angle(z).reshape(-1, 1)
     sin2 = np.sin(0.5 * t) ** 2
     kern = _kernel_formula(a, r, sin2)
+    if any(name != "f" for name in quantities):
+        dF = boundary_derivative(F).values
+        dF = dF - dF.mean()
     out = []
     for name in quantities:
         if name == "rdr":
             w = (1.0 - r) * (1.0 + r)
             k_val = a.alpha * (kern - ((1.0 - r) + 2.0 * r * sin2) * kern / w)
             k_dot = (-2.0 / w) * r * np.sin(t) * kern
-            sums = k_val @ F.values + k_dot @ boundary_derivative(F).values
+            sums = k_val @ F.values + k_dot @ dF
         else:
-            sums = kern @ (F if name == "f" else boundary_derivative(F)).values
+            sums = kern @ (F.values if name == "f" else dF)
         sums /= n
         out.append(complex(sums[0]) if z.ndim == 0 else sums.reshape(z.shape))
     return out
@@ -409,7 +414,8 @@ def _fused_spectrum(a: AlphaParam, F: BoundaryData, kern_hat: np.ndarray, kern: 
 
     Each trapezoid sum is a correlation with a real kernel on the grid, so with
     w = 1 - r^2, J1 + J2 + s i df/dtheta = ifft(A fft(F) + B fft(dF/dt)) where
-    A = (alpha/N) (K^ - K2^/w) and B = (2/(N w)) K1^ + (s i/N) K^. The J2 kernels
+    A = (alpha/N) (K^ - K2^/w) and B = (2/(N w)) K1^ + (s i/N) K^ but for B's bin 0,
+    set to 0 as dF/dt has mean 0 (_point_values). The J2 kernels
     K1 = r sin t K (odd) and K2 = ((1-r) + 2r sin^2(t/2)) K (even) come from the
     kernel values K, and one rfft of K1 + K2 gives both spectra: its real part is
     fft(K2), its imaginary part fft(K1)/i. That rfft is taken on the kernel's own nodes
@@ -425,6 +431,7 @@ def _fused_spectrum(a: AlphaParam, F: BoundaryData, kern_hat: np.ndarray, kern: 
     b_hat = (2.0 / (n * w)) * _mirror(half.imag, odd=True)
     if s:
         b_hat += (s / n) * kern_hat
+    b_hat[0] = 0.0
     return a_hat * F._spectrum() + 1j * b_hat * boundary_derivative(F)._spectrum()
 
 
@@ -455,7 +462,8 @@ def _circle_spectra(a, F: BoundaryData, r: float, q: QuadSpec, quantities) -> li
 
     The one circle operator: F goes on the quadrature grid, and one grid kernel and its
     spectrum serve every quantity. f and df/dtheta are that spectrum times fft(F) or
-    fft(dF/dt); the partials are one fused spectrum each. At r = 0, where the polar frame
+    fft(dF/dt), with bin 0 of fft(dF/dt) taken as 0 here and in _fused_spectrum, as in
+    _point_values; the partials are one fused spectrum each. At r = 0, where the polar frame
     degenerates, each derivative is the limit _origin_spectrum gives. On the grid the
     kernel is real and even, so its spectrum is one rfft, mirrored. That rfft is taken on
     every s-th node, the fewest that hold the kernel's spectrum (_kernel_stride): where
@@ -476,9 +484,12 @@ def _circle_spectra(a, F: BoundaryData, r: float, q: QuadSpec, quantities) -> li
     for name in quantities:
         if name != "f" and r == 0.0:
             out.append(_origin_spectrum(a, F, name))
-        elif name in ("f", "dtheta"):
-            G = F if name == "f" else boundary_derivative(F)
-            out.append((kern_hat * G._spectrum(), n))
+        elif name == "f":
+            out.append((kern_hat * F._spectrum(), n))
+        elif name == "dtheta":
+            spec = kern_hat * boundary_derivative(F)._spectrum()
+            spec[0] = 0.0
+            out.append((spec, n))
         else:
             s = _FRAME_SIGN[name]
             spec = _fused_spectrum(a, F, kern_hat, kern, r, s)

@@ -11,8 +11,15 @@ import numpy as np
 import pytest
 
 from diskpoisson import cli, kernel, mappings, regimes
-from diskpoisson.cli import THREADS_ENV, main
-from diskpoisson.derivs import deriv_field, read_deriv_csv, write_deriv_csv
+from diskpoisson.cli import main
+from diskpoisson.derivs import (
+    FLAG_NONE,
+    FLAG_ORIGIN,
+    FLAG_UNDER_RESOLVED,
+    deriv_field,
+    read_deriv_csv,
+    write_deriv_csv,
+)
 from diskpoisson.kernel import QuadSpec, circle_poisson_values, radial_grid, read_boundary_csv
 from diskpoisson.kernel import _ANGULAR_CAP
 from diskpoisson.mappings import HypMonomial
@@ -61,9 +68,11 @@ class TestRegime:
         assert "p must" in err
 
     def test_thread_count_validated(self, capsys):
-        code, _, err = run_cli(capsys, ["verify", "--suite", "oracle", "--threads", "0"])
-        assert code == 2
-        assert "threads" in err
+        # verify runs on one thread: a thread count is no option
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "oracle", "--threads", "0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 0" in capsys.readouterr().err
 
 
 class TestExample:
@@ -191,6 +200,33 @@ class TestEval:
         want = m.field(fld.points[inner])
         assert np.max(np.abs(fld.dz[inner] - want.dz)) < 1e-8
         assert np.max(np.abs(fld.dzbar[inner] - want.dzbar)) < 1e-8
+
+    def test_point_field_flags_as_the_grid_does(self, tmp_path):
+        # 2048 samples under-resolve r = 0.999 (2048 < 8 / (1 - 0.999)): the grid's
+        # outermost rows are flagged, and so is a point on that circle.
+        boundary, grid_csv, points_csv = (str(tmp_path / name)
+                                          for name in ("phase.csv", "grid.csv", "points.csv"))
+        assert main(["example", "--id", "4.2", "--export", boundary,
+                     "--output", str(tmp_path / "example.json")]) == 0
+        argv = ["eval", "--alpha", "0.7", "--boundary", boundary, "--field"]
+        assert main(argv + ["--grid", "--output", grid_csv]) == 0
+        assert main(argv + ["--point", "0.999,1", "--point", "0.5,1", "--point", "0,3",
+                            "--output", points_csv]) == 0
+        grid, points = read_deriv_csv(grid_csv), read_deriv_csv(points_csv)
+        radii = np.abs(grid.points)
+        assert {flag for flag, r in zip(grid.flags, radii) if r == radii.max()} == {
+            FLAG_UNDER_RESOLVED}
+        assert grid.flags[0] == FLAG_ORIGIN
+        assert points.flags == [FLAG_UNDER_RESOLVED, FLAG_NONE, FLAG_ORIGIN]
+
+    def test_origin_prints_r_and_theta_zero_on_both_paths(self, capsys, monomial_csv):
+        # --point 0,3 is the origin, whatever its angle
+        argv = ["eval", "--alpha", "-0.5", "--boundary", monomial_csv, "--point", "0,3"]
+        for extra in (["--format", "csv"], ["--field"]):
+            code, out, _ = run_cli(capsys, argv + extra)
+            assert code == 0
+            row = next(csv.DictReader(io.StringIO(out)))
+            assert (row["r"], row["theta"]) == ("0.0", "0.0")
 
     def test_field_rejects_json_format(self, capsys, monomial_csv):
         code, _, err = run_cli(
@@ -462,10 +498,13 @@ class TestArgumentChecks:
         sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
         options = {name: {opt for act in sp._actions for opt in act.option_strings}
                    for name, sp in sub.choices.items()}
-        assert {name for name, opts in options.items() if "--threads" in opts} == {
-            "verify", "report"}
+        assert not any("--threads" in opts for opts in options.values())
         assert "--nodes" not in options["eval"] and "--r-max" in options["eval"]
-        for argv in (["regime", "--alpha", "0.5", "--p", "2", "--threads", "1"],
+        threads = ["--threads", "1"]
+        for argv in (["eval", "--alpha", "0", "--boundary", "b.csv", "--grid"] + threads,
+                     NORM_41 + threads, ["regime", "--alpha", "0.5", "--p", "2"] + threads,
+                     ["verify"] + threads, ["example", "--id", "4.1"] + threads,
+                     ["report"] + threads,
                      ["eval", "--alpha", "0", "--boundary", "b.csv", "--grid", "--nodes", "2048"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
@@ -618,26 +657,6 @@ class TestVerify:
             for rec in data["records"]
         )
 
-    def test_deterministic_across_threads(self, capsys, monkeypatch):
-        _, out1, _ = run_cli(
-            capsys, ["verify", "--suite", "oracle", "--threads", "1"]
-        )
-        _, out4, _ = run_cli(
-            capsys, ["verify", "--suite", "oracle", "--threads", "4"]
-        )
-        assert out1 == out4
-        monkeypatch.setenv(THREADS_ENV, "3")
-        _, out_env, _ = run_cli(capsys, ["verify", "--suite", "oracle"])
-        assert out_env == out1
-
-    def test_inequalities_deterministic_across_threads(self, capsys):
-        # Each job is one (boundary, alpha) pass sharing its boundary with two
-        # other jobs; the records must come back in the serial order.
-        code1, out1, _ = run_cli(capsys, ["verify", "--suite", "inequalities", "--threads", "1"])
-        code2, out2, _ = run_cli(capsys, ["verify", "--suite", "inequalities", "--threads", "2"])
-        assert (code1, code2) == (0, 0)
-        assert out1 == out2
-
     def test_one_kernel_spectrum_per_alpha_boundary_and_radius(self, monkeypatch):
         built = Counter()
         grid_kernels = []
@@ -655,7 +674,7 @@ class TestVerify:
             monkeypatch.setattr(module, "_circle_spectra", counting)
         monkeypatch.setattr(kernel, "_grid_kernel", counting_grid_kernel)
         q = QuadSpec(angular_nodes=64, r_max=0.99, radial_grid=radial_grid(0.99, 6))
-        records = cli._inequality_records(q, 1)
+        records = cli._inequality_records(q)
         # One circle-operator call, so one grid kernel, per (alpha, boundary, radius).
         assert sum(built.values()) == 3 * 3 * len(q.radial_grid)
         assert set(built.values()) == {1}

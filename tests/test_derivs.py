@@ -326,15 +326,35 @@ class TestFusedCircles:
 class TestOneSweep:
     @pytest.mark.parametrize("sampled", [False, True])
     def test_dtheta_is_a_sweep_of_the_boundary_derivative(self, sampled, F_mix):
-        # K_a commutes with d/dtheta: a circle of df/dtheta is the plain
-        # kernel sweep of dF/dt, to the last bit. At r = 0 it is the operator's
-        # limit, exact zeros.
+        # K_a commutes with d/dtheta: a circle of df/dtheta is the plain kernel
+        # sweep of dF/dt less its mean (bin 0 of its spectrum), to the last bit.
+        # At r = 0 it is the operator's limit, exact zeros.
         q = QuadSpec(angular_nodes=512, r_max=0.95)
         F = BoundaryData.from_samples(F_mix.thetas, F_mix.values) if sampled else F_mix
+        dF = boundary_derivative(kernel._on_quad_grid(F, q))
+        mean_free = BoundaryData(dF.thetas, dF.values)
+        spectrum = dF._spectrum().copy()
+        spectrum[0] = 0.0
+        mean_free._derived["spectrum"] = spectrum
         assert not np.any(circle_derivs(-0.5, F, 0.0, q)[0])
         for r in (0.3, 0.6, 0.9):
             dth, _ = circle_derivs(-0.5, F, r, q)
-            assert np.array_equal(dth, circle_poisson_values(-0.5, boundary_derivative(F), r, q))
+            assert np.array_equal(dth, circle_poisson_values(-0.5, mean_free, r, q))
+
+    def test_corner_derivative_mean_is_taken_as_zero(self, q):
+        # Example 4.2's closed-form dF/dt jumps at its corners, so its samples'
+        # trapezoid mean is 2.7e-4 at 2048 nodes; the exact mean is 0. Circles of
+        # df/dtheta then have mean 0, and the circle and pointwise operators agree.
+        F = phase_boundary(2048)
+        idx = np.arange(0, 2048, 256)
+        for r in (0.05, 0.5, 0.9):
+            dth, dz, dzbar = (KernelQuantity(0.7, F, name).circle_values(r, q)
+                              for name in ("dtheta", "dz", "dzbar"))
+            assert abs(np.mean(dth)) <= 1e-15
+            zs = r * np.exp(1j * F.thetas[idx])
+            assert np.max(np.abs(dtheta_f(0.7, F, zs, q) - dth[idx])) < 1e-12
+            points = np.array([dz_dzbar_f(0.7, F, z, q) for z in zs]).T
+            assert np.max(np.abs(points - (dz[idx], dzbar[idx]))) < 1e-12
 
     def test_samples_are_transformed_once_per_boundary(self, monkeypatch, F_mix):
         F = BoundaryData.from_samples(F_mix.thetas, F_mix.values)

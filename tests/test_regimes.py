@@ -222,7 +222,7 @@ class TestAngularDerivativeBound:
         assert max(seen) == _ANGULAR_CAP
 
     def test_threads_sharing_one_boundary_agree(self):
-        # As in `verify --threads`, jobs share one F with its resample cache
+        # Threads calling the library may share one F with its resample cache
         # and memoized derivatives; racing fills must not change a record.
         def make():
             return BoundaryData.from_function(lambda th: np.exp(2j * np.asarray(th)), 64,

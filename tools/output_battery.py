@@ -1,0 +1,128 @@
+"""Compare the command-line outputs of two diskpoisson source trees.
+
+    python tools/output_battery.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are directories holding the diskpoisson package (a
+checkout's src/). Each command of a fixed list runs once per tree, in its own
+subprocess with that tree on PYTHONPATH, and the script prints one line per
+command: "identical" when its stdout (and the file an --export writes) is
+byte-for-byte the same, else the largest change of a printed number relative to
+the command's largest finite |value|, or "text differs" when more than numbers
+changed. Each line ends with both exit codes; both stderr texts follow when they
+differ. The boundary CSVs that eval and norm read are the old tree's exports,
+so both trees read the same files.
+
+The list: report (seeds 0, 1, 7) and verify --suite all; example --export of
+4.1, 4.2 and 4.3 (2048 samples; 4.2 and 4.3 also 8192); on each exported CSV at
+alpha -0.5, 0 and 0.7, eval --grid, eval --grid --field, eval --point (4
+points), eval --point --field and norm --boundary (5 quantities x hardy,
+bergman); and norm --example of 4.1 (alpha -0.5), 4.2 (0.7) and 4.3 (0), each
+quantity and kind, with --nodes 8192 and with --r-max 0.9999.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+import re
+import subprocess
+import sys
+import tempfile
+
+QUANTITIES = ("f", "dtheta", "dr", "dz", "dzbar")
+KINDS = ("hardy", "bergman")
+ALPHAS = ("-0.5", "0", "0.7")
+EXPORTS = (("4.1", 2048), ("4.2", 2048), ("4.2", 8192), ("4.3", 2048), ("4.3", 8192))
+POINTS = ("0,0", "0.5,0.7", "0.9,2", "0.999,1")
+EXAMPLE_ALPHAS = (("4.1", "-0.5"), ("4.2", "0.7"), ("4.3", "0"))
+
+NUMBER = re.compile(rb"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
+
+
+def csv_name(example: str, samples: int) -> str:
+    return f"{example}-{samples}.csv"
+
+
+def commands(csv_dir: str):
+    """The argv lists of the battery; every --export comes before a read of its CSV."""
+    for seed in ("0", "1", "7"):
+        yield ["report", "--seed", seed]
+    yield ["verify", "--suite", "all"]
+    for example, samples in EXPORTS:
+        yield ["example", "--id", example, "--samples", str(samples),
+               "--export", csv_name(example, samples)]
+    for example, samples in EXPORTS:
+        boundary = os.path.join(csv_dir, csv_name(example, samples))
+        for alpha in ALPHAS:
+            base = ["--alpha", alpha, "--boundary", boundary]
+            points = [tok for point in POINTS for tok in ("--point", point)]
+            yield ["eval", *base, "--grid"]
+            yield ["eval", *base, "--grid", "--field"]
+            yield ["eval", *base, *points]
+            yield ["eval", *base, *points, "--field"]
+            for quantity in QUANTITIES:
+                for kind in KINDS:
+                    yield ["norm", *base, "--p", "2", "--quantity", quantity, "--kind", kind]
+    for example, alpha in EXAMPLE_ALPHAS:
+        for quantity in QUANTITIES:
+            for kind in KINDS:
+                base = ["norm", "--example", example, "--alpha", alpha, "--p", "2",
+                        "--quantity", quantity, "--kind", kind]
+                yield base + ["--nodes", "8192"]
+                yield base + ["--r-max", "0.9999", "--cutoffs", "0.99,0.999,0.9999"]
+
+
+def run(src: str, workdir: str, argv: list) -> tuple:
+    """(exit code, stdout plus any exported file, stderr) of argv with src on PYTHONPATH."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-m", "diskpoisson.cli", *argv], cwd=workdir,
+                          env=env, capture_output=True)
+    out = proc.stdout
+    if "--export" in argv:
+        with open(os.path.join(workdir, argv[argv.index("--export") + 1]), "rb") as fh:
+            out += b"\0" + fh.read()
+    return proc.returncode, out, proc.stderr.decode(errors="replace")
+
+
+def compare(old: bytes, new: bytes) -> str:
+    """"identical", "text differs", or the largest change of a number over the largest
+    finite |value| of old."""
+    if old == new:
+        return "identical"
+    if NUMBER.sub(b"#", old) != NUMBER.sub(b"#", new):
+        return "text differs"
+    a = [float(tok) for tok in NUMBER.findall(old)]
+    b = [float(tok) for tok in NUMBER.findall(new)]
+    change = max(abs(x - y) for x, y in zip(a, b) if x != y)
+    scale = max((abs(x) for x in a if math.isfinite(x)), default=0.0)
+    return f"rel {change / scale:.2g}" if scale > 0.0 else f"abs {change:.2g}"
+
+
+def main(argv: list) -> int:
+    if len(argv) != 2:
+        print("usage: python tools/output_battery.py OLD_SRC NEW_SRC", file=sys.stderr)
+        return 2
+    old_src, new_src = argv
+    with tempfile.TemporaryDirectory() as tmp:
+        old_dir, new_dir = os.path.join(tmp, "old"), os.path.join(tmp, "new")
+        os.mkdir(old_dir)
+        os.mkdir(new_dir)
+        tally = {}
+        for cmd in commands(old_dir):
+            old_code, old_out, old_err = run(old_src, old_dir, cmd)
+            new_code, new_out, new_err = run(new_src, new_dir, cmd)
+            verdict = compare(old_out, new_out)
+            tally[verdict.split()[0]] = tally.get(verdict.split()[0], 0) + 1
+            shown = " ".join(os.path.basename(tok) if tok.startswith(old_dir) else tok
+                             for tok in cmd)
+            print(f"{verdict:<14} exit {old_code}/{new_code}  {shown}", flush=True)
+            if old_err != new_err:
+                for label, err in (("old", old_err), ("new", new_err)):
+                    for line in err.splitlines() or ["(empty)"]:
+                        print(f"    {label} stderr: {line}")
+        print("summary: " + ", ".join(f"{k} {v}" for k, v in sorted(tally.items())))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
