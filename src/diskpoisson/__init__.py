@@ -16,7 +16,6 @@ from .kernel import (
     QuadSpec,
     ResolutionWarning,
     c_alpha,
-    kernel_K,
     poisson_integral,
     circle_poisson_values,
     boundary_derivative,
@@ -26,14 +25,11 @@ from .kernel import (
 )
 from .derivs import (
     DerivField,
-    J1,
-    J2,
     circle_derivs,
     deriv_field,
     dr_f,
     dtheta_f,
     dz_dzbar_f,
-    fd_check,
     read_deriv_csv,
     sine_moment,
     sine_moment_exact,

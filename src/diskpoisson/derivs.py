@@ -44,16 +44,12 @@ from .kernel import (
     _under_resolved,
     _write_csv,
     as_alpha,
-    poisson_integral,
 )
 
 __all__ = [
     "dtheta_f",
-    "J1",
-    "J2",
     "dr_f",
     "dz_dzbar_f",
-    "fd_check",
     "sine_moment",
     "sine_moment_exact",
     "DerivField",
@@ -74,30 +70,9 @@ def dtheta_f(a, F: BoundaryData, z, q: QuadSpec) -> complex:
     return _point_values(a, F, z, q, ("dtheta",))[0]
 
 
-def J1(a, F: BoundaryData, z, q: QuadSpec) -> complex:
-    """First radial piece: alpha times the kernel operator itself."""
-    a = as_alpha(a)
-    return a.alpha * poisson_integral(a, F, z, q)
-
-
 def _wirtinger_pair(rdr, dth, z):
     """(df/dz, df/dzbar) from r df/dr and df/dtheta at z != 0 (scalar or array)."""
     return (rdr - 1j * dth) / (2.0 * z), (rdr + 1j * dth) / (2.0 * z.conjugate())
-
-
-def J2(a, F: BoundaryData, z: complex, q: QuadSpec) -> complex:
-    """Second radial piece, the integrated-by-parts form that is finite as r -> 1.
-
-    With z = r e^{i theta}, D(t) = |1 - r e^{it}|^2 and w = 1 - r^2:
-
-        J2 = -(c_a w^a / pi)    int dF/dt(e^{i(t+theta)}) r sin t / D^{(a+2)/2} dt
-             -(a c_a w^a / 2pi) int F(e^{i(t+theta)}) (1 - r cos t) / D^{(a+2)/2} dt
-
-    c_a w^a / D^{(a+2)/2} is the kernel K_a(r e^{it}) over w. It is r df/dr - J1.
-    """
-    a = as_alpha(a)
-    f, rdr = _point_values(a, F, complex(z), q, ("f", "rdr"))
-    return rdr - a.alpha * f
 
 
 def dr_f(a, F: BoundaryData, z: complex, q: QuadSpec) -> complex:
@@ -121,27 +96,6 @@ def dz_dzbar_f(a, F: BoundaryData, z: complex, q: QuadSpec) -> tuple[complex, co
         return complex(_invert(*dz)[0]), complex(_invert(*dzbar)[0])
     dth, rdr = _point_values(a, F, z, q, ("dtheta", "rdr"))
     return _wirtinger_pair(rdr, dth, z)
-
-
-def fd_check(a, F: BoundaryData, z: complex, h: float, q: QuadSpec) -> float:
-    """Max relative residual of the four derivatives against central differences.
-
-    Differences of the quadrature values of f itself; expected O(h^2) for
-    interior z. Residuals are normalized by max(1, |analytic value|).
-    """
-    z = complex(z)
-    r = abs(z)
-    if r == 0.0 or r + h > q.r_max:
-        raise ValueError("fd_check needs 0 < |z| and |z| + h <= r_max")
-    e = z / r  # e^{i theta}
-    pts = [z + h, z - h, z + 1j * h, z - 1j * h,  # x and y
-           (r + h) * e, (r - h) * e, z * np.exp(1j * h), z * np.exp(-1j * h)]  # r and theta
-    fp = poisson_integral(a, F, np.array(pts), q)
-    dx_fd, dy_fd, dr_fd, dth_fd = (fp[0::2] - fp[1::2]) / (2.0 * h)
-    fd_wirtinger = ((dx_fd - 1j * dy_fd) / 2.0, (dx_fd + 1j * dy_fd) / 2.0)
-    pairs = ((dtheta_f(a, F, z, q), dth_fd), (dr_f(a, F, z, q), dr_fd),
-             *zip(dz_dzbar_f(a, F, z, q), fd_wirtinger))
-    return max(abs(got - ref) / max(1.0, abs(got)) for got, ref in pairs)
 
 
 # Nodes of sine_moment's Gauss-Legendre rule. They crowd toward t = 0 like (k/n)^2, so

@@ -16,9 +16,8 @@ sweep is the same trapezoid sums at every grid angle at once: one cyclic
 convolution, the kernel's spectrum times the boundary's. _circle_spectra
 is the one circle operator: f, df/dtheta, r df/dr, df/dr, df/dz and
 df/dzbar on a circle, r = 0 included, are each one spectrum from it and
-one inverse FFT. Both build the kernel from one formula, which kernel_K,
-the reference the tests compare against, writes independently. On the
-grid the kernel is real and even in theta, so its spectrum is real and
+one inverse FFT. Both build the kernel from one formula, _kernel_formula.
+On the grid the kernel is real and even in theta, so its spectrum is real and
 even: one real FFT of values built from a cached table of
 sin^2(theta_j/2), since |1 - r e^{it}|^2 = (1-r)^2 + 4r sin^2(t/2) does
 not cancel near t = 0 as r -> 1. That FFT is taken on every s-th node,
@@ -51,7 +50,6 @@ __all__ = [
     "BoundaryData",
     "QuadSpec",
     "c_alpha",
-    "kernel_K",
     "poisson_integral",
     "circle_poisson_values",
     "boundary_derivative",
@@ -198,19 +196,6 @@ class BoundaryData:
     def n_samples(self) -> int:
         return len(self.thetas)
 
-    def eval(self, thetas: np.ndarray) -> np.ndarray:
-        """Evaluate F at arbitrary angles: closed form, else trigonometric interpolant."""
-        thetas = np.asarray(thetas, dtype=float)
-        if self.closed_form is not None:
-            return np.asarray(self.closed_form(thetas), dtype=complex)
-        n = self.n_samples
-        ks = np.fft.fftfreq(n, d=1.0 / n)
-        return np.exp(1j * np.outer(thetas, ks)) @ (self._spectrum() / n)
-
-    def eval_deriv(self, thetas: np.ndarray) -> np.ndarray:
-        """Evaluate dF/dtheta at arbitrary angles: boundary_derivative(self).eval."""
-        return boundary_derivative(self).eval(thetas)
-
     def resample(self, n: int) -> "BoundaryData":
         """Return the same boundary function on an n-node grid (memoized)."""
         if n == self.n_samples:
@@ -269,23 +254,6 @@ class QuadSpec:
         object.__setattr__(self, "radial_grid", grid)
 
 
-def kernel_K(a, z) -> float:
-    """Kernel value c_a (1-|z|^2)^(a+1) / |1-z|^(a+2) for |z| < 1.
-
-    Accepts a scalar or array z; strictly positive on the open disk. The
-    operators build the kernel from sin^2(t/2) instead; this is the tests' reference.
-    """
-    a = as_alpha(a)
-    z = np.asarray(z, dtype=complex)
-    rho = np.abs(z)
-    if np.any(rho >= 1.0):
-        raise ValueError("kernel is defined on the open disk only")
-    # 1 - |z|^2 as (1-|z|)(1+|z|): no cancellation as |z| -> 1
-    out = (a.c_alpha * ((1.0 - rho) * (1.0 + rho)) ** (a.alpha + 1.0)
-           / np.abs(1.0 - z) ** (a.alpha + 2.0))
-    return float(out) if out.ndim == 0 else out
-
-
 def _under_resolved(n: int, r: float) -> bool:
     """True when n angular nodes are too few for the kernel peak, of width 1-r."""
     return r < 1.0 and n < 8.0 / (1.0 - r)
@@ -320,15 +288,15 @@ def _distance_sq(r, sin2):
 
 
 def _kernel_formula(a: AlphaParam, r, sin2):
-    """kernel_K(a, r e^{it}) from r and sin^2(t/2), with 1 - r^2 written as (1-r)(1+r), as
-    kernel_K writes it. The one kernel formula of both operators."""
+    """K_a(r e^{it}) from r and sin^2(t/2), with 1 - r^2 written as (1-r)(1+r): no
+    cancellation as r -> 1. The one kernel formula of both operators."""
     dist_sq = _distance_sq(r, sin2)
     return (a.c_alpha * ((1.0 - r) * (1.0 + r)) ** (a.alpha + 1.0)
             * dist_sq ** (-0.5 * (a.alpha + 2.0)))
 
 
 def _grid_kernel(a: AlphaParam, r: float, n: int, s: int = 1) -> np.ndarray:
-    """kernel_K(a, r e^{i theta_j}) on every s-th node of the n-node grid."""
+    """K_a(r e^{i theta_j}) on every s-th node of the n-node grid."""
     return _kernel_formula(a, r, _half_angle_sin2(n)[::s])
 
 

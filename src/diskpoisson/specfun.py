@@ -209,6 +209,11 @@ def _connection_1mx(a: float, b: float, c: float, x: float, tol: float) -> float
 
 @functools.lru_cache(maxsize=200000)
 def _hyp2f1_cached(a: float, b: float, c: float, x: float, tol: float) -> float:
+    for name, value in zip("abcx", (a, b, c, x)):
+        if not math.isfinite(value):
+            raise ValueError(f"2F1 needs finite arguments, got {name}={value!r}")
+    if not 0.0 < tol < math.inf:  # NaN fails too
+        raise ValueError(f"2F1 needs a finite tol > 0, got tol={tol!r}")
     if _is_nonpositive_integer(c):
         raise ValueError(f"2F1 undefined: c={c!r} is zero or a negative integer")
     if abs(x) > 1.0:
@@ -248,7 +253,8 @@ def hyp2f1(a: float, b: float, c: float, x: float, tol: float = 1e-14) -> float:
     as a long terminating one), and, naming the logarithmic case, a series
     with an integer c - a - b near x = 1 that exceeds the term cap. The x < 0
     route is unchecked: 1.2e-13 worst relative error at tol 1e-14 over 3,000
-    random arguments (a, b in [-5, 5], c in [0.1, 5]).
+    random arguments (a, b in [-5, 5], c in [0.1, 5]). A non-finite a, b, c
+    or x, or a tol that is not finite and positive, raises ValueError naming it.
     """
     return _hyp2f1_cached(float(a), float(b), float(c), float(x), float(tol))
 

@@ -11,8 +11,6 @@ import numpy as np
 import pytest
 
 from diskpoisson.derivs import (
-    J1,
-    J2,
     circle_derivs,
     sine_moment,
     sine_moment_exact,
@@ -43,6 +41,7 @@ from diskpoisson.norms import (
 from diskpoisson.regimes import certification_grid
 from diskpoisson.specfun import beta_integral, gamma, gauss_value, hyp2f1
 from diskpoisson.derivs import DerivField
+from identities import J1, J2
 
 Q = QuadSpec()
 

