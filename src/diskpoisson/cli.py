@@ -45,6 +45,7 @@ from .kernel import (
 )
 from .mappings import (
     HypMonomial,
+    _SERIES_TERM_CAP,
     _log_series_circle,
     _phase_circle,
     log_series_boundary,
@@ -158,10 +159,11 @@ def _parse_points(raw_points: Sequence[str], r_max: float) -> np.ndarray:
 
 
 def _load_boundary(ns: argparse.Namespace) -> tuple:
-    """(label, BoundaryData) from --boundary or --example options."""
+    """(label, BoundaryData) from --boundary (its own samples) or --example options (built
+    at --samples, which 4.3's default n_trunc reads, and resampled to --nodes)."""
     if ns.boundary is not None:
         return os.path.basename(ns.boundary), read_boundary_csv(ns.boundary)
-    return ns.example, _build_example(ns, ns.example)[1]
+    return ns.example, _build_example(ns, ns.example)[1].resample(ns.nodes)
 
 
 def _resolve_example_id(raw: str) -> str:
@@ -247,7 +249,7 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
                    np.tile(_uniform_thetas(n_th), len(q.radial_grid)), vals.real, vals.imag)
     else:
         pts = _parse_points(raw_points, q.r_max)
-        vals = np.array([poisson_integral(ns.alpha, F, z, q) for z in pts])
+        vals = poisson_integral(ns.alpha, F, pts, q)
         columns = (np.abs(pts), np.mod(np.angle(pts), 2.0 * np.pi), vals.real, vals.imag)
 
     keys = ("r", "theta", "re", "im")
@@ -318,7 +320,7 @@ def _oracle_records(q: QuadSpec, seed: int) -> list:
                 2j * np.pi * rng.uniform(0.0, 1.0, 50))
             want = m.value(pts)
             F = m.boundary(q.angular_nodes)
-            got = np.array([poisson_integral(alpha, F, z, q) for z in pts])
+            got = poisson_integral(alpha, F, pts, q)
             worst = float(np.max(np.abs(got - want) / np.maximum(1e-30, np.abs(want))))
             records.append(CertificationRecord(
                 check="kernel_extension_oracle",
@@ -333,7 +335,7 @@ def _oracle_records(q: QuadSpec, seed: int) -> list:
         F = BoundaryData.from_function(
             lambda t, n=n: np.exp(1j * n * np.asarray(t)), q.angular_nodes,
             deriv=lambda t, n=n: 1j * n * np.exp(1j * n * np.asarray(t)))
-        got = np.array([poisson_integral(0.0, F, z, q) for z in radii * np.exp(1j * thetas)])
+        got = poisson_integral(0.0, F, radii * np.exp(1j * thetas), q)
         worst = float(np.max(np.abs(got - radii ** n * np.exp(1j * n * thetas))))
         records.append(CertificationRecord(
             check="harmonic_power",
@@ -597,6 +599,8 @@ def _check_args(ns: argparse.Namespace) -> None:
         _check_count("samples", ns.samples)
     if "n_trunc" in reads and ns.n_trunc is not None:
         _require(ns.n_trunc >= 2, f"n-trunc must be >= 2, got {ns.n_trunc}")
+        _require(ns.n_trunc <= _SERIES_TERM_CAP,
+                 f"n-trunc must be at most {_SERIES_TERM_CAP}, got {ns.n_trunc}")
     if "n" in reads:  # hyp-monomial
         ns.alpha = -0.5 if ns.alpha is None else ns.alpha
         _require(-1.0 < ns.alpha < 0.0, f"hyp-monomial needs alpha in (-1, 0), got {ns.alpha}")

@@ -37,7 +37,6 @@ from .kernel import (
     _circle_spectra,
     _distance_sq,
     _invert,
-    _on_quad_grid,
     _point_values,
     _read_only,
     _read_table,
@@ -223,16 +222,15 @@ def _point_flag(n: int, r: float) -> str:
 def deriv_field(a, F: BoundaryData, q: QuadSpec, n_thetas: int = 256) -> DerivField:
     """Evaluate all four derivatives of the kernel extension on a polar grid.
 
-    Radii come from q.radial_grid; each circle is swept at q.angular_nodes
-    and subsampled to n_thetas output angles (which must divide it). Points
-    whose radius needs more than q.angular_nodes angular nodes are flagged
-    under_resolved; the origin row holds dz_dzbar_f's limit at z = 0.
+    Radii come from q.radial_grid; each circle is swept at F's own N samples
+    and subsampled to n_thetas output angles (which must divide N). Points
+    whose radius needs more than N angular nodes are flagged under_resolved;
+    the origin row holds dz_dzbar_f's limit at z = 0.
     """
     a = as_alpha(a)
-    F = _on_quad_grid(F, q)
     n = F.n_samples
     if n % n_thetas != 0:
-        raise ValueError("n_thetas must divide the angular node count")
+        raise ValueError("n_thetas must divide the boundary's sample count")
     stride = n // n_thetas
     sel = np.arange(0, n, stride)
     thetas_out = F.thetas[sel]

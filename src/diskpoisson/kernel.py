@@ -232,7 +232,9 @@ def radial_grid(r_max: float = 0.999, n: int = 64) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Quadrature configuration: angular nodes, radial grid, truncation."""
+    """Quadrature configuration: radial grid, truncation, and angular_nodes, the node count
+    of what has no samples (norms' callables, the kernel-mean and distance-integral
+    certificates, CLI-built boundaries): a BoundaryData is swept on its own samples."""
 
     angular_nodes: int = 2048
     r_max: float = 0.999
@@ -266,18 +268,12 @@ def _check_resolution(n: int, r: float) -> None:
               f"(want N >= {8.0 / (1.0 - r):.0f})", ResolutionWarning)
 
 
-def _on_quad_grid(F: BoundaryData, q: QuadSpec) -> BoundaryData:
-    """F at q.angular_nodes when it has a closed form; sampled data stays native."""
-    return F if F.closed_form is None else F.resample(q.angular_nodes)
-
-
 def poisson_integral(a, F: BoundaryData, z, q: QuadSpec) -> complex:
     """Trapezoid quadrature of (1/2pi) int K_a(z e^{-it}) F(e^{it}) dt.
 
-    Evaluates at a scalar z or an array of points; closed-form boundary data
-    is resampled to q.angular_nodes first. For smooth F and fixed |z| < 1 the
-    error decays faster than any power of 1/N. Emits ResolutionWarning when
-    N < 8/(1-|z|).
+    Evaluates at a scalar z or an array of points, summing over F's own N
+    samples. For smooth F and fixed |z| < 1 the error decays faster than any
+    power of 1/N. Emits ResolutionWarning for each point with N < 8/(1-|z|).
     """
     return _point_values(a, F, z, q, ("f",))[0]
 
@@ -331,40 +327,44 @@ def _point_values(a, F: BoundaryData, z, q: QuadSpec, quantities) -> list:
     """[values, ...], one per name in quantities ("f", "dtheta" df/dtheta, "rdr" r df/dr)
     at the points z: a complex for a scalar z, else an array shaped like z.
 
-    The one pointwise operator, twin of _circle_spectra: with F on the quadrature grid and
-    K the kernel at |z| e^{it}, t = theta_j - arg z, each is a dot product with the samples:
+    The one pointwise operator, twin of _circle_spectra: with F's own N samples and K the
+    kernel at |z| e^{it}, t = theta_j - arg z, each is a dot product with the samples:
     f = sum K F / N, df/dtheta = sum K dF/dt / N and r df/dr = J1 + J2 =
     sum (alpha (K - K2 / w) F - (2 / w) K1 dF/dt) / N, w = 1 - r^2, with the J2 kernels
     K1 = r sin t K and K2 = ((1-r) + 2r sin^2(t/2)) K that _fused_spectrum transforms.
     dF/dt enters less its trapezoid mean, as the mean of a periodic derivative is 0: samples
-    of a closed-form derivative that jumps (example 4.2) have a mean of order 1/N.
+    of a closed-form derivative that jumps (example 4.2) have a mean of order 1/N. Each
+    point, warned about on its own, is summed over its own kernel row of N values.
     """
     a = as_alpha(a)
-    F = _on_quad_grid(F, q)
     z = np.asarray(z, dtype=complex)
     r = np.abs(z).reshape(-1, 1)
     if np.any(r > q.r_max):
         raise ValueError(f"evaluation points must satisfy |z| <= r_max = {q.r_max}")
     n = F.n_samples
-    _check_resolution(n, float(np.max(r, initial=0.0)))
-    t = _uniform_thetas(n) - np.angle(z).reshape(-1, 1)
-    sin2 = np.sin(0.5 * t) ** 2
-    kern = _kernel_formula(a, r, sin2)
+    for rj in r[:, 0].tolist():
+        _check_resolution(n, rj)
+    angles = np.angle(z).reshape(-1, 1)
     if any(name != "f" for name in quantities):
         dF = boundary_derivative(F).values
         dF = dF - dF.mean()
-    out = []
-    for name in quantities:
-        if name == "rdr":
-            w = (1.0 - r) * (1.0 + r)
-            k_val = a.alpha * (kern - ((1.0 - r) + 2.0 * r * sin2) * kern / w)
-            k_dot = (-2.0 / w) * r * np.sin(t) * kern
-            sums = k_val @ F.values + k_dot @ dF
-        else:
-            sums = kern @ (F.values if name == "f" else dF)
-        sums /= n
-        out.append(complex(sums[0]) if z.ndim == 0 else sums.reshape(z.shape))
-    return out
+    out = np.empty((len(quantities), len(r)), dtype=complex)
+    for j in range(len(r)):
+        rj = r[j:j + 1]  # shape (1, 1): the point's kernel is one (1, N) row
+        t = _uniform_thetas(n) - angles[j:j + 1]
+        sin2 = np.sin(0.5 * t) ** 2
+        kern = _kernel_formula(a, rj, sin2)
+        for i, name in enumerate(quantities):
+            if name == "rdr":
+                w = (1.0 - rj) * (1.0 + rj)
+                k_val = a.alpha * (kern - ((1.0 - rj) + 2.0 * rj * sin2) * kern / w)
+                k_dot = (-2.0 / w) * rj * np.sin(t) * kern
+                sums = k_val @ F.values + k_dot @ dF
+            else:
+                sums = kern @ (F.values if name == "f" else dF)
+            sums /= n
+            out[i, j] = sums[0]
+    return [complex(row[0]) if z.ndim == 0 else row.reshape(z.shape) for row in out]
 
 
 def _invert(spec: np.ndarray, d: float) -> np.ndarray:
@@ -428,7 +428,7 @@ def _circle_spectra(a, F: BoundaryData, r: float, q: QuadSpec, quantities) -> li
     every grid angle of the circle |z| = r: "f" the extension, "dtheta" df/dtheta, "rdr"
     r df/dr, and "dr", "dz", "dzbar".
 
-    The one circle operator: F goes on the quadrature grid, and one grid kernel and its
+    The one circle operator: it sums over F's own N samples, and one grid kernel and its
     spectrum serve every quantity. f and df/dtheta are that spectrum times fft(F) or
     fft(dF/dt), with bin 0 of fft(dF/dt) taken as 0 here and in _fused_spectrum, as in
     _point_values; the partials are one fused spectrum each. At r = 0, where the polar frame
@@ -440,7 +440,6 @@ def _circle_spectra(a, F: BoundaryData, r: float, q: QuadSpec, quantities) -> li
     keyed on N.
     """
     a = as_alpha(a)
-    F = _on_quad_grid(F, q)
     if not 0.0 <= r <= q.r_max:
         raise ValueError(f"radius must lie in [0, r_max = {q.r_max}]")
     n = F.n_samples

@@ -256,12 +256,13 @@ def phase_fourier_coeff(k) -> np.ndarray:
     return np.exp(1j) / (2.0 * math.pi) * (term_a + term_b)
 
 
-_PHASE_KMAX_CAP = 2_000_000
+# Most series terms: the phase series' k_max and the largest n_trunc the CLI accepts.
+_SERIES_TERM_CAP = 2_000_000
 
 
 def _phase_kmax(rmax: float) -> int:
     """Terms for a geometric tail below double precision at radius rmax: 42/(1-rmax)."""
-    return int(min(_PHASE_KMAX_CAP, max(64, math.ceil(42.0 / (1.0 - rmax)))))
+    return int(min(_SERIES_TERM_CAP, max(64, math.ceil(42.0 / (1.0 - rmax)))))
 
 
 def _phase_deriv_coeffs(kmax: int):

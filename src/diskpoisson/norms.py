@@ -30,8 +30,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .kernel import (BoundaryData, QuadSpec, _circle_spectra, _invert, _on_quad_grid,
-                     _uniform_thetas, as_alpha)
+from .kernel import (BoundaryData, QuadSpec, _circle_spectra, _invert, _uniform_thetas,
+                     as_alpha)
 
 __all__ = [
     "NormEstimate",
@@ -122,22 +122,21 @@ class KernelQuantity:
         self.quantity = quantity
 
     def circle_values(self, r: float, q: QuadSpec) -> np.ndarray:
-        """The quantity at every grid angle of |z| = r, on the grid the circle operator
-        uses: q.angular_nodes for a closed form, the sample count for sampled data."""
+        """The quantity at every grid angle of |z| = r, one value per sample of F."""
         return _invert(*_circle_spectra(self.a, self.F, r, q, (self.quantity,))[0])
 
 
 def _circle_mean(f, r: float, p: float, q: QuadSpec) -> float:
-    """L^p mean of f on the circle |z| = r.
+    """L^p mean of f on the circle |z| = r: at q.angular_nodes points for a callable.
 
     A KernelQuantity circle has the N values ifft(S) / d, so by Parseval
     its L^2 mean is sqrt(sum |S_m|^2) / (N |d|): no inverse FFT.
     """
-    if p == 2.0 and isinstance(f, KernelQuantity):
+    if isinstance(f, KernelQuantity):
+        if p != 2.0:
+            return _mean_p(f.circle_values(r, q), p)
         spec, d = _circle_spectra(f.a, f.F, r, q, (f.quantity,))[0]
         return float(np.linalg.norm(spec)) / (len(spec) * abs(d))
-    if hasattr(f, "circle_values"):
-        return _mean_p(f.circle_values(r, q), p)
     return _mean_p(np.asarray(f(r * np.exp(1j * _uniform_thetas(q.angular_nodes)))), p)
 
 
@@ -193,7 +192,7 @@ def _bergman_value(radii: np.ndarray, means: np.ndarray, p: float) -> float:
 def hardy_norm(f, p: float, q: QuadSpec) -> NormEstimate:
     """Hardy-type norm: sup over the radial grid of the circle L^p means, a lower
     bound of the true supremum, with its status as _norm reads it. f is a callable
-    on arrays of disk points or an object with a circle_values(r, q) method."""
+    on arrays of disk points or a KernelQuantity."""
     return _norm(f, p, q, "hardy")
 
 
@@ -225,8 +224,7 @@ def _norm(f, p: float, q: QuadSpec, kind: str) -> NormEstimate:
         value=float(np.max(means)) if kind == "hardy" else _bergman_value(radii, means, p),
         p=p,
         r_max=float(radii[-1]),
-        n_nodes=(_on_quad_grid(f.F, q).n_samples if isinstance(f, KernelQuantity)
-                 else q.angular_nodes),
+        n_nodes=f.F.n_samples if isinstance(f, KernelQuantity) else q.angular_nodes,
         status=status,
     )
 

@@ -183,15 +183,14 @@ def _resolved_nodes(base: int, r: float) -> int:
 
 
 def _resolved_sweeps(F: BoundaryData, q: QuadSpec):
-    """Yield (F_n, q_n, radii): the radial grid split by the node count n that sweeps it.
+    """Yield (F_n, radii): the radial grid split by the node count n that sweeps it.
 
-    Closed-form data gets _resolved_nodes per radius; sampled data stays native.
+    Closed-form data gets _resolved_nodes per radius from its own count; sampled data stays.
     """
     def nodes(r):
-        return _resolved_nodes(q.angular_nodes, r) if F.closed_form is not None else F.n_samples
+        return _resolved_nodes(F.n_samples, r) if F.closed_form is not None else F.n_samples
     for n, radii in itertools.groupby(q.radial_grid, key=nodes):
-        q_n = QuadSpec(angular_nodes=n, r_max=q.r_max, radial_grid=q.radial_grid)
-        yield F.resample(n), q_n, [float(r) for r in radii]
+        yield F.resample(n), [float(r) for r in radii]
 
 
 def _boundary_checks(a, F: BoundaryData, q: QuadSpec, ps=(), scaled: bool = False,
@@ -213,11 +212,11 @@ def _boundary_checks(a, F: BoundaryData, q: QuadSpec, ps=(), scaled: bool = Fals
     sup_j1 = 0.0
     j1 = scaled and a.alpha != 0.0
     quantities = ("dtheta",) * bool(ps) + ("f",) * j1
-    for F_n, q_n, radii in _resolved_sweeps(F, q) if quantities else ():
+    for F_n, radii in _resolved_sweeps(F, q) if quantities else ():
         dF = boundary_derivative(F_n)
         rhs_n = [lp_norm_circle(dF, p) for p in ps]
         for r in radii:
-            spectra = _circle_spectra(a, F_n, r, q_n, quantities)
+            spectra = _circle_spectra(a, F_n, r, q, quantities)
             if ps:
                 mags = np.abs(_invert(*spectra[0]))
                 for i, p in enumerate(ps):
@@ -225,7 +224,7 @@ def _boundary_checks(a, F: BoundaryData, q: QuadSpec, ps=(), scaled: bool = Fals
                         max_ratio[i] = max(max_ratio[i], integral_mean(mags, r, p) / rhs_n[i])
             if j1:
                 sup_j1 = max(sup_j1, float(np.max(np.abs(a.alpha * _invert(*spectra[-1])))))
-    common = {"boundary": label or "unnamed", "nodes": q.angular_nodes,
+    common = {"boundary": label or "unnamed", "nodes": F.n_samples,
               "r_max": float(q.radial_grid[-1])}
     records = [CertificationRecord(
         check="angular_derivative_bound",
@@ -245,10 +244,10 @@ def check_angular_derivative_bound(a, F: BoundaryData, p: float, q: QuadSpec,
                                    label: Optional[str] = None) -> CertificationRecord:
     """Certify M_p(r, df/dtheta) <= ||dF/dt||_{L^p} across the radial grid.
 
-    The unit-constant Hardy bound for the angular derivative. Every circle
-    is swept at a node count adapted to its radius (the kernel peak narrows
-    like 1-r), capped at 2^17; sampled-only boundary data is used at its
-    native resolution.
+    The unit-constant Hardy bound for the angular derivative. A closed form is
+    swept on each circle at a node count adapted to its radius (the kernel peak
+    narrows like 1-r), doubled from F's sample count, the record's nodes, up to
+    2^17; sampled-only boundary data is swept at its own samples.
     """
     return _boundary_checks(a, F, q, (p,), label=label)[0]
 

@@ -14,7 +14,6 @@ from diskpoisson.derivs import dr_f, dtheta_f, dz_dzbar_f
 from diskpoisson.kernel import (
     BoundaryData,
     QuadSpec,
-    _on_quad_grid,
     _uniform_thetas,
     as_alpha,
     boundary_derivative,
@@ -47,7 +46,7 @@ def J1(a, F: BoundaryData, z, q: QuadSpec) -> complex:
 
 def J2(a, F: BoundaryData, z: complex, q: QuadSpec) -> complex:
     """Second radial piece at a scalar z, the integrated-by-parts form that is finite as
-    r -> 1, summed by the trapezoid rule on F's quadrature grid.
+    r -> 1, summed by the trapezoid rule over F's own samples.
 
     With z = r e^{i theta}, D(t) = |1 - r e^{it}|^2 and w = 1 - r^2:
 
@@ -57,7 +56,6 @@ def J2(a, F: BoundaryData, z: complex, q: QuadSpec) -> complex:
     c_a w^a / D^{(a+2)/2} is the kernel K_a(r e^{it}) over w.
     """
     a = as_alpha(a)
-    F = _on_quad_grid(F, q)
     z = complex(z)
     n, r = F.n_samples, abs(z)
     t = _uniform_thetas(n) - np.angle(z)

@@ -523,6 +523,8 @@ class TestArgumentChecks:
          "n-trunc must be >= 2, got 1"),
         (NORM_41 + ["--boundary", "b.csv"], "--boundary and --example are mutually exclusive"),
         (["norm", "--alpha", "0", "--p", "2"], "a boundary source is required"),
+        (["example", "--id", "4.3", "--n-trunc", "10000000000000"],
+         "n-trunc must be at most 2000000, got 10000000000000"),
     ])
     def test_example_options_checked_where_read(self, capsys, argv, message):
         assert self.refused(capsys, argv).startswith(f"error: {message}")

@@ -173,7 +173,8 @@ class TestWirtinger:
             return wrapped
 
         F = BoundaryData.from_function(counted(mix), 1024, deriv=counted(dmix))
-        dz_dzbar_f(-0.5, F, 0.3 + 0.1j, q)  # F on the quadrature grid and its derivative
+        F = F.resample(q.angular_nodes)
+        dz_dzbar_f(-0.5, F, 0.3 + 0.1j, q)  # the memoized derivative
         calls.clear()
         for z in (0.5 * np.exp(0.7j), 0.25 * np.exp(-2.0j), 0.9 + 0.0j):
             dz_dzbar_f(-0.5, F, z, q)
@@ -222,7 +223,6 @@ def unfused_circle(alpha, F, r, q):
     J2 correlations and the df/dtheta sweep take complex FFTs of their kernels and one
     inverse FFT each, and the Wirtinger pair comes from the polar frame at r e^{i theta_j}."""
     a = as_alpha(alpha)
-    F = F if F.closed_form is None else F.resample(q.angular_nodes)
     n = F.n_samples
     kern_hat = np.fft.fft(_grid_kernel(a, r, n))
     k1, k2 = j2_kernels(alpha, r, n)
@@ -312,8 +312,9 @@ class TestOneSweep:
         # sweep of dF/dt less its mean (bin 0 of its spectrum), to the last bit.
         # At r = 0 it is the operator's limit, exact zeros.
         q = QuadSpec(angular_nodes=512, r_max=0.95)
-        F = BoundaryData.from_samples(F_mix.thetas, F_mix.values) if sampled else F_mix
-        dF = boundary_derivative(kernel._on_quad_grid(F, q))
+        F = (BoundaryData.from_samples(F_mix.thetas, F_mix.values) if sampled
+             else F_mix.resample(q.angular_nodes))
+        dF = boundary_derivative(F)
         mean_free = BoundaryData(dF.thetas, dF.values)
         spectrum = dF._spectrum().copy()
         spectrum[0] = 0.0
@@ -361,14 +362,16 @@ class TestOneSweep:
     def test_rdr_helper_is_the_radial_half_of_circle_derivs(self, sampled, F_mix):
         # The dr circle and circle_derivs invert the same fused spectrum.
         q = QuadSpec(angular_nodes=512, r_max=0.95)
-        F = BoundaryData.from_samples(F_mix.thetas, F_mix.values) if sampled else F_mix
+        F = (BoundaryData.from_samples(F_mix.thetas, F_mix.values) if sampled
+             else F_mix.resample(q.angular_nodes))
         for r in (0.3, 0.6, 0.9):
             _, rdr = circle_derivs(-0.5, F, r, q)
             assert np.array_equal(KernelQuantity(-0.5, F, "dr").circle_values(r, q), rdr / r)
 
     def test_dr_quantity_skips_the_dtheta_sweep(self, monkeypatch, F_mix):
         q = QuadSpec(angular_nodes=512, r_max=0.95)
-        want = circle_derivs(-0.5, F_mix, 0.6, q)[1] / 0.6
+        F = F_mix.resample(q.angular_nodes)
+        want = circle_derivs(-0.5, F, 0.6, q)[1] / 0.6
         asked = []
         circle_spectra = kernel._circle_spectra
 
@@ -377,7 +380,7 @@ class TestOneSweep:
             return circle_spectra(a, F, r, q, quantities)
 
         monkeypatch.setattr(norms, "_circle_spectra", recording)
-        assert np.array_equal(KernelQuantity(-0.5, F_mix, "dr").circle_values(0.6, q), want)
+        assert np.array_equal(KernelQuantity(-0.5, F, "dr").circle_values(0.6, q), want)
         assert asked == [("dr",)]  # no df/dtheta sweep
 
 
@@ -477,7 +480,7 @@ class TestDerivField:
     def test_grid_shapes_and_flags(self, F_mix):
         q_small = QuadSpec(angular_nodes=256, r_max=0.99,
                            radial_grid=np.array([0.0, 0.3, 0.9, 0.99]))
-        fld = deriv_field(-0.5, F_mix, q_small, n_thetas=64)
+        fld = deriv_field(-0.5, F_mix.resample(256), q_small, n_thetas=64)
         # origin contributes one point, other radii 64 each
         assert len(fld.points) == 1 + 3 * 64
         assert fld.flags[0] == FLAG_ORIGIN

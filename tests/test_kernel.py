@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from diskpoisson.kernel import (
     _circle_spectra,
     _grid_kernel,
     _half_angle_sin2,
+    _point_values,
     _uniform_thetas,
     as_alpha,
     boundary_derivative,
@@ -29,6 +31,9 @@ from diskpoisson.kernel import (
     read_boundary_csv,
     write_boundary_csv,
 )
+from diskpoisson.derivs import deriv_field
+from diskpoisson.norms import KernelQuantity, hardy_norm
+from diskpoisson.regimes import check_angular_derivative_bound
 from diskpoisson.specfun import hyp2f1
 from identities import kernel_K
 
@@ -454,6 +459,72 @@ class TestIntegralOperator:
         got = abs(poisson_integral(alpha, F, z, q))
         profile = c_alpha(alpha) * hyp2f1(-alpha / 2, -alpha / 2, 1.0, r * r)
         assert got <= sup * profile + 1e-10
+
+
+
+POINT_QUANTITIES = ("f", "dtheta", "rdr")
+
+
+class TestPointRows:
+    """Each point of an array call is summed over its own kernel row."""
+
+    def test_array_call_is_the_scalar_calls(self):
+        rng = np.random.default_rng(3)
+        z = 0.95 * np.sqrt(rng.uniform(size=40)) * np.exp(2j * np.pi * rng.uniform(size=40))
+        z[0] = 0.0
+        q = QuadSpec(r_max=0.95)
+        sampled = BoundaryData.from_function(harmonic_mix, 2048)
+        for F in (BoundaryData.from_function(harmonic_mix, 2048, deriv=harmonic_mix_deriv),
+                  BoundaryData.from_samples(sampled.thetas, sampled.values)):
+            for alpha in (-0.5, 0.0, 1.5):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", ResolutionWarning)
+                    rows = _point_values(alpha, F, z, q, POINT_QUANTITIES)
+                    for j, zj in enumerate(z):
+                        one = _point_values(alpha, F, zj, q, POINT_QUANTITIES)
+                        for got, want in zip(rows, one):
+                            assert np.array_equal(got[j], want)
+
+    def test_array_call_memory_is_one_row(self):
+        # 30 points at 8192 nodes: a points x nodes matrix is 3.75 MiB per complex temporary
+        F = BoundaryData.from_function(harmonic_mix, 8192, deriv=harmonic_mix_deriv)
+        q = QuadSpec(r_max=0.9)
+        z = 0.9 * np.exp(2j * np.pi * np.arange(30) / 30) * np.linspace(0.1, 1.0, 30)
+        _point_values(0.5, F, z[:1], q, POINT_QUANTITIES)  # the memoized derivative
+        tracemalloc.start()
+        try:
+            _point_values(0.5, F, z, q, POINT_QUANTITIES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
+
+class TestOwnSamples:
+    """A closed form is swept on its own samples, as its sampled copy is, whatever
+    q.angular_nodes says."""
+
+    def test_closed_form_and_sampled_copy_agree_bit_for_bit(self):
+        F = BoundaryData.from_function(harmonic_mix, 1024)
+        G = BoundaryData.from_samples(F.thetas, F.values)
+        q = QuadSpec(angular_nodes=2048, r_max=0.99)
+        z = np.array([0.0, 0.3 + 0.4j, -0.8j, 0.99])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)
+            assert np.array_equal(poisson_integral(0.5, F, z, q), poisson_integral(0.5, G, z, q))
+            for r in (0.0, 0.5, 0.99):
+                assert np.array_equal(circle_poisson_values(0.5, F, r, q),
+                                      circle_poisson_values(0.5, G, r, q))
+                for name in ("f", "dtheta", "dr", "dz", "dzbar"):
+                    got, want = (KernelQuantity(0.5, H, name).circle_values(r, q) for H in (F, G))
+                    assert len(got) == 1024 and np.array_equal(got, want)
+            fields = [deriv_field(0.5, H, q) for H in (F, G)]
+            for attr in ("points", "dtheta", "dr", "dz", "dzbar", "flags"):
+                assert np.array_equal(getattr(fields[0], attr), getattr(fields[1], attr),
+                                      equal_nan=attr != "flags")
+            for H in (F, G):
+                assert hardy_norm(KernelQuantity(0.5, H, "f"), 2.0, q).n_nodes == 1024
+                assert check_angular_derivative_bound(0.5, H, 2.0, q).params["nodes"] == 1024
 
 
 class TestBoundaryDerivative:

@@ -224,12 +224,12 @@ class TestHardyNorm:
 
     @pytest.mark.parametrize("norm", [hardy_norm, bergman_norm])
     def test_n_nodes_is_the_grid_swept(self, q, norm):
-        # sampled data is swept at its own sample count, not at q.angular_nodes
+        # every boundary is swept at its own sample count, not at q.angular_nodes
         phase = phase_boundary(8192)
         F = BoundaryData.from_samples(phase.thetas, phase.values)
         f = KernelQuantity(0.0, F, "dzbar")
         assert norm(f, 2.0, q).n_nodes == len(f.circle_values(0.5, q)) == 8192
-        assert norm(KernelQuantity(0.0, phase, "dzbar"), 2.0, q).n_nodes == q.angular_nodes
+        assert norm(KernelQuantity(0.0, phase, "dzbar"), 2.0, q).n_nodes == phase.n_samples
 
 
 class TestBergmanNorm:

@@ -15,12 +15,16 @@ so both trees read the same files.
 The exit status is 0 when every command is identical in stdout, exit code and
 stderr, 1 when any differs (as diff's is), and 2 on a usage error.
 
-The list: report (seeds 0, 1, 7) and verify --suite all; example --export of
+The list: report (seeds 0, 1, 7) and verify --suite all, and both again with
+--nodes 1024, so the bundled boundaries are built at a node count other than
+2048 (report at seed 0); example --export of
 4.1, 4.2 and 4.3 (2048 samples; 4.2 and 4.3 also 8192); on each exported CSV at
 alpha -0.5, 0 and 0.7, eval --grid, eval --grid --field, eval --point (4
 points), eval --point --field and norm --boundary (5 quantities x hardy,
 bergman); and norm --example of 4.1 (alpha -0.5), 4.2 (0.7) and 4.3 (0), each
-quantity and kind, with --nodes 8192 and with --r-max 0.9999.
+quantity and kind, with --nodes 8192 and with --r-max 0.9999, and for f and dzbar
+(hardy) built at --samples 1024 and swept at --nodes 4096, where 4.3's n_trunc
+follows --samples.
 """
 
 from __future__ import annotations
@@ -51,6 +55,8 @@ def commands(csv_dir: str):
     for seed in ("0", "1", "7"):
         yield ["report", "--seed", seed]
     yield ["verify", "--suite", "all"]
+    yield ["verify", "--suite", "all", "--nodes", "1024"]
+    yield ["report", "--nodes", "1024", "--seed", "0"]
     for example, samples in EXPORTS:
         yield ["example", "--id", example, "--samples", str(samples),
                "--export", csv_name(example, samples)]
@@ -73,6 +79,10 @@ def commands(csv_dir: str):
                         "--quantity", quantity, "--kind", kind]
                 yield base + ["--nodes", "8192"]
                 yield base + ["--r-max", "0.9999", "--cutoffs", "0.99,0.999,0.9999"]
+        for quantity in ("f", "dzbar"):
+            yield ["norm", "--example", example, "--alpha", alpha, "--p", "2",
+                   "--quantity", quantity, "--kind", "hardy", "--samples", "1024",
+                   "--nodes", "4096"]
 
 
 def run(src: str, workdir: str, argv: list) -> tuple:
