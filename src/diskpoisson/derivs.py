@@ -20,7 +20,7 @@ and r df/dr spectra. At a point, kernel._point_values, the one pointwise
 operator, sums f, df/dtheta and r df/dr over the same nodes. At the origin
 the polar frame degenerates; there df/dz and df/dzbar are the circle
 operator's limit at r = 0, exact for the quadrature sums, and the point
-is flagged.
+is flagged. Nearer than r = 1e-8 its division by r is refused.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import numpy as np
 from .kernel import (
     BoundaryData,
     QuadSpec,
+    _check_polar_radius,
     _circle_spectra,
     _distance_sq,
     _invert,
@@ -75,10 +76,11 @@ def _wirtinger_pair(rdr, dth, z):
 
 
 def dr_f(a, F: BoundaryData, z: complex, q: QuadSpec) -> complex:
-    """Radial derivative df/dr = (J1 + J2)/r; undefined (direction-dependent) at 0."""
+    """Radial derivative df/dr = (J1 + J2)/r; direction-dependent at 0, refused below 1e-8."""
     r = abs(complex(z))
     if r == 0.0:
         raise ValueError("df/dr is direction-dependent at the origin")
+    _check_polar_radius(r)
     return _point_values(a, F, complex(z), q, ("rdr",))[0] / r
 
 
@@ -87,12 +89,13 @@ def dz_dzbar_f(a, F: BoundaryData, z: complex, q: QuadSpec) -> tuple[complex, co
 
     Uses the polar-frame combination away from the origin; at z = 0 they are
     the circle operator's limit there, c_a (1 + a/2) times the boundary's
-    Fourier coefficients of order 1 and -1.
+    Fourier coefficients of order 1 and -1; 0 < |z| < 1e-8 is refused.
     """
     z = complex(z)
     if z == 0.0:
         dz, dzbar = _circle_spectra(a, F, 0.0, q, ("dz", "dzbar"))
         return complex(_invert(*dz)[0]), complex(_invert(*dzbar)[0])
+    _check_polar_radius(abs(z))
     dth, rdr = _point_values(a, F, z, q, ("dtheta", "rdr"))
     return _wirtinger_pair(rdr, dth, z)
 
@@ -225,7 +228,7 @@ def deriv_field(a, F: BoundaryData, q: QuadSpec, n_thetas: int = 256) -> DerivFi
     Radii come from q.radial_grid; each circle is swept at F's own N samples
     and subsampled to n_thetas output angles (which must divide N). Points
     whose radius needs more than N angular nodes are flagged under_resolved;
-    the origin row holds dz_dzbar_f's limit at z = 0.
+    the origin row holds dz_dzbar_f's limit at z = 0; 0 < r < 1e-8 is refused.
     """
     a = as_alpha(a)
     n = F.n_samples
@@ -242,6 +245,7 @@ def deriv_field(a, F: BoundaryData, q: QuadSpec, n_thetas: int = 256) -> DerivFi
             columns.append(([0j], [0j], [complex(math.nan, math.nan)], [dz0], [dzbar0]))
             flags.append(FLAG_ORIGIN)
             continue
+        _check_polar_radius(r)
         dth, rdr = circle_derivs(a, F, r, q)
         dth, rdr = dth[sel], rdr[sel]
         zs = r * np.exp(1j * thetas_out)

@@ -268,6 +268,17 @@ def _check_resolution(n: int, r: float) -> None:
               f"(want N >= {8.0 / (1.0 - r):.0f})", ResolutionWarning)
 
 
+_POLAR_R_MIN = 1e-8
+
+
+def _check_polar_radius(r: float) -> None:
+    """Refuse 0 < r < _POLAR_R_MIN: df/dr and the Wirtinger pair divide an absolute rounding
+    error by r, 3e-9 relative at r = 1e-8 on the 4.1 boundary and 3.5e-5 at r = 1e-12."""
+    if 0.0 < r < _POLAR_R_MIN:
+        raise ValueError(f"radius r={float(r)!r} is below {_POLAR_R_MIN:g}, where the polar "
+                         "frame's division by r loses accuracy; r = 0 takes the operator's limit")
+
+
 def poisson_integral(a, F: BoundaryData, z, q: QuadSpec) -> complex:
     """Trapezoid quadrature of (1/2pi) int K_a(z e^{-it}) F(e^{it}) dt.
 
@@ -432,12 +443,12 @@ def _circle_spectra(a, F: BoundaryData, r: float, q: QuadSpec, quantities) -> li
     spectrum serve every quantity. f and df/dtheta are that spectrum times fft(F) or
     fft(dF/dt), with bin 0 of fft(dF/dt) taken as 0 here and in _fused_spectrum, as in
     _point_values; the partials are one fused spectrum each. At r = 0, where the polar frame
-    degenerates, each derivative is the limit _origin_spectrum gives. On the grid the
-    kernel is real and even, so its spectrum is one rfft, mirrored. That rfft is taken on
-    every s-th node, the fewest that hold the kernel's spectrum (_kernel_stride): where
-    s > 1 the spectrum is the N-node one to its rounding (3e-14 of its largest bin), not
-    bit for bit; at s = 1 it is the N-node one. Only a circle of f warns about resolution,
-    keyed on N.
+    degenerates, each derivative is the limit _origin_spectrum gives; dr, dz and dzbar refuse
+    0 < r < _POLAR_R_MIN. On the grid the kernel is real and even, so its spectrum is one
+    rfft, mirrored. That rfft is taken on every s-th node, the fewest that hold the kernel's
+    spectrum (_kernel_stride): where s > 1 the spectrum is the N-node one to its rounding
+    (3e-14 of its largest bin), not bit for bit; at s = 1 it is the N-node one. Only a
+    circle of f warns about resolution, keyed on N.
     """
     a = as_alpha(a)
     if not 0.0 <= r <= q.r_max:
@@ -445,6 +456,8 @@ def _circle_spectra(a, F: BoundaryData, r: float, q: QuadSpec, quantities) -> li
     n = F.n_samples
     if "f" in quantities:
         _check_resolution(n, r)
+    if not set(quantities).isdisjoint(("dr", "dz", "dzbar")):
+        _check_polar_radius(r)
     kern = _grid_kernel(a, r, n, _kernel_stride(n, r, a.alpha))
     kern_hat = _mirror(_band_rfft(kern, n).real)
     out = []

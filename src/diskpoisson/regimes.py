@@ -128,26 +128,29 @@ def _mean_distance_power(r: float, s: float, n: int) -> float:
     return float(np.mean(_distance_sq(r, _half_angle_sin2(n)) ** (-0.5 * s)))
 
 
+def _distance_record(check: str, alpha: float, r: float, q: QuadSpec, weight: float,
+                     rhs: float) -> CertificationRecord:
+    """The record of lhs = weight times the mean of |1 - r e^{i t}|^(-(alpha + 1)) over
+    _resolved_nodes(q.angular_nodes, r) nodes, against rhs."""
+    n = _resolved_nodes(q.angular_nodes, r)
+    lhs = weight * _mean_distance_power(r, alpha + 1.0, n)
+    return CertificationRecord(check=check, params={"alpha": alpha, "r": float(r), "nodes": n},
+                               lhs=lhs, rhs=float(rhs), holds=bool(lhs <= rhs + _SLACK))
+
+
 def check_kernel_mean_bound(alpha: float, r: float, q: QuadSpec) -> CertificationRecord:
     """Certify (1/2pi) int (1-r^2)^a / |1-r e^{i t}|^{a+1} dt <= Gamma(a)/Gamma((a+1)/2)^2.
 
     Holds for every a > 0 and r in [0, 1); the right side is the sharp
-    r -> 1 limit. Left side by trapezoid quadrature at q.angular_nodes.
+    r -> 1 limit. Left side by the trapezoid rule on a node count resolving r.
     """
     alpha = float(alpha)
     if alpha <= 0.0:
         raise ValueError(f"kernel mean bound needs alpha > 0, got {alpha!r}")
     if not 0.0 <= r < 1.0:
         raise ValueError(f"radius must lie in [0, 1), got {r!r}")
-    lhs = ((1.0 - r) * (1.0 + r)) ** alpha * _mean_distance_power(r, alpha + 1.0, q.angular_nodes)
-    rhs = gamma(alpha) / gamma((alpha + 1.0) / 2.0) ** 2
-    return CertificationRecord(
-        check="kernel_mean_bound",
-        params={"alpha": alpha, "r": float(r), "nodes": q.angular_nodes},
-        lhs=lhs,
-        rhs=float(rhs),
-        holds=bool(lhs <= rhs + _SLACK),
-    )
+    return _distance_record("kernel_mean_bound", alpha, r, q, ((1.0 - r) * (1.0 + r)) ** alpha,
+                            gamma(alpha) / gamma((alpha + 1.0) / 2.0) ** 2)
 
 
 def check_distance_integral_bound(alpha: float, r: float, q: QuadSpec) -> CertificationRecord:
@@ -161,16 +164,9 @@ def check_distance_integral_bound(alpha: float, r: float, q: QuadSpec) -> Certif
         raise ValueError(f"distance integral bound needs alpha in (-1, 0), got {alpha!r}")
     if not 0.5 <= r < 1.0:
         raise ValueError(f"radius must lie in [1/2, 1), got {r!r}")
-    lhs = _mean_distance_power(r, alpha + 1.0, q.angular_nodes) * 2.0 * np.pi
-    rhs = (3.0 ** ((alpha + 1.0) / 2.0) / 2.0 ** (alpha - 1.0)
-           * gamma(-alpha) * gamma(0.5) / gamma(0.5 - alpha))
-    return CertificationRecord(
-        check="distance_integral_bound",
-        params={"alpha": alpha, "r": float(r), "nodes": q.angular_nodes},
-        lhs=lhs,
-        rhs=float(rhs),
-        holds=bool(lhs <= rhs + _SLACK),
-    )
+    return _distance_record("distance_integral_bound", alpha, r, q, 2.0 * np.pi,
+                            3.0 ** ((alpha + 1.0) / 2.0) / 2.0 ** (alpha - 1.0)
+                            * gamma(-alpha) * gamma(0.5) / gamma(0.5 - alpha))
 
 
 def _resolved_nodes(base: int, r: float) -> int:

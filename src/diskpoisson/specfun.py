@@ -1,19 +1,21 @@
-"""Self-contained real-valued special functions.
+"""Real-valued special functions.
 
-Provides the Gamma function, the Pochhammer (rising factorial) symbol, the
-Gauss hypergeometric function 2F1 on [-1, 1], the Gauss summation value at
-x = 1, and the Euler beta integral. 2F1 takes one route per argument: for
+Provides the Gamma function (the standard library's math.gamma, behind
+named refusals), the Pochhammer (rising factorial) symbol, the Gauss
+hypergeometric function 2F1 on [-1, 1], the Gauss summation value at x = 1,
+and the Euler beta integral. 2F1 takes one route per argument: for
 negative x whichever of the two Pfaff transformations onto (0, 1/2] and
 the direct series cancels least, the Gauss sum at x = 1, the 1 - x
 connection formula near 1, and otherwise the direct series, stopped on a
 bound of its tail and refused where its terms cancel past the tolerance.
-Everything is scalar, pure, and deterministic; no external dependencies.
+Everything is scalar, pure, deterministic and standard-library only.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 
 __all__ = [
     "ConvergenceError",
@@ -29,24 +31,6 @@ __all__ = [
 class ConvergenceError(ArithmeticError):
     """A series failed to reach the requested tolerance under the term cap."""
 
-
-# Lanczos coefficients for g = 7, nine terms. Against math.gamma the relative
-# error is a few ulp near x = 1 and grows with x, as the power t^(x-1/2) rounds:
-# 6.6e-14 at x = 100, 1.03e-13 at x = 171 (about 470 ulp).
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # Term cap of the direct series. Where (1 - x) max(|a|, |b|, 1) > 1/2 its tail
 # bound stops it after about 65 max(|a|, |b|, 1) terms (10,974 for HypMonomial
@@ -64,38 +48,21 @@ def _is_nonpositive_integer(x: float) -> bool:
 
 
 def gamma(x: float) -> float:
-    """Gamma function for real x away from the poles at 0, -1, -2, ...
-
-    Lanczos rational approximation for x >= 0.5, reflection below.
-    """
+    """math.gamma(x) where |Gamma(x)| is a normal double; elsewhere a named refusal:
+    ValueError at a pole or a non-finite x, OverflowError past the double range."""
     x = float(x)
-    if not math.isfinite(x):  # the Lanczos sum would give inf * 0 = nan
+    if not math.isfinite(x):  # math.gamma(inf) is inf
         raise ValueError(f"gamma needs a finite x, got x={x!r}")
     if _is_nonpositive_integer(x):
         raise ValueError(f"gamma pole at nonpositive integer x={x!r}")
-    if x < 0.5:
-        # Reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
     try:
-        value = _SQRT_2PI * t ** (z + 0.5) * math.exp(-t) * acc
-    except OverflowError:
-        value = math.inf
-    if math.isinf(value):
-        # The power term t^(z + 1/2) leaves the double range from x ~ 142.2,
-        # before Gamma itself does (x ~ 171.6); its square root p does not,
-        # and p e^{-t} p stays finite wherever Gamma does.
-        try:
-            p = t ** ((z + 0.5) / 2.0)
-            value = _SQRT_2PI * p * math.exp(-t) * p * acc
-        except OverflowError:
-            pass
-    if math.isinf(value):
-        raise OverflowError(f"Gamma(x) overflows at x={x!r}; this evaluation holds for x <= 171")
+        value = math.gamma(x)
+    except OverflowError:  # x > 171.62, or 0 < |x| < 1/DBL_MAX where Gamma(x) ~ 1/x
+        bound = "x <= 171" if x > 1.0 else "|x| >= 5.6e-309"
+        raise OverflowError(f"Gamma(x) overflows at x={x!r}; "
+                            f"this evaluation holds for {bound}") from None
+    if abs(value) < sys.float_info.min:  # subnormal from x ~ -170.6 on, 0.0 by x = -180.5
+        raise OverflowError(f"|Gamma(x)| underflows at x={x!r} to {value!r}")
     return value
 
 

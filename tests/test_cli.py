@@ -158,6 +158,14 @@ class TestEval:
         assert row["r"] == pytest.approx(0.5, abs=1e-12)
         assert row["theta"] == pytest.approx(0.7, abs=1e-12)
 
+    def test_field_near_the_origin_is_refused_by_name(self, capsys, monomial_csv):
+        # The polar frame divides by r: at r = 1e-200 df/dz read 6.7e183.
+        code, out, err = run_cli(capsys, ["eval", "--alpha", "0.5", "--boundary", monomial_csv,
+                                          "--point", "1e-200,2", "--field"])
+        assert (code, out) == (2, "")
+        assert err == ("error: radius r=1e-200 is below 1e-08, where the polar frame's "
+                       "division by r loses accuracy; r = 0 takes the operator's limit\n")
+
     def test_point_and_grid_exclusive(self, capsys, monomial_csv):
         code, _, err = run_cli(
             capsys,
@@ -689,6 +697,13 @@ class TestVerify:
                          for p in (1.0, 2.0, 4.0)]
                 want.append(check_scaled_kernel_bound(alpha, F, q, label=label))
         assert records == want
+
+    @pytest.mark.parametrize("nodes", ["256", "1024"])
+    def test_inequalities_hold_at_coarse_node_counts(self, capsys, nodes):
+        # The kernel-mean and distance-integral sums double their nodes until r is resolved.
+        code, out, _ = run_cli(capsys, ["verify", "--suite", "inequalities", "--nodes", nodes])
+        assert code == 0
+        assert json.loads(out)["all_hold"] is True
 
     def test_seed_changes_oracle_points(self, capsys):
         _, out0, _ = run_cli(capsys, ["verify", "--suite", "oracle", "--seed", "0"])

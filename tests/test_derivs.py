@@ -156,6 +156,32 @@ class TestWirtinger:
         dz0, dzbar0 = dz_dzbar_f(alpha, HypMonomial(alpha, 1).boundary(2048), 0.0, q)
         assert abs(dz0 - 1.0) <= 1e-14 and abs(dzbar0) <= 1e-14
 
+    def test_polar_frame_holds_at_its_smallest_radius(self, q, tmp_path):
+        # The frame divides an absolute rounding error by z: about 1e-9 relative
+        # at |z| = 1e-8, the smallest nonzero radius it takes.
+        m = HypMonomial(-0.5, 1)
+        path = str(tmp_path / "b41.csv")
+        write_boundary_csv(path, m.boundary(2048))
+        z = 1e-8 * np.exp(2j)
+        dz_c, dzbar_c, _ = m.derivs(z)
+        dz_q, dzbar_q = dz_dzbar_f(-0.5, read_boundary_csv(path), z, q)
+        assert abs(dz_q / dz_c - 1.0) <= 1e-8
+        assert abs(dzbar_q - dzbar_c) <= 1e-8 * abs(dz_c)  # df/dzbar ~ z^2 vanishes here
+
+    @pytest.mark.parametrize("r", [1e-9, 1e-200])
+    def test_near_origin_refused_by_name(self, q, F_mix, r):
+        message = rf"radius r={r!r} is below 1e-08"
+        z = r * np.exp(2j)
+        with pytest.raises(ValueError, match=message):
+            dz_dzbar_f(-0.5, F_mix, z, q)
+        with pytest.raises(ValueError, match=message):
+            dr_f(-0.5, F_mix, z, q)
+        with pytest.raises(ValueError, match=message):
+            deriv_field(-0.5, F_mix, QuadSpec(radial_grid=np.array([0.0, r, 0.5])))
+        for quantity in ("dr", "dz", "dzbar"):
+            with pytest.raises(ValueError, match=message):
+                KernelQuantity(-0.5, F_mix, quantity).circle_values(r, q)
+
     def test_origin_pair_of_a_sampled_boundary_without_modes_one(self, q, tmp_path):
         # Example 4.3 has no Fourier modes +-1, so its Wirtinger pair vanishes at z = 0.
         path = str(tmp_path / "b43.csv")

@@ -69,6 +69,9 @@ class TestNormalizer:
     def test_frozen_values(self, alpha, want):
         assert c_alpha(alpha) == pytest.approx(want, rel=1e-12)
 
+    def test_harmonic_normalizer_is_exactly_one(self):
+        assert c_alpha(0.0) == 1.0
+
     @pytest.mark.parametrize("alpha", [-1.0, -1.5, -7.0])
     def test_domain(self, alpha):
         with pytest.raises(ValueError, match="alpha"):

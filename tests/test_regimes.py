@@ -20,6 +20,7 @@ from diskpoisson.regimes import (
     check_scaled_kernel_bound,
     classify,
 )
+from diskpoisson.regimes import _mean_distance_power
 
 
 @pytest.fixture(scope="module")
@@ -132,23 +133,39 @@ class TestDistanceIntegralBound:
 
 
 class TestCertificateSums:
-    # The trapezoid sums themselves, against mpmath: |1 - r e^{it}| as a complex
-    # modulus and 1 - r r cancelled as r -> 1.
+    # The certificates' trapezoid sums themselves, against mpmath: |1 - r e^{it}|
+    # as a complex modulus and 1 - r r cancelled as r -> 1. The certificates sum
+    # on a resolved node count; the sum is checked here at 256 nodes.
     @pytest.mark.parametrize("check,alpha", [(check_kernel_mean_bound, 0.5),
                                              (check_kernel_mean_bound, 2.0),
                                              (check_distance_integral_bound, -0.5)])
     def test_no_cancellation_near_the_boundary(self, check, alpha):
         mpmath = pytest.importorskip("mpmath")
         r, n = 1.0 - 1e-6, 256
+        mean = _mean_distance_power(r, alpha + 1.0, n)
         with mpmath.workdps(40):
             R, a = mpmath.mpf(r), mpmath.mpf(alpha)
             dist = [abs(1 - R * mpmath.expjpi(mpmath.mpf(2 * j) / n)) for j in range(n)]
             if check is check_kernel_mean_bound:
                 want = (1 - R * R) ** a * mpmath.fsum(d ** -(a + 1) for d in dist) / n
+                lhs = ((1.0 - r) * (1.0 + r)) ** alpha * mean
             else:
                 want = 2 * mpmath.pi * mpmath.fsum(d ** -(a + 1) for d in dist) / n
-            lhs = check(alpha, r, QuadSpec(angular_nodes=n, r_max=0.99)).lhs
+                lhs = 2.0 * np.pi * mean
             assert abs(lhs / want - 1) <= 1e-14
+
+    @pytest.mark.parametrize("check", [check_kernel_mean_bound, check_distance_integral_bound])
+    def test_sums_on_the_resolved_node_count(self, check):
+        # 32/(1 - r) = 3200 nodes resolve r = 0.99: 256 doubles to 4096.
+        alpha = 1.0 if check is check_kernel_mean_bound else -0.5
+        rec = check(alpha, 0.99, QuadSpec(angular_nodes=256))
+        assert rec.params["nodes"] == 4096
+        assert rec.holds
+
+    def test_poisson_kernel_mean_is_one(self):
+        # At alpha = 1 the left side is the mean of the Poisson kernel, 1, for every r.
+        rec = check_kernel_mean_bound(1.0, 0.99, QuadSpec(angular_nodes=1024))
+        assert rec.lhs == pytest.approx(1.0, rel=1e-12)
 
 
 class TestAngularDerivativeBound:

@@ -15,16 +15,24 @@ so both trees read the same files.
 The exit status is 0 when every command is identical in stdout, exit code and
 stderr, 1 when any differs (as diff's is), and 2 on a usage error.
 
+The summary line counts the verdicts and names the largest relative change
+with its command, so a change that moves numbers at rounding level can quote
+one figure.
+
 The list: report (seeds 0, 1, 7) and verify --suite all, and both again with
 --nodes 1024, so the bundled boundaries are built at a node count other than
-2048 (report at seed 0); example --export of
+2048 (report at seed 0); verify --suite inequalities --nodes 256, whose
+kernel-mean and distance-integral sums must resolve r = 0.99 on their own;
+example --id 4.1 --n 150 and --alpha -0.9 --n 169, Gauss sums whose Gamma
+arguments pass x = 142; example --export of
 4.1, 4.2 and 4.3 (2048 samples; 4.2 and 4.3 also 8192); on each exported CSV at
 alpha -0.5, 0 and 0.7, eval --grid, eval --grid --field, eval --point (4
 points), eval --point --field and norm --boundary (5 quantities x hardy,
 bergman); and norm --example of 4.1 (alpha -0.5), 4.2 (0.7) and 4.3 (0), each
 quantity and kind, with --nodes 8192 and with --r-max 0.9999, and for f and dzbar
 (hardy) built at --samples 1024 and swept at --nodes 4096, where 4.3's n_trunc
-follows --samples.
+follows --samples; and eval --point 1e-200,2 --field at alpha 0.5 on the 4.1
+CSV, a radius the polar frame cannot divide by.
 """
 
 from __future__ import annotations
@@ -57,6 +65,9 @@ def commands(csv_dir: str):
     yield ["verify", "--suite", "all"]
     yield ["verify", "--suite", "all", "--nodes", "1024"]
     yield ["report", "--nodes", "1024", "--seed", "0"]
+    yield ["verify", "--suite", "inequalities", "--nodes", "256"]
+    yield ["example", "--id", "4.1", "--n", "150"]
+    yield ["example", "--id", "4.1", "--alpha", "-0.9", "--n", "169"]
     for example, samples in EXPORTS:
         yield ["example", "--id", example, "--samples", str(samples),
                "--export", csv_name(example, samples)]
@@ -72,6 +83,8 @@ def commands(csv_dir: str):
             for quantity in QUANTITIES:
                 for kind in KINDS:
                     yield ["norm", *base, "--p", "2", "--quantity", quantity, "--kind", kind]
+    yield ["eval", "--alpha", "0.5", "--boundary", os.path.join(csv_dir, csv_name("4.1", 2048)),
+           "--point", "1e-200,2", "--field"]
     for example, alpha in EXAMPLE_ALPHAS:
         for quantity in QUANTITIES:
             for kind in KINDS:
@@ -121,6 +134,7 @@ def main(argv: list) -> int:
         os.mkdir(old_dir)
         os.mkdir(new_dir)
         tally = {}
+        largest = (0.0, None)  # (relative change, command) of the largest "rel" verdict
         status = 0
         for cmd in commands(old_dir):
             old_code, old_out, old_err = run(old_src, old_dir, cmd)
@@ -131,12 +145,17 @@ def main(argv: list) -> int:
             tally[verdict.split()[0]] = tally.get(verdict.split()[0], 0) + 1
             shown = " ".join(os.path.basename(tok) if tok.startswith(old_dir) else tok
                              for tok in cmd)
+            if verdict.startswith("rel ") and float(verdict.split()[1]) > largest[0]:
+                largest = (float(verdict.split()[1]), shown)
             print(f"{verdict:<14} exit {old_code}/{new_code}  {shown}", flush=True)
             if old_err != new_err:
                 for label, err in (("old", old_err), ("new", new_err)):
                     for line in err.splitlines() or ["(empty)"]:
                         print(f"    {label} stderr: {line}")
-        print("summary: " + ", ".join(f"{k} {v}" for k, v in sorted(tally.items())))
+        summary = ", ".join(f"{k} {v}" for k, v in sorted(tally.items()))
+        if largest[1] is not None:
+            summary += f"; largest rel {largest[0]:.2g} in {largest[1]}"
+        print("summary: " + summary)
     return status
 
 
