@@ -280,12 +280,11 @@ def write_deriv_csv(path: str, fld: DerivField) -> None:
 
 def read_deriv_csv(path: str) -> DerivField:
     """Read a field written by write_deriv_csv; refusals name the file (and line)
-    as read_boundary_csv's do, through the same reading loop."""
+    as read_boundary_csv's do, through the same table reader."""
     cols, flags = _read_table(path, _DERIV_CSV_HEADER, len(_DERIV_CSV_HEADER) - 1)
     if not np.all(np.isfinite(cols[:, :2])):
         raise ValueError(f"{path}: r and theta must be finite")
-    points = np.array([r * complex(math.cos(theta), math.sin(theta))
-                       for r, theta in cols[:, :2].tolist()], dtype=complex)
+    points = cols[:, 0] * (np.cos(cols[:, 1]) + 1j * np.sin(cols[:, 1]))
     # each row's re, im pairs, viewed as complex: no arithmetic, so inf and nan pass as read
     dtheta, dr, dz, dzbar = cols[:, 2:].copy().view(complex).T
     return DerivField(points, dtheta, dr, dz, dzbar, flags)

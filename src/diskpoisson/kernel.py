@@ -34,7 +34,6 @@ import csv
 import os
 import sys
 import warnings
-from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice
@@ -554,43 +553,86 @@ def write_boundary_csv(path: str, F: BoundaryData) -> None:
         _write_csv(fh, ("theta", "re", "im"), (F.thetas, F.values.real, F.values.imag))
 
 
+def _csv_rows(fh, path: str):
+    """(line, row) for each record csv.reader reads from fh; its errors and undecodable
+    bytes are raised as ValueErrors naming path (and the line)."""
+    reader = csv.reader(fh)
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _read_table(path: str, header: Sequence[str], n_numbers: int,
                 cap: Optional[int] = None) -> tuple:
     """(numbers, labels) of a CSV file under header: the first n_numbers fields of each
     row as an array of shape (rows, n_numbers) and, when the header names one more
-    column, the text of that column. The one CSV reading loop: each refusal is a
-    ValueError naming the file (and the line of a faulty row); a row past cap rows is
-    refused as it is read, and numbers are held as packed doubles until then."""
-    names = ",".join(header)
-    labelled = len(header) > n_numbers
-    numbers = array("d")
-    labels = []
+    column, the text of that column. The one CSV reader: csv.reader checks the header,
+    np.loadtxt parses the rows (blank lines skipped, cells in double quotes), at most
+    cap + 1 of them, so a file past cap rows is refused as it is read. Each refusal is
+    a ValueError naming the file and, through _refusal, the line of a faulty row."""
+    fields = [("x", float, (n_numbers,))]
+    if len(header) > n_numbers:
+        fields.append(("label", object))
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        _, first = next(_csv_rows(fh, path), (0, None))
+        if first is None or [h.strip() for h in first] != list(header):
+            raise ValueError(f"{path}: expected header {','.join(header)}, got {first!r}")
         try:
-            first = next(reader, None)
-            if first is None or [h.strip() for h in first] != list(header):
-                raise ValueError(f"{path}: expected header {names}, got {first!r}")
-            for row in islice(reader, cap):
-                if len(row) != len(header):
-                    raise ValueError(f"{path}, line {reader.line_num}: expected "
-                                     f"{len(header)} fields {names}, got {len(row)}")
-                try:
-                    numbers.extend(map(float, row[:n_numbers]))
-                except ValueError:
-                    raise ValueError(f"{path}, line {reader.line_num}: "
-                                     f"{','.join(header[:n_numbers])} must be real "
-                                     f"numbers, got {row!r}") from None
-                if labelled:
-                    labels.append(row[-1])
-            if next(reader, None) is not None:  # only after cap rows
-                raise ValueError(f"{path}, line {reader.line_num}: more than "
-                                 f"{cap} samples (the angular node cap)")
-        except csv.Error as exc:
-            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    return np.frombuffer(numbers).reshape(-1, n_numbers), labels
+            with warnings.catch_warnings():  # no rows, or blank lines, are not news here
+                warnings.filterwarnings(
+                    "ignore", r"(loadtxt: input|Input line \d+) contained no data", UserWarning)
+                rows = np.loadtxt(fh, dtype=fields, delimiter=",", comments=None, quotechar='"',
+                                  ndmin=1, max_rows=None if cap is None else cap + 1)
+        except ValueError as exc:
+            refused = str(exc)
+        else:
+            if cap is None or len(rows) <= cap:
+                return rows["x"], rows["label"].tolist() if len(fields) > 1 else []
+            refused = f"more than {cap} samples (the angular node cap)"
+    raise _refusal(path, header, n_numbers, cap, refused)
+
+
+def _real_cell(s: str) -> bool:
+    """Whether np.loadtxt reads s as a float: float's syntax, in ASCII between
+    whitespace, without the underscores float also takes."""
+    t = s.strip()
+    if not t.isascii() or "_" in t:
+        return False
+    try:
+        float(t)
+    except ValueError:
+        return False
+    return True
+
+
+def _refusal(path: str, header: Sequence[str], n_numbers: int, cap: Optional[int],
+             refused: str) -> ValueError:
+    """The ValueError naming the first row of path that _read_table refuses: one
+    past cap non-blank rows, a wrong field count, or a first n_numbers field that is
+    not a real number; failing all of these, refused, the reader's own message.
+    Called only after np.loadtxt refused path or read cap + 1 rows, to name a line:
+    it reads no numbers. csv.reader's own errors are raised as _csv_rows raises them."""
+    names = ",".join(header)
+    count = 0
+    with open(path, newline="") as fh:
+        for line, row in islice(_csv_rows(fh, path), 1, None):  # the header is checked
+            if not row:  # a blank line, skipped as np.loadtxt skips it
+                continue
+            count += 1
+            where = f"{path}, line {line}"
+            if cap is not None and count > cap:
+                return ValueError(f"{where}: more than {cap} samples (the angular node cap)")
+            if len(row) != len(header):
+                return ValueError(f"{where}: expected {len(header)} fields {names}, "
+                                  f"got {len(row)}")
+            if not all(map(_real_cell, row[:n_numbers])):
+                return ValueError(f"{where}: {','.join(header[:n_numbers])} must be real "
+                                  f"numbers, got {row!r}")
+    return ValueError(f"{path}: {refused}")
 
 
 def read_boundary_csv(path: str) -> BoundaryData:

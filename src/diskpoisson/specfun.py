@@ -160,16 +160,69 @@ def _rgamma(x: float) -> float:
     return 0.0 if _is_nonpositive_integer(x) else 1.0 / gamma(x)
 
 
+# Steps of the recurrence _gamma_frexp takes beyond the range of gamma. Each
+# rounds once; over 1,500 arguments out to |x| = 400 the result stayed within
+# 2.0e-15 of mpmath.
+_GAMMA_STEPS = 512
+
+
+def _gamma_frexp(x: float) -> tuple:
+    """(m, e) with Gamma(x) = m 2^e, also where Gamma(x) is not a normal double:
+    Gamma(x) = (x-1) Gamma(x-1) down to x <= 171, or Gamma(x) = Gamma(x+1) / x up
+    to x >= -170, then gamma, at most _GAMMA_STEPS steps (else gamma's refusal)."""
+    if not -170.0 - _GAMMA_STEPS <= x <= 171.0 + _GAMMA_STEPS:
+        return math.frexp(gamma(x))
+    m, e = 1.0, 0
+    while x > 171.0:
+        x -= 1.0
+        m, k = math.frexp(m * x)
+        e += k
+    while x < -170.0:
+        m, k = math.frexp(m / x)
+        e += k
+        x += 1.0
+    g, k = math.frexp(gamma(x))
+    return m * g, e + k
+
+
+def _gamma_ratio(scale: float, nums: tuple, dens: tuple) -> float:
+    """scale prod Gamma(nums) / prod Gamma(dens), zero at a pole of a Gamma in dens.
+
+    Formed from _gamma_frexp parts, so a ratio in the double range is a double
+    even where a Gamma in it is not; a ratio past the range is refused by name.
+    """
+    if any(map(_is_nonpositive_integer, dens)):
+        return 0.0
+    m, e = scale, 0
+    for x in nums:
+        mx, ex = _gamma_frexp(x)
+        m, e = m * mx, e + ex
+    for x in dens:
+        mx, ex = _gamma_frexp(x)
+        m, e = m / mx, e - ex
+    try:
+        return math.ldexp(m, e)
+    except OverflowError:
+        gammas = [" ".join(f"Gamma({x!r})" for x in xs) for xs in (nums, dens)]
+        raise OverflowError(f"the ratio {scale!r} {gammas[0]} / ({gammas[1]}) "
+                            "overflows") from None
+
+
 def _connection_1mx(a: float, b: float, c: float, x: float, tol: float) -> float:
     """2F1(a, b; c; x) from two series in 1 - x (A&S 15.3.6); c - a - b not an integer.
     Refused where the two weighted series cancel past tol, either one alone or each other."""
     s = c - a - b
     y = 1.0 - x
-    w1 = gamma(s) * _rgamma(c - a) * _rgamma(c - b)
-    w2 = y ** s * gamma(-s) * _rgamma(a) * _rgamma(b)
+    try:  # each Gamma a normal double
+        g = gamma(c)
+        w1 = gamma(s) * _rgamma(c - a) * _rgamma(c - b)
+        w2 = y ** s * gamma(-s) * _rgamma(a) * _rgamma(b)
+    except OverflowError:  # one is not: each weight as one ratio, Gamma(c) in it
+        g = 1.0
+        w1 = _gamma_ratio(1.0, (c, s), (c - a, c - b))
+        w2 = _gamma_ratio(y ** s, (c, -s), (a, b))
     sum1, peak1 = _series_sum(a, b, 1.0 - s, y, tol)
     sum2, peak2 = _series_sum(c - a, c - b, 1.0 + s, y, tol)
-    g = gamma(c)
     return _refuse_cancellation(a, b, c, x, g * (w1 * sum1 + w2 * sum2),
                                 abs(g) * (abs(w1) * peak1 + abs(w2) * peak2), tol)
 

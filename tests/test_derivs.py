@@ -636,6 +636,32 @@ class TestDerivCsv:
         # points are reassembled from (r, theta): exact only up to rounding
         assert np.max(np.abs(back.points - fld.points)) < 1e-15
 
+    def test_special_values_and_flags_keep_their_bits(self, tmp_path):
+        specials = np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324,
+                             1.7976931348623157e308])
+        n = len(specials)
+        pts = 0.5 * np.exp(1j * np.arange(n))
+        derivs_ = [np.empty(n, dtype=complex) for _ in range(4)]
+        for k, arr in enumerate(derivs_):  # set by part: inf * 1j would make nan
+            arr.real, arr.imag = specials, np.roll(specials, k)
+        flags = ["", FLAG_ORIGIN, FLAG_UNDER_RESOLVED, 'a "b", c', "", FLAG_NONE]
+        fld = DerivField(pts, *derivs_, flags)
+        path = tmp_path / "field.csv"
+        write_deriv_csv(str(path), fld)
+        back = read_deriv_csv(str(path))
+        def bits(arr):
+            return np.ascontiguousarray(arr).view(np.int64).tolist()
+
+        for got, want in zip((back.dtheta, back.dr, back.dz, back.dzbar), derivs_):
+            assert bits(got) == bits(want)
+        assert back.flags == flags
+        # The points are r (cos theta + i sin theta) of the written r and theta,
+        # bit for bit the complex(math.cos(theta), math.sin(theta)) of each row.
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        want = [float(r) * complex(math.cos(float(t)), math.sin(float(t))) for r, t, *_ in rows]
+        assert bits(back.points) == bits(want)
+
     def test_header_validated(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")

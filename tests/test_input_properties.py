@@ -3,19 +3,25 @@
 Any argv of numbers exits 0 or 2 and never raises; exit 2 prints one
 `error:` line. Any CSV text either reads as BoundaryData (or, through the
 field reader, as a DerivField) or is refused with a ValueError that names
-the file.
+the file. The table reader under both returns the numbers (bit for bit) and
+labels of the reference per-row loop, or its refusal, except on the inputs
+where the two are documented to differ.
 """
 
 import contextlib
+import csv
 import io
 import math
+from itertools import islice
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from diskpoisson.cli import main
 from diskpoisson.derivs import _DERIV_CSV_HEADER, DerivField, read_deriv_csv
-from diskpoisson.kernel import _ANGULAR_CAP, BoundaryData, read_boundary_csv
+from diskpoisson.kernel import _ANGULAR_CAP, BoundaryData, _read_table, read_boundary_csv
+from reference_csv import read_table
 
 # Reals of every kind argparse accepts for a float option, out-of-range ones included.
 reals = st.one_of(
@@ -82,7 +88,8 @@ def test_argv_exits_0_or_2_with_a_named_error(argv):
 fields = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.integers(min_value=-10, max_value=10).map(str),
-    st.sampled_from(["", " ", "np.float64(0.0)", "1e999", "nan", "0x1p-3", "1,5", '"2"']),
+    st.sampled_from(["", " ", "np.float64(0.0)", "1e999", "nan", "0x1p-3", "1,5", '"2"',
+                     "1_0", '"-0.5"', '"1e3"x', '"a,b"', "\u0661"]),
     st.text(alphabet="0123456789.-+eEinf \"'\r\n,", max_size=8),
 )
 FIELD_HEADER = ",".join(_DERIV_CSV_HEADER)
@@ -114,7 +121,18 @@ def csv_texts(draw):
     else:
         header = draw(headers)
         rows = draw(st.lists(st.lists(fields, min_size=0, max_size=4), max_size=20))
-    return "\n".join([header] + [",".join(row) for row in rows]) + "\n"
+    lines = [",".join(row) for row in rows]
+    if lines and draw(st.booleans()):
+        # one line changed: a trailing comma, a blank line before it, or every cell quoted
+        at = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["comma", "blank", "quote"]))
+        if edit == "comma":
+            lines[at] += ","
+        elif edit == "blank":
+            lines.insert(at, "")
+        else:
+            lines[at] = ",".join(f'"{cell}"' for cell in rows[at])
+    return "\n".join([header] + lines) + "\n"
 
 
 @settings(max_examples=300, deadline=None,
@@ -131,3 +149,53 @@ def test_csv_reads_or_names_the_file(tmp_path, text, reader):
         assert str(path) in str(exc), str(exc)
     else:
         assert isinstance(got, kind)
+
+
+TABLES = {  # name: (header, numbers per row, row cap) of each table the program reads
+    "boundary": (("theta", "re", "im"), 3, _ANGULAR_CAP),
+    "field": (tuple(_DERIV_CSV_HEADER), 10, None),
+}
+
+
+def _outcome(read, path, header, n_numbers, cap):
+    """("read", the numbers' shape and bits, labels) or ("refused", message) of one reader."""
+    try:
+        numbers, labels = read(str(path), header, n_numbers, cap)
+    except ValueError as exc:
+        return "refused", str(exc)
+    return "read", numbers.shape, numbers.view(np.int64).tolist(), labels
+
+
+def _documented_difference(path, n_numbers) -> bool:
+    """Whether the file holds an input the two readers are documented to treat
+    differently: a blank line (skipped, where the loop refused it), or a number
+    that float() reads but that has an underscore or a digit outside ASCII
+    (refused, where the loop read it)."""
+    def float_only(cell):
+        try:
+            float(cell)
+        except ValueError:
+            return False
+        return "_" in cell or not cell.strip().isascii()
+
+    with open(path, newline="") as fh:
+        try:
+            for row in islice(csv.reader(fh), 1, None):
+                if not row or any(map(float_only, row[:n_numbers])):
+                    return True
+        except (csv.Error, UnicodeDecodeError):
+            pass
+    return False
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=csv_texts(), table=st.sampled_from(sorted(TABLES)))
+def test_table_reader_matches_the_reference_loop(tmp_path, text, table):
+    header, n_numbers, cap = TABLES[table]
+    path = tmp_path / "fuzz.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    got = _outcome(_read_table, path, header, n_numbers, cap)
+    want = _outcome(read_table, path, header, n_numbers, cap)
+    if got != want:
+        assert _documented_difference(path, n_numbers), (text, got, want)

@@ -594,6 +594,24 @@ class TestCsvRoundTrip:
         assert np.array_equal(G.values, F.values)
         assert G.closed_form is None
 
+    def test_special_values_keep_their_bits(self, tmp_path):
+        # BoundaryData holds finite samples only; the table under it keeps nan and inf too.
+        specials = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                    -1.7976931348623157e308, 2.2250738585072014e-308, 0.1]
+        values = np.array(specials * 2) + 1j * np.array(specials[::-1] * 2)
+        F = BoundaryData.from_samples(_uniform_thetas(16), values)
+        path = tmp_path / "boundary.csv"
+        write_boundary_csv(str(path), F)
+        G = read_boundary_csv(str(path))
+        assert G.thetas.view(np.int64).tolist() == F.thetas.view(np.int64).tolist()
+        assert G.values.view(np.int64).tolist() == F.values.view(np.int64).tolist()
+        table = np.array([[0.0, math.nan, math.inf], [-0.0, -math.inf, 5e-324]])
+        with open(path, "w", newline="") as fh:
+            kernel._write_csv(fh, ("theta", "re", "im"), table.T)
+        got, labels = kernel._read_table(str(path), ("theta", "re", "im"), 3)
+        assert got.view(np.int64).tolist() == table.view(np.int64).tolist()
+        assert labels == []
+
     def test_header_validated(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,y,z\n0.0,1.0,0.0\n")

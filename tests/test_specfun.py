@@ -304,6 +304,29 @@ class TestNearOne:
                     * x**k for k in range(4))
         assert hyp2f1(a, b, c, x) == pytest.approx(cubic, rel=1e-13)
 
+    @pytest.mark.parametrize("args", [
+        (1.0, -175.3, 2.0, 0.9999),  # Gamma(176.3) in w1, Gamma(-176.3) in w2
+        (1.0, -179.7, 2.0, 0.9999),
+        (2.5, -200.6, 2.0, 0.9995),
+        (0.5, -248.8, 2.0, 0.9999),
+        (0.5, 0.25, 400.5, 0.9999),  # Gamma(c) past the range
+    ])
+    def test_connection_weights_past_the_gamma_range(self, args):
+        # Each weight is a double although a Gamma factor of it is not; the
+        # values are 1.2e-16 to 4.3e-16 off mpmath.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            want = float(mpmath.hyp2f1(*args))
+        assert hyp2f1(*args) == pytest.approx(want, rel=1e-15)
+
+    def test_connection_weight_past_the_double_range_is_refused_by_name(self):
+        # w2 = (1-x)^(c-a-b) Gamma(c) Gamma(a+b-c) / (Gamma(a) Gamma(b)) and the
+        # value (7.35e338 by mpmath) both leave the double range.
+        with pytest.raises(OverflowError, match=re.escape(
+                "the ratio 3.1622776601681534e+241 Gamma(600.5) Gamma(80.5) / "
+                "(Gamma(340.625) Gamma(340.375)) overflows")):
+            hyp2f1(340.625, 340.375, 600.5, 0.999)
+
     def test_integer_excess_refused_by_name(self):
         # c - a - b = 0: the connection formula has a logarithmic term.
         with pytest.raises(ConvergenceError, match="logarithmic"):

@@ -9,8 +9,8 @@ command: "identical" when its stdout (and the file an --export writes) is
 byte-for-byte the same, else the largest change of a printed number relative to
 the command's largest finite |value|, or "text differs" when more than numbers
 changed. Each line ends with both exit codes; both stderr texts follow when they
-differ. The boundary CSVs that eval and norm read are the old tree's exports,
-so both trees read the same files.
+differ. The boundary CSVs that eval and norm read are the old tree's exports
+and the malformed files written next to them, so both trees read the same files.
 
 The exit status is 0 when every command is identical in stdout, exit code and
 stderr, 1 when any differs (as diff's is), and 2 on a usage error.
@@ -31,8 +31,12 @@ points), eval --point --field and norm --boundary (5 quantities x hardy,
 bergman); and norm --example of 4.1 (alpha -0.5), 4.2 (0.7) and 4.3 (0), each
 quantity and kind, with --nodes 8192 and with --r-max 0.9999, and for f and dzbar
 (hardy) built at --samples 1024 and swept at --nodes 4096, where 4.3's n_trunc
-follows --samples; and eval --point 1e-200,2 --field at alpha 0.5 on the 4.1
-CSV, a radius the polar frame cannot divide by.
+follows --samples; eval --point 1e-200,2 --field at alpha 0.5 on the 4.1
+CSV, a radius the polar frame cannot divide by; and eval --alpha 0 --point 0.5,0
+on each malformed boundary CSV of MALFORMED (a 16-sample grid of F = 1 with a
+short row, a non-numeric cell, a blank line, a trailing comma, no rows under
+the header, a quoted cell, or a number written 1_0), so that refusals are
+compared by exit code and stderr.
 """
 
 from __future__ import annotations
@@ -50,6 +54,17 @@ ALPHAS = ("-0.5", "0", "0.7")
 EXPORTS = (("4.1", 2048), ("4.2", 2048), ("4.2", 8192), ("4.3", 2048), ("4.3", 8192))
 POINTS = ("0,0", "0.5,0.7", "0.9,2", "0.999,1")
 EXAMPLE_ALPHAS = (("4.1", "-0.5"), ("4.2", "0.7"), ("4.3", "0"))
+
+_GRID = [f"{2.0 * math.pi * j / 16!r},1.0,0.0" for j in range(16)]  # F = 1 at 16 samples
+MALFORMED = {  # file name: the rows under the header theta,re,im
+    "short-row.csv": _GRID[:3] + ["0.5,1.0"] + _GRID[4:],
+    "non-numeric.csv": _GRID[:3] + [_GRID[3].replace("1.0", "one")] + _GRID[4:],
+    "blank-line.csv": _GRID[:3] + [""] + _GRID[3:],
+    "trailing-comma.csv": _GRID[:3] + [_GRID[3] + ","] + _GRID[4:],
+    "header-only.csv": [],
+    "quoted-cell.csv": _GRID[:3] + [_GRID[3].replace("1.0", '"1.0"')] + _GRID[4:],
+    "underscore.csv": _GRID[:3] + [_GRID[3].replace("1.0", "1_0")] + _GRID[4:],
+}
 
 NUMBER = re.compile(rb"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 
@@ -85,6 +100,9 @@ def commands(csv_dir: str):
                     yield ["norm", *base, "--p", "2", "--quantity", quantity, "--kind", kind]
     yield ["eval", "--alpha", "0.5", "--boundary", os.path.join(csv_dir, csv_name("4.1", 2048)),
            "--point", "1e-200,2", "--field"]
+    for name in MALFORMED:
+        yield ["eval", "--alpha", "0", "--boundary", os.path.join(csv_dir, name),
+               "--point", "0.5,0"]
     for example, alpha in EXAMPLE_ALPHAS:
         for quantity in QUANTITIES:
             for kind in KINDS:
@@ -133,6 +151,9 @@ def main(argv: list) -> int:
         old_dir, new_dir = os.path.join(tmp, "old"), os.path.join(tmp, "new")
         os.mkdir(old_dir)
         os.mkdir(new_dir)
+        for name, rows in MALFORMED.items():
+            with open(os.path.join(old_dir, name), "w", newline="") as fh:
+                fh.write("\n".join(["theta,re,im", *rows]) + "\n")
         tally = {}
         largest = (0.0, None)  # (relative change, command) of the largest "rel" verdict
         status = 0
