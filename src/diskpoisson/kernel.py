@@ -22,10 +22,14 @@ even: one real FFT of values built from a cached table of
 sin^2(theta_j/2), since |1 - r e^{it}|^2 = (1-r)^2 + 4r sin^2(t/2) does
 not cancel near t = 0 as r -> 1. That FFT is taken on every s-th node,
 the fewest that hold the kernel's modes at that radius (_kernel_stride),
-and brought to the N bins of F (_band_rfft). Everything derived from a
-BoundaryData's samples (its resamples; boundary_derivative, the only code
-computing dF/dtheta; the spectrum fft(values), the only FFT of boundary
-samples) is computed once and memoized on it.
+and its bins below m/2 are the kernel's half band (_band_rfft). From it
+_circle_multipliers forms each quantity's real multipliers on that half
+band; _circle_spectra mirrors them to the N bins of F, and _circle_power
+sums a circle's |spectrum|^2 on the half band itself, with no work of
+length N. Everything derived from a BoundaryData's samples (its
+resamples; boundary_derivative, the only code computing dF/dtheta; the
+spectrum fft(values), the only FFT of boundary samples, and its power
+folded onto the half band) is computed once and memoized on it.
 """
 
 from __future__ import annotations
@@ -121,11 +125,16 @@ def _half_angle_sin2(n: int) -> np.ndarray:
     return _read_only(np.sin(0.5 * _uniform_thetas(n)) ** 2)
 
 
-def _mirror(half: np.ndarray, odd: bool = False) -> np.ndarray:
-    """All n bins of a spectrum that is even (X[n-m] = X[m]) or odd (X[n-m] = -X[m]) in m,
-    from its bins 0..n/2. For a real, even k of even length, fft(k) is
-    _mirror(rfft(k).real): one real FFT gives the whole spectrum."""
-    return np.concatenate((half, -half[-2:0:-1] if odd else half[-2:0:-1]))
+def _mirror(plus: np.ndarray, n: int, minus: Optional[np.ndarray] = None) -> np.ndarray:
+    """All n bins of a spectrum from its half band of L <= n/2 + 1 bins: bin k < L is
+    plus[k], bin n-k (0 < k < min(L, n/2)) is minus[k], or plus[k] when minus is None (an
+    even spectrum), and the bins between are 0. For a real, even k of even length n,
+    fft(k) is _mirror(rfft(k).real, n): one real FFT gives the whole spectrum."""
+    out = np.zeros(n, dtype=plus.dtype)
+    out[:len(plus)] = plus
+    k = min(len(plus), n // 2)
+    out[:-k:-1] = (plus if minus is None else minus)[1:k]
+    return out
 
 
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
@@ -205,7 +214,7 @@ class BoundaryData:
             self.closed_form, n, deriv=self.closed_form_deriv))
 
     def _memo(self, key, make):
-        """make() for key (node count of a resample, "derivative" or "spectrum"), kept
+        """make() for key (node count of a resample, "derivative", "spectrum" or "power"), kept
         on this BoundaryData. Threads racing on a fresh key may each compute it, but
         setdefault hands all of them the one value stored first."""
         value = self._derived.get(key)
@@ -214,6 +223,18 @@ class BoundaryData:
     def _spectrum(self) -> np.ndarray:
         """fft(values), read-only: the one FFT of these samples."""
         return self._memo("spectrum", lambda: _read_only(np.fft.fft(self.values)))
+
+    def _power(self) -> np.ndarray:
+        """|X_k|^2 + |X_{N-k}|^2 for k = 0..N/2, X = fft(values), with bins 0 and N/2
+        counted once, read-only: the spectrum's energy folded onto its half band."""
+        def fold():
+            spec = self._spectrum()
+            sq = spec.real ** 2 + spec.imag ** 2
+            n = len(sq)
+            half = sq[:n // 2 + 1].copy()
+            half[1:n // 2] += sq[:n // 2:-1]
+            return _read_only(half)
+        return self._memo("power", fold)
 
 
 def radial_grid(r_max: float = 0.999, n: int = 64) -> np.ndarray:
@@ -320,17 +341,13 @@ def _kernel_stride(n: int, r: float, alpha: float) -> int:
 
 
 def _band_rfft(values: np.ndarray, n: int) -> np.ndarray:
-    """Bins 0..n/2 of the n-node rfft of a kernel given on every s-th node, m = n/s values
+    """The half band of the n-node rfft of a kernel given on every s-th node, m = n/s values
     whose spectrum lies in bins below m/2 (_kernel_stride): the m-node rfft's bins
-    0..m/2-1 times s, which is exact as s is a power of two, and zeros above. At m = n it
-    is the n-node rfft itself."""
+    0..m/2-1 times s, which is exact as s is a power of two; the n-node bins above are 0
+    to rounding. At m = n it is the n-node rfft itself, bins 0..n/2."""
     half = np.fft.rfft(values)
     m = len(values)
-    if m == n:
-        return half
-    out = np.zeros(n // 2 + 1, dtype=half.dtype)
-    out[:m // 2] = half[:m // 2] * (n // m)
-    return out
+    return half if m == n else half[:m // 2] * (n // m)
 
 
 def _point_values(a, F: BoundaryData, z, q: QuadSpec, quantities) -> list:
@@ -384,39 +401,77 @@ def _invert(spec: np.ndarray, d: float) -> np.ndarray:
     return out
 
 
-def _fused_spectrum(a: AlphaParam, F: BoundaryData, kern_hat: np.ndarray, kern: np.ndarray,
-                    r: float, s: int = 0) -> np.ndarray:
-    """The spectrum whose inverse FFT is r df/dr + s i df/dtheta at every grid angle of
-    |z| = r, from F on the grid, the kernel spectrum kern_hat and the kernel values kern
-    on every stride-th node of F's grid (_kernel_stride).
-
-    Each trapezoid sum is a correlation with a real kernel on the grid, so with
-    w = 1 - r^2, J1 + J2 + s i df/dtheta = ifft(A fft(F) + B fft(dF/dt)) where
-    A = (alpha/N) (K^ - K2^/w) and B = (2/(N w)) K1^ + (s i/N) K^ but for B's bin 0,
-    set to 0 as dF/dt has mean 0 (_point_values). The J2 kernels
-    K1 = r sin t K (odd) and K2 = ((1-r) + 2r sin^2(t/2)) K (even) come from the
-    kernel values K, and one rfft of K1 + K2 gives both spectra: its real part is
-    fft(K2), its imaginary part fft(K1)/i. That rfft is taken on the kernel's own nodes
-    (_band_rfft): where they are fewer than N, the sums are the N-node trapezoid's to
-    rounding, not bit for bit.
-    """
-    n = F.n_samples
-    stride = n // len(kern)
-    w = (1.0 - r) * (1.0 + r)
-    half = _band_rfft(((1.0 - r) + 2.0 * r * _half_angle_sin2(n)[::stride]
-                       + r * _grid_sin(n)[::stride]) * kern, n)
-    a_hat = (a.alpha / n) * (kern_hat - _mirror(half.real) / w)
-    b_hat = (2.0 / (n * w)) * _mirror(half.imag, odd=True)
-    if s:
-        b_hat += (s / n) * kern_hat
-    b_hat[0] = 0.0
-    return a_hat * F._spectrum() + 1j * b_hat * boundary_derivative(F)._spectrum()
-
-
 # Which multiple s of i df/dtheta joins r df/dr: df/dzbar = (r df/dr + i df/dtheta) e^{i theta}/(2r)
 # and df/dz = (r df/dr - i df/dtheta) e^{-i theta}/(2r). The factor e^{s i theta_j} is a
 # roll of the spectrum by s bins.
 _FRAME_SIGN = {"rdr": 0, "dr": 0, "dzbar": 1, "dz": -1}
+
+
+def _divisor(name: str, n: int, r: float):
+    """The d of a circle's pair (S, d) (_circle_spectra): N for f and df/dtheta, 1 for
+    r df/dr, r for df/dr and 2r for df/dz and df/dzbar."""
+    return {"f": n, "dtheta": n, "rdr": 1.0, "dr": r}.get(name, 2.0 * r)
+
+
+def _circle_multipliers(a: AlphaParam, F: BoundaryData, r: float, q: QuadSpec,
+                        quantities) -> list:
+    """[M, ...], one per name in quantities: the real multipliers, on the half band of L
+    bins, that take fft(F) and fft(dF/dt) to that quantity's spectrum S on the circle |z| = r
+    (_circle_spectra). L = m/2 where the kernel's m nodes are fewer than F's N
+    (_kernel_stride), as S is 0 to rounding from bin L to N - L, and N/2 + 1 where m = N.
+
+    For "f" and "dtheta" M is the kernel spectrum K^: S_k = K^_k X_k and
+    S_{N-k} = K^_k X_{N-k}, X = fft(F) or fft(dF/dt). For the partials M is (A, B+, B-):
+    S_k = A_k fft(F)_k + i B+_k fft(dF/dt)_k and S_{N-k} = A_k fft(F)_{N-k}
+    + i B-_k fft(dF/dt)_{N-k}, for r df/dr + s i df/dtheta before the frame roll
+    (_FRAME_SIGN). Each trapezoid sum is a correlation with a real kernel on the grid, so
+    with w = 1 - r^2, A = (alpha/N) (K^ - K2^/w) and B+- = (s/N) K^ +- (2/(N w)) K1^/i but
+    for bin 0, set to 0 as dF/dt has mean 0 (_point_values). The J2 kernels
+    K1 = r sin t K (odd) and K2 = ((1-r) + 2r sin^2(t/2)) K (even) come from the kernel
+    values K, and one rfft of K1 + K2 gives both spectra: its real part is K2^, its
+    imaginary part K1^/i. Every rfft is taken on the kernel's own m nodes (_band_rfft):
+    where m < N the sums are the N-node trapezoid's to rounding, not bit for bit. M is None
+    for a derivative at r = 0, which _origin_spectrum gives.
+
+    Refuses r outside [0, q.r_max] and, for dr, dz and dzbar, 0 < r < _POLAR_R_MIN; only a
+    circle of f warns about resolution, keyed on N.
+    """
+    if not 0.0 <= r <= q.r_max:
+        raise ValueError(f"radius must lie in [0, r_max = {q.r_max}]")
+    n = F.n_samples
+    if "f" in quantities:
+        _check_resolution(n, r)
+    if not set(quantities).isdisjoint(("dr", "dz", "dzbar")):
+        _check_polar_radius(r)
+    stride = _kernel_stride(n, r, a.alpha)
+    kern = _grid_kernel(a, r, n, stride)
+    kern_hat = _band_rfft(kern, n).real
+    fused = None
+    out = []
+    for name in quantities:
+        if name != "f" and r == 0.0:
+            out.append(None)
+            continue
+        if name in ("f", "dtheta"):
+            out.append(kern_hat)
+            continue
+        if fused is None:
+            w = (1.0 - r) * (1.0 + r)
+            half = _band_rfft(((1.0 - r) + 2.0 * r * _half_angle_sin2(n)[::stride]
+                               + r * _grid_sin(n)[::stride]) * kern, n)
+            b_odd = (2.0 / (n * w)) * half.imag
+            b_odd[0] = 0.0
+            fused = ((a.alpha / n) * (kern_hat - half.real / w), b_odd)
+        a_hat, b_odd = fused
+        s = _FRAME_SIGN[name]
+        if s:
+            b_even = (s / n) * kern_hat
+            b_plus, b_minus = b_odd + b_even, b_even - b_odd
+            b_plus[0] = b_minus[0] = 0.0
+        else:
+            b_plus, b_minus = b_odd, -b_odd
+        out.append((a_hat, b_plus, b_minus))
+    return out
 
 
 def _origin_spectrum(a: AlphaParam, F: BoundaryData, name: str) -> tuple:
@@ -439,41 +494,69 @@ def _circle_spectra(a, F: BoundaryData, r: float, q: QuadSpec, quantities) -> li
     r df/dr, and "dr", "dz", "dzbar".
 
     The one circle operator: it sums over F's own N samples, and one grid kernel and its
-    spectrum serve every quantity. f and df/dtheta are that spectrum times fft(F) or
-    fft(dF/dt), with bin 0 of fft(dF/dt) taken as 0 here and in _fused_spectrum, as in
-    _point_values; the partials are one fused spectrum each. At r = 0, where the polar frame
-    degenerates, each derivative is the limit _origin_spectrum gives; dr, dz and dzbar refuse
-    0 < r < _POLAR_R_MIN. On the grid the kernel is real and even, so its spectrum is one
-    rfft, mirrored. That rfft is taken on every s-th node, the fewest that hold the kernel's
-    spectrum (_kernel_stride): where s > 1 the spectrum is the N-node one to its rounding
-    (3e-14 of its largest bin), not bit for bit; at s = 1 it is the N-node one. Only a
-    circle of f warns about resolution, keyed on N.
+    spectrum serve every quantity. Each S is the half-band multipliers of
+    _circle_multipliers mirrored to N bins and applied to fft(F) and fft(dF/dt), bin 0 of
+    fft(dF/dt) taken as 0, as in _point_values; for df/dz and df/dzbar it is then rolled into
+    the polar frame. At r = 0, where the polar frame degenerates, each derivative is the
+    limit _origin_spectrum gives. The kernel's spectrum is one rfft on every s-th node, the
+    fewest that hold it (_kernel_stride): where s > 1 the spectrum is the N-node one to its
+    rounding (3e-14 of its largest bin), not bit for bit; at s = 1 it is the N-node one.
+    Refusals and warnings are _circle_multipliers'.
     """
     a = as_alpha(a)
-    if not 0.0 <= r <= q.r_max:
-        raise ValueError(f"radius must lie in [0, r_max = {q.r_max}]")
     n = F.n_samples
-    if "f" in quantities:
-        _check_resolution(n, r)
-    if not set(quantities).isdisjoint(("dr", "dz", "dzbar")):
-        _check_polar_radius(r)
-    kern = _grid_kernel(a, r, n, _kernel_stride(n, r, a.alpha))
-    kern_hat = _mirror(_band_rfft(kern, n).real)
+    kern_hat = None  # the kernel spectrum on N bins, mirrored once for f and df/dtheta
     out = []
-    for name in quantities:
-        if name != "f" and r == 0.0:
+    for name, mult in zip(quantities, _circle_multipliers(a, F, r, q, quantities)):
+        if mult is None:
             out.append(_origin_spectrum(a, F, name))
-        elif name == "f":
-            out.append((kern_hat * F._spectrum(), n))
-        elif name == "dtheta":
-            spec = kern_hat * boundary_derivative(F)._spectrum()
-            spec[0] = 0.0
-            out.append((spec, n))
-        else:
-            s = _FRAME_SIGN[name]
-            spec = _fused_spectrum(a, F, kern_hat, kern, r, s)
-            out.append((np.roll(spec, s), 2.0 * r) if s else (spec, r if name == "dr" else 1.0))
+            continue
+        if name in ("f", "dtheta"):
+            if kern_hat is None:
+                kern_hat = _mirror(mult, n)
+            if name == "f":
+                out.append((kern_hat * F._spectrum(), n))
+            else:
+                spec = kern_hat * boundary_derivative(F)._spectrum()
+                spec[0] = 0.0
+                out.append((spec, n))
+            continue
+        a_hat, b_plus, b_minus = mult
+        spec = (_mirror(a_hat, n) * F._spectrum()
+                + 1j * _mirror(b_plus, n, b_minus) * boundary_derivative(F)._spectrum())
+        s = _FRAME_SIGN[name]
+        out.append((np.roll(spec, s) if s else spec, _divisor(name, n, r)))
     return out
+
+
+def _circle_power(a, F: BoundaryData, r: float, q: QuadSpec, name: str) -> tuple:
+    """(sum over m of |S_m|^2, d) for the pair (S, d) _circle_spectra gives name on |z| = r,
+    summed on the half band of _circle_multipliers: the sum over k < L of
+    |S_k|^2 + |S_{N-k}|^2, bins 0 and N/2 counted once. For f and df/dtheta that is
+    K^_k^2 times the folded power of fft(F) or fft(dF/dt) (BoundaryData._power); for the
+    partials each bin is the same product as in S, read from views of the memoized spectra.
+    The frame roll moves bins, not the sum, so it is not taken: no work is of length N.
+    The origin, r = 0, sums _origin_spectrum. Refusals and warnings are
+    _circle_multipliers'.
+    """
+    a = as_alpha(a)
+    n = F.n_samples
+    mult, = _circle_multipliers(a, F, r, q, (name,))
+    if mult is None:
+        spec, d = _origin_spectrum(a, F, name)
+        return float(np.vdot(spec, spec).real), d
+    d = _divisor(name, n, r)
+    if name in ("f", "dtheta"):
+        power = (F if name == "f" else boundary_derivative(F))._power()
+        lo = int(name == "dtheta")  # bin 0 of fft(dF/dt) is taken as 0
+        return float(np.dot(mult[lo:] ** 2, power[lo:len(mult)])), d
+    a_hat, b_plus, b_minus = mult
+    f_hat, g_hat = F._spectrum(), boundary_derivative(F)._spectrum()
+    band = len(a_hat)
+    top = min(band, n // 2)  # bins N-k for 0 < k < top: bin N/2 is in the low band
+    low = a_hat * f_hat[:band] + 1j * b_plus * g_hat[:band]
+    high = a_hat[1:top] * f_hat[:-top:-1] + 1j * b_minus[1:top] * g_hat[:-top:-1]
+    return float(np.vdot(low, low).real + np.vdot(high, high).real), d
 
 
 def circle_poisson_values(a, F: BoundaryData, r: float, q: QuadSpec) -> np.ndarray:

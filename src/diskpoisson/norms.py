@@ -10,9 +10,13 @@ r_max = 0.99 by divergence_probe's verdict over nested cutoffs.
 
 A KernelQuantity circle, r = 0 included, is one spectrum S from the circle
 operator kernel._circle_spectra, whose inverse FFT, divided by d, gives its
-N values. For p = 2 the circle's mean then comes from the spectrum by
-Parseval, sqrt(sum |S_m|^2) / (N |d|), with no inverse FFT; every other p
-and plain callables take the mean of the values.
+N values. For p = 2 the circle's mean comes from the spectrum by Parseval,
+sqrt(sum |S_m|^2) / (N |d|), and that sum is taken on the kernel's half
+band (kernel._circle_power): over the L bins k where the kernel's spectrum
+lives, L = m/2 for a kernel on m < N nodes, each |S_k|^2 + |S_{N-k}|^2 is
+formed from the real multipliers of the circle and the memoized spectra of
+F and dF/dtheta, with no inverse FFT and no work of length N. Every other
+p and plain callables take the mean of the values.
 
 divergence_probe sharpens that: it evaluates the norm at nested cutoff
 radii, flags divergence when the values grow monotonically with a last-pair
@@ -30,8 +34,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .kernel import (BoundaryData, QuadSpec, _circle_spectra, _invert, _uniform_thetas,
-                     as_alpha)
+from .kernel import (BoundaryData, QuadSpec, _circle_power, _circle_spectra, _invert,
+                     _uniform_thetas, as_alpha)
 
 __all__ = [
     "NormEstimate",
@@ -64,16 +68,22 @@ def _check_p(p: float) -> float:
     return p
 
 
-def _mean_p(samples: np.ndarray, p: float) -> float:
-    """mean(|samples|^p)^(1/p), max for p = inf, as m mean((|samples|/m)^p)^(1/p) with m
-    the largest magnitude: no power overflows, so it is non-finite only if a sample is."""
+def _means_p(samples: np.ndarray, ps) -> list:
+    """[mean(|samples|^p)^(1/p) for p in ps], max for p = inf, each as
+    m mean((|samples|/m)^p)^(1/p) with m the largest magnitude: no power overflows, so a
+    mean is non-finite only if a sample is. The magnitudes are taken and scaled once for
+    every p."""
     mags = np.abs(np.asarray(samples))
     m = float(np.max(mags)) if mags.size else 0.0
-    if math.isinf(p) or not 0.0 < m < math.inf:
-        return m
+    if not 0.0 < m < math.inf:
+        return [m] * len(ps)
     scaled = mags / m
-    scaled **= p
-    return m * float(np.mean(scaled) ** (1.0 / p))
+    return [m if math.isinf(p) else m * float(np.mean(scaled ** p) ** (1.0 / p)) for p in ps]
+
+
+def _mean_p(samples: np.ndarray, p: float) -> float:
+    """_means_p for the one order p."""
+    return _means_p(samples, (p,))[0]
 
 
 def lp_norm_circle(G: Union[BoundaryData, np.ndarray], p: float) -> float:
@@ -130,13 +140,16 @@ def _circle_mean(f, r: float, p: float, q: QuadSpec) -> float:
     """L^p mean of f on the circle |z| = r: at q.angular_nodes points for a callable.
 
     A KernelQuantity circle has the N values ifft(S) / d, so by Parseval
-    its L^2 mean is sqrt(sum |S_m|^2) / (N |d|): no inverse FFT.
+    its L^2 mean is sqrt(sum |S_m|^2) / (N |d|). kernel._circle_power sums
+    |S_k|^2 + |S_{N-k}|^2 over the L bins k of the kernel's half band,
+    from real multipliers and the memoized spectra of F and dF/dtheta: no
+    inverse FFT, and no work of length N where the kernel needs fewer nodes.
     """
     if isinstance(f, KernelQuantity):
         if p != 2.0:
             return _mean_p(f.circle_values(r, q), p)
-        spec, d = _circle_spectra(f.a, f.F, r, q, (f.quantity,))[0]
-        return float(np.linalg.norm(spec)) / (len(spec) * abs(d))
+        power, d = _circle_power(f.a, f.F, r, q, f.quantity)
+        return math.sqrt(power) / (f.F.n_samples * abs(d))
     return _mean_p(np.asarray(f(r * np.exp(1j * _uniform_thetas(q.angular_nodes)))), p)
 
 

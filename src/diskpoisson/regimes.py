@@ -36,7 +36,7 @@ from .kernel import (BoundaryData, QuadSpec, _ANGULAR_CAP, _circle_spectra,
                      boundary_derivative)
 # circle_derivs stays bound: perfbench's test_wrappers_are_all_removed asserts it is traced.
 from .derivs import circle_derivs  # noqa: F401
-from .norms import lp_norm_circle, integral_mean
+from .norms import _means_p
 
 __all__ = [
     "RegimeClass",
@@ -195,9 +195,10 @@ def _boundary_checks(a, F: BoundaryData, q: QuadSpec, ps=(), scaled: bool = Fals
     when scaled: one walk of the radial grid for (alpha, F).
 
     Each circle is one call of the circle operator, so its kernel spectrum is built
-    once. It feeds one dtheta sweep, whose integral means serve every p, and, when
-    scaled and alpha != 0, one value sweep for |J1|, the only sweep that warns about
-    resolution. At alpha = 0, J1 = alpha K[F] is 0 and no value sweep is taken.
+    once. It feeds one dtheta sweep, whose magnitudes, taken and scaled once, give the
+    integral mean for every p, and, when scaled and alpha != 0, one value sweep for |J1|,
+    the only sweep that warns about resolution. At alpha = 0, J1 = alpha K[F] is 0 and no
+    value sweep is taken.
     """
     a = as_alpha(a)
     ps = [float(p) for p in ps]
@@ -209,15 +210,14 @@ def _boundary_checks(a, F: BoundaryData, q: QuadSpec, ps=(), scaled: bool = Fals
     j1 = scaled and a.alpha != 0.0
     quantities = ("dtheta",) * bool(ps) + ("f",) * j1
     for F_n, radii in _resolved_sweeps(F, q) if quantities else ():
-        dF = boundary_derivative(F_n)
-        rhs_n = [lp_norm_circle(dF, p) for p in ps]
+        rhs_n = _means_p(boundary_derivative(F_n).values, ps)
         for r in radii:
             spectra = _circle_spectra(a, F_n, r, q, quantities)
             if ps:
-                mags = np.abs(_invert(*spectra[0]))
-                for i, p in enumerate(ps):
-                    if rhs_n[i] > 0.0:
-                        max_ratio[i] = max(max_ratio[i], integral_mean(mags, r, p) / rhs_n[i])
+                means = _means_p(_invert(*spectra[0]), ps)
+                for i, rhs in enumerate(rhs_n):
+                    if rhs > 0.0:
+                        max_ratio[i] = max(max_ratio[i], means[i] / rhs)
             if j1:
                 sup_j1 = max(sup_j1, float(np.max(np.abs(a.alpha * _invert(*spectra[-1])))))
     common = {"boundary": label or "unnamed", "nodes": F.n_samples,

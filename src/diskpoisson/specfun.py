@@ -115,11 +115,15 @@ def _series_sum(a: float, b: float, c: float, x: float, tol: float):
 
 def _refuse_cancellation(a: float, b: float, c: float, x: float, value: float, peak: float,
                          tol: float) -> float:
-    """value, unless peak, the largest term summed into it, cancels past tol.
+    """value, unless it left the double range or peak, the largest term summed into it,
+    cancels past tol.
 
     Each term carries a rounding error of about eps times itself, so a value
     whose largest term exceeds tol |value| / eps cannot meet tol.
     """
+    if not math.isfinite(value):  # a term, or the sum, overflowed
+        raise OverflowError(f"2F1({a}, {b}; {c}; {x}) leaves the double range: "
+                            f"it was summed to {value!r}")
     if peak * _EPS > tol * abs(value):
         raise ConvergenceError(
             f"2F1({a}, {b}; {c}; {x}) cancels: its largest term {peak:.3g} is "
@@ -210,21 +214,27 @@ def _gamma_ratio(scale: float, nums: tuple, dens: tuple) -> float:
 
 def _connection_1mx(a: float, b: float, c: float, x: float, tol: float) -> float:
     """2F1(a, b; c; x) from two series in 1 - x (A&S 15.3.6); c - a - b not an integer.
-    Refused where the two weighted series cancel past tol, either one alone or each other."""
+    Refused where the two weighted series cancel past tol, either one alone or each other,
+    and where the value leaves the double range."""
     s = c - a - b
     y = 1.0 - x
+    # each weight as (scale, num, dens): scale Gamma(num) / (Gamma(dens[0]) Gamma(dens[1]))
+    parts = ((1.0, s, (c - a, c - b)), (y ** s, -s, (a, b)))
     try:  # each Gamma a normal double
         g = gamma(c)
-        w1 = gamma(s) * _rgamma(c - a) * _rgamma(c - b)
-        w2 = y ** s * gamma(-s) * _rgamma(a) * _rgamma(b)
+        w = [scale * gamma(num) * _rgamma(dens[0]) * _rgamma(dens[1])
+             for scale, num, dens in parts]
     except OverflowError:  # one is not: each weight as one ratio, Gamma(c) in it
         g = 1.0
-        w1 = _gamma_ratio(1.0, (c, s), (c - a, c - b))
-        w2 = _gamma_ratio(y ** s, (c, -s), (a, b))
+        w = [_gamma_ratio(scale, (c, num), dens) for scale, num, dens in parts]
+    else:  # a weight of 0 or inf with no pole in dens: a product of its factors left the
+        # double range, the weight need not have; that weight as one ratio, 0 at a pole
+        w = [_gamma_ratio(scale, (num,), dens) if wi == 0.0 or not math.isfinite(wi) else wi
+             for wi, (scale, num, dens) in zip(w, parts)]
     sum1, peak1 = _series_sum(a, b, 1.0 - s, y, tol)
     sum2, peak2 = _series_sum(c - a, c - b, 1.0 + s, y, tol)
-    return _refuse_cancellation(a, b, c, x, g * (w1 * sum1 + w2 * sum2),
-                                abs(g) * (abs(w1) * peak1 + abs(w2) * peak2), tol)
+    return _refuse_cancellation(a, b, c, x, g * (w[0] * sum1 + w[1] * sum2),
+                                abs(g) * (abs(w[0]) * peak1 + abs(w[1]) * peak2), tol)
 
 
 @functools.lru_cache(maxsize=200000)
@@ -252,7 +262,13 @@ def _hyp2f1_cached(a: float, b: float, c: float, x: float, tol: float) -> float:
             return 0.0  # 1/Gamma(c-a) or 1/Gamma(c-b) vanishes in Gauss's sum
         return gauss_value(a, b, c)
     if (1.0 - x) * max(abs(a), abs(b), 1.0) <= _CONNECTION_SPAN and s != math.floor(s):
-        return _connection_1mx(a, b, c, x, tol)
+        try:
+            return _connection_1mx(a, b, c, x, tol)
+        except ConvergenceError as cancelled:  # its weights cancel, c - a - b near an integer
+            try:  # the direct series does not depend on c - a - b
+                return _refuse_cancellation(a, b, c, x, *_series_sum(a, b, c, x, tol), tol)
+            except ArithmeticError:
+                raise cancelled from None
     return _refuse_cancellation(a, b, c, x, *_series_sum(a, b, c, x, tol), tol)
 
 
@@ -266,12 +282,15 @@ def hyp2f1(a: float, b: float, c: float, x: float, tol: float = 1e-14) -> float:
     smallest against its sum is returned. At x = 1 the Gauss sum is returned
     (finite only for c - a - b > 0). Where (1 - x) max(|a|, |b|, 1) <= 1/2
     and c - a - b is not an integer, the 1 - x connection formula
-    (Abramowitz & Stegun 15.3.6) is used. Everywhere else the direct series
-    is summed until a bound of its tail falls below tol times the sum. On
+    (Abramowitz & Stegun 15.3.6) is used; where its weights cancel (c - a - b
+    near an integer) the direct series is tried before its refusal is raised.
+    Everywhere else the direct series is summed until a bound of its tail
+    falls below tol times the sum. On
     x >= 0 ConvergenceError refuses a value whose largest summed term times
     the machine epsilon exceeds tol times the value (a sum that cancels, such
     as a long terminating one), and, naming the logarithmic case, a series
-    with an integer c - a - b near x = 1 that exceeds the term cap. The x < 0
+    with an integer c - a - b near x = 1 that exceeds the term cap; OverflowError
+    refuses a value that leaves the double range there. The x < 0
     route is unchecked: 1.2e-13 worst relative error at tol 1e-14 over 3,000
     random arguments (a, b in [-5, 5], c in [0.1, 5]). A non-finite a, b, c
     or x, or a tol that is not finite and positive, raises ValueError naming it.

@@ -273,7 +273,8 @@ class TestJ2Spectra:
         for r in (0.0, 0.5, 0.99, 0.999, 1.0 - 1e-6):
             k1, k2 = j2_kernels(alpha, r, n)
             half = np.fft.rfft(k1 + k2)
-            for got, k in ((1j * _mirror(half.imag, odd=True), k1), (_mirror(half.real), k2)):
+            for got, k in ((1j * _mirror(half.imag, n, -half.imag), k1),
+                           (_mirror(half.real, n), k2)):
                 want = np.fft.fft(k)
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 

@@ -204,13 +204,15 @@ def assert_band_matches_all_nodes(alpha, F, r):
         warnings.simplefilter("ignore", ResolutionWarning)
         (got, d), = _circle_spectra(a, F, r, q, ("f",))
     kern = _grid_kernel(a, r, n)
-    want = kernel._mirror(np.fft.rfft(kern).real) * F._spectrum()
+    want = kernel._mirror(np.fft.rfft(kern).real, n) * F._spectrum()
     assert d == n
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (alpha, r, s)
     j2 = ((1.0 - r) + 2.0 * r * _half_angle_sin2(n) + r * kernel._grid_sin(n)) * kern
     want = np.fft.rfft(j2)
-    got = kernel._band_rfft(j2[::s], n)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (alpha, r, s)
+    got = kernel._band_rfft(j2[::s], n)  # the half band: the bins above it are 0
+    want_band, want_above = want[:len(got)], want[len(got):]
+    assert np.max(np.abs(got - want_band)) <= 1e-13 * np.max(np.abs(want)), (alpha, r, s)
+    assert np.max(np.abs(want_above), initial=0.0) <= 1e-13 * np.max(np.abs(want)), (alpha, r, s)
 
 
 class TestKernelBand:
@@ -235,7 +237,7 @@ class TestKernelBand:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ResolutionWarning)
             (got, _), = _circle_spectra(a, F, r, QuadSpec(angular_nodes=n), ("f",))
-        want = kernel._mirror(np.fft.rfft(_grid_kernel(a, r, n)).real) * F._spectrum()
+        want = kernel._mirror(np.fft.rfft(_grid_kernel(a, r, n)).real, n) * F._spectrum()
         assert np.array_equal(got, want)
 
     def test_no_table_cached_per_kernel_grid(self):

@@ -7,7 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from diskpoisson.kernel import BoundaryData, QuadSpec, ResolutionWarning
+from diskpoisson import kernel
+from diskpoisson.kernel import BoundaryData, QuadSpec, ResolutionWarning, _uniform_thetas
 from diskpoisson.mappings import HypMonomial, phase_boundary
 from diskpoisson.norms import (
     QUANTITIES,
@@ -22,6 +23,7 @@ from diskpoisson.norms import (
     _circle_means,
     _increment_exponent,
     _mean_p,
+    _means_p,
     _status_from_tail,
     bergman_norm,
     dfield_norms,
@@ -66,6 +68,17 @@ class TestCircleMeans:
         assert _mean_p([1e-200] * 4, 3) == 1e-200
         assert _mean_p([0.0, 0.0], 5) == 0.0
         assert math.isnan(_mean_p([1.0, math.nan], 2))
+
+    def test_means_p_serve_every_p_from_one_scaling(self):
+        rng = np.random.default_rng(4)
+        samples = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        ps = (1.0, 2.0, 3.5, math.inf)
+        means = _means_p(samples, ps)
+        assert means == [_mean_p(samples, p) for p in ps]
+        for p, mean in zip(ps[:-1], means):
+            assert mean == pytest.approx(np.mean(np.abs(samples) ** p) ** (1.0 / p), rel=1e-14)
+        assert means[-1] == np.max(np.abs(samples))
+        assert _means_p(np.zeros(4), ps) == [0.0] * 4
 
     def test_integral_mean_radius_domain(self):
         with pytest.raises(ValueError, match="radius"):
@@ -127,6 +140,13 @@ def boundaries():
             "sampled": BoundaryData.from_samples(phase.thetas, phase.values)}
 
 
+def random_sampled(n):
+    """Sampled-only data with a flat spectrum: every bin, the Nyquist bin too, holds energy."""
+    rng = np.random.default_rng(n)
+    return BoundaryData.from_samples(_uniform_thetas(n),
+                                     rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
 class TestParsevalMeans:
     """At p = 2 a KernelQuantity circle's mean comes from its spectrum, not its values."""
 
@@ -162,6 +182,59 @@ class TestParsevalMeans:
         calls.clear()
         divergence_probe(f, 1.0, (0.9, 0.95, 0.99), q=q)
         assert len(calls) == 5
+
+    @pytest.mark.parametrize("n", [1000, 2048])
+    @pytest.mark.parametrize("alpha", [-0.9, 0.0, 0.7, 5.0])
+    def test_half_band_sum_with_energy_in_every_bin(self, n, alpha):
+        # A flat spectrum puts energy in the Nyquist bin, which the half band counts once
+        # where the kernel needs all N nodes (m = N, L = N/2 + 1) and leaves out where it
+        # lives on m < N nodes (L = m/2). N = 1000 halves to m = 500 and 250 only.
+        rng = np.random.default_rng(n)
+        F = BoundaryData.from_samples(_uniform_thetas(n),
+                                      rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        assert abs(F._spectrum()[n // 2]) > 1e-3 * np.max(np.abs(F._spectrum()))
+        q = QuadSpec(angular_nodes=n, r_max=0.999)
+        strides = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # resolution, and the derivative's top-band energy
+            for r in (0.0, 0.3, 0.6, 0.9, 0.99, 0.999):
+                strides.add(kernel._kernel_stride(n, r, alpha))
+                for quantity in QUANTITIES:
+                    f = KernelQuantity(alpha, F, quantity)
+                    want = _mean_p(f.circle_values(r, q), 2.0)
+                    assert abs(_circle_mean(f, r, 2.0, q) - want) <= 1e-14 * want, (quantity, r)
+        assert 1 in strides and max(strides) > 1, strides
+
+    @pytest.mark.parametrize("quantity", QUANTITIES)
+    def test_only_kernel_node_rffts_at_banded_radii(self, monkeypatch, quantity):
+        # At p = 2 a circle of a boundary with memoized spectra transforms nothing of
+        # length N: one rfft of the kernel on its m < N nodes, and one more of the J2
+        # kernels on the same nodes for a partial off the origin; no inverse transform, and
+        # no spectrum mirrored to N bins.
+        n, alpha = 8192, 0.7
+        F = random_sampled(n)
+        q = QuadSpec(angular_nodes=n, r_max=0.9, radial_grid=[0.0, 0.3, 0.5, 0.7, 0.8, 0.9])
+        cutoffs = (0.7, 0.8, 0.9)
+        f = KernelQuantity(alpha, F, quantity)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = divergence_probe(f, 2.0, cutoffs, q=q)  # the memoized spectra and powers
+        calls = []
+        for name in ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft", "fftn", "ifftn"):
+            def recording(x, *args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+                calls.append((_name, len(x)))
+                return _fn(x, *args, **kwargs)
+            monkeypatch.setattr(np.fft, name, recording)
+        monkeypatch.setattr(kernel, "_mirror", lambda *args: calls.append(("_mirror",)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = divergence_probe(f, 2.0, cutoffs, q=q)
+        assert got == want
+        per_circle = 1 if quantity in ("f", "dtheta") else 2
+        sizes = [n // kernel._kernel_stride(n, r, alpha) for r in q.radial_grid
+                 for _ in range(per_circle if r > 0.0 else 1)]
+        assert max(sizes) < n
+        assert calls == [("rfft", m) for m in sizes]
 
     def test_warnings_equal_the_values_path(self):
         F = HypMonomial(-0.5, 1).boundary(2048)

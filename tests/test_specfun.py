@@ -327,6 +327,29 @@ class TestNearOne:
                 "(Gamma(340.625) Gamma(340.375)) overflows")):
             hyp2f1(340.625, 340.375, 600.5, 0.999)
 
+    @pytest.mark.parametrize("args,want", [
+        ((110.0, -142.566, 11.0, 0.9999998071673476), -6.34485787072984e-270),
+        ((122.0, -147.4, 13.0, 0.9998879914875263), -6.21289841468702e-133),
+    ])
+    def test_connection_weight_whose_product_underflows(self, args, want):
+        # In w2 = (1-x)^(c-a-b) Gamma(a+b-c) / (Gamma(a) Gamma(b)) the partial product
+        # underflows to 0 before 1/Gamma(b), about 1e246, applies; want is mpmath's.
+        assert hyp2f1(*args) == pytest.approx(want, rel=1e-13)
+
+    def test_value_past_the_double_range_is_refused_by_name(self):
+        # c - a - b = -100, so the direct series answers; mpmath gives 6.19e329.
+        with pytest.raises(OverflowError, match=re.escape(
+                "2F1(50.25, 50.25; 0.5; 0.999) leaves the double range")):
+            hyp2f1(50.25, 50.25, 0.5, 0.999)
+
+    def test_cancelling_connection_falls_back_to_the_direct_series(self):
+        # c - a - b = 1.9999: Gamma(-1.9999) in w2 is near a pole, and the weighted series
+        # cancel 133-fold; the direct series at x = 0.5625 does not. want is mpmath's.
+        assert hyp2f1(-0.49995, -0.49995, 1.0, 0.5625) == pytest.approx(1.1464517024810845,
+                                                                       rel=1e-14)
+        with pytest.raises(ConvergenceError, match="cancels"):  # the connection's refusal
+            hyp2f1(0.25, 0.75, 1.0000001, 0.9999)
+
     def test_integer_excess_refused_by_name(self):
         # c - a - b = 0: the connection formula has a logarithmic term.
         with pytest.raises(ConvergenceError, match="logarithmic"):

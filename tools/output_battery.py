@@ -28,10 +28,13 @@ arguments pass x = 142; example --export of
 4.1, 4.2 and 4.3 (2048 samples; 4.2 and 4.3 also 8192); on each exported CSV at
 alpha -0.5, 0 and 0.7, eval --grid, eval --grid --field, eval --point (4
 points), eval --point --field and norm --boundary (5 quantities x hardy,
-bergman); and norm --example of 4.1 (alpha -0.5), 4.2 (0.7) and 4.3 (0), each
-quantity and kind, with --nodes 8192 and with --r-max 0.9999, and for f and dzbar
-(hardy) built at --samples 1024 and swept at --nodes 4096, where 4.3's n_trunc
-follows --samples; eval --point 1e-200,2 --field at alpha 0.5 on the 4.1
+bergman); the same norm --boundary lines on 4.2 exported at 1000 samples, a
+node count that is not a power of two, from a boundary with a corner, so its
+Nyquist bin holds energy; and norm --example of 4.1 (alpha -0.5), 4.2 (0.7) and
+4.3 (0), each quantity and kind, with --nodes 8192 and with --r-max 0.9999, for
+f and dzbar (hardy) built at --samples 1024 and swept at --nodes 4096, where
+4.3's n_trunc follows --samples, and for f (hardy) swept at --nodes 81920 with
+--r-max 0.9999; eval --point 1e-200,2 --field at alpha 0.5 on the 4.1
 CSV, a radius the polar frame cannot divide by; and eval --alpha 0 --point 0.5,0
 on each malformed boundary CSV of MALFORMED (a 16-sample grid of F = 1 with a
 short row, a non-numeric cell, a blank line, a trailing comma, no rows under
@@ -52,6 +55,7 @@ QUANTITIES = ("f", "dtheta", "dr", "dz", "dzbar")
 KINDS = ("hardy", "bergman")
 ALPHAS = ("-0.5", "0", "0.7")
 EXPORTS = (("4.1", 2048), ("4.2", 2048), ("4.2", 8192), ("4.3", 2048), ("4.3", 8192))
+NORM_EXPORT = ("4.2", 1000)  # read by norm --boundary only: 64 --grid-thetas do not divide it
 POINTS = ("0,0", "0.5,0.7", "0.9,2", "0.999,1")
 EXAMPLE_ALPHAS = (("4.1", "-0.5"), ("4.2", "0.7"), ("4.3", "0"))
 
@@ -83,7 +87,7 @@ def commands(csv_dir: str):
     yield ["verify", "--suite", "inequalities", "--nodes", "256"]
     yield ["example", "--id", "4.1", "--n", "150"]
     yield ["example", "--id", "4.1", "--alpha", "-0.9", "--n", "169"]
-    for example, samples in EXPORTS:
+    for example, samples in EXPORTS + (NORM_EXPORT,):
         yield ["example", "--id", example, "--samples", str(samples),
                "--export", csv_name(example, samples)]
     for example, samples in EXPORTS:
@@ -98,6 +102,11 @@ def commands(csv_dir: str):
             for quantity in QUANTITIES:
                 for kind in KINDS:
                     yield ["norm", *base, "--p", "2", "--quantity", quantity, "--kind", kind]
+    for alpha in ALPHAS:
+        base = ["--alpha", alpha, "--boundary", os.path.join(csv_dir, csv_name(*NORM_EXPORT))]
+        for quantity in QUANTITIES:
+            for kind in KINDS:
+                yield ["norm", *base, "--p", "2", "--quantity", quantity, "--kind", kind]
     yield ["eval", "--alpha", "0.5", "--boundary", os.path.join(csv_dir, csv_name("4.1", 2048)),
            "--point", "1e-200,2", "--field"]
     for name in MALFORMED:
@@ -114,6 +123,9 @@ def commands(csv_dir: str):
             yield ["norm", "--example", example, "--alpha", alpha, "--p", "2",
                    "--quantity", quantity, "--kind", "hardy", "--samples", "1024",
                    "--nodes", "4096"]
+        yield ["norm", "--example", example, "--alpha", alpha, "--p", "2", "--quantity", "f",
+               "--kind", "hardy", "--nodes", "81920", "--r-max", "0.9999",
+               "--cutoffs", "0.99,0.999,0.9999"]
 
 
 def run(src: str, workdir: str, argv: list) -> tuple:
