@@ -233,7 +233,7 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
         else:
             pts = _parse_points(raw_points, q.r_max)
             dz, dzbar = np.array([dz_dzbar_f(ns.alpha, F, complex(z), q) for z in pts]).T
-            flags = [_point_flag(F.n_samples, abs(z)) for z in pts]
+            flags = [_point_flag(ns.alpha, F.n_samples, abs(z)) for z in pts]
             fld = DerivField.from_wirtinger(pts, dz, dzbar, flags)
         _emit(lambda fh: write_deriv_rows(fh, fld), ns.output)
         return 0

@@ -12,7 +12,9 @@ finite as r -> 1. The Wirtinger derivatives follow from the polar frame:
 Every dF/dt here is kernel.boundary_derivative(F), and every spectrum of F
 or dF/dt is the one memoized on it. On a circle every one of these
 trapezoid sums is a product of a kernel spectrum with fft(F) or
-fft(dF/dt), and kernel._circle_spectra, the one circle operator, gives
+fft(dF/dt) (at alpha = 0 the Poisson kernel's exact modes r^|k|, so no
+sum is a trapezoid's and no point is flagged under_resolved), and
+kernel._circle_spectra, the one circle operator, gives
 each quantity as one spectrum: J1, both J2 integrals and, for the
 Wirtinger pair, i df/dtheta add up in the spectrum, and the frame factor
 e^{+-i theta} is a roll by one bin. circle_derivs inverts its df/dtheta
@@ -170,8 +172,8 @@ class DerivField:
 
     flags holds one string per point: "" for a clean value, "origin_fd" at
     z = 0, where df/dr is NaN and the Wirtinger pair is the operator's limit
-    (the token's name predates that limit), "under_resolved" when the angular
-    grid was too coarse for the point's radius.
+    (the token's name predates that limit), "under_resolved" when, at alpha != 0, the
+    angular grid was too coarse for the point's radius.
     """
 
     points: np.ndarray
@@ -217,16 +219,19 @@ class DerivField:
         return cls(points, dtheta, dr, dz, dzbar, list(flags))
 
 
-def _point_flag(n: int, r: float) -> str:
-    """The flag of a field point at radius r whose derivatives are sums over n nodes."""
-    return FLAG_ORIGIN if r == 0.0 else FLAG_UNDER_RESOLVED if _under_resolved(n, r) else FLAG_NONE
+def _point_flag(alpha: float, n: int, r: float) -> str:
+    """The flag of a field point at radius r whose derivatives are sums over n nodes: never
+    under_resolved at alpha = 0, where the sums are exact for the samples."""
+    if r == 0.0:
+        return FLAG_ORIGIN
+    return FLAG_UNDER_RESOLVED if alpha != 0.0 and _under_resolved(n, r) else FLAG_NONE
 
 
 def deriv_field(a, F: BoundaryData, q: QuadSpec, n_thetas: int = 256) -> DerivField:
     """Evaluate all four derivatives of the kernel extension on a polar grid.
 
     Radii come from q.radial_grid; each circle is swept at F's own N samples
-    and subsampled to n_thetas output angles (which must divide N). Points
+    and subsampled to n_thetas output angles (which must divide N). At alpha != 0, points
     whose radius needs more than N angular nodes are flagged under_resolved;
     the origin row holds dz_dzbar_f's limit at z = 0; 0 < r < 1e-8 is refused.
     """
@@ -250,7 +255,7 @@ def deriv_field(a, F: BoundaryData, q: QuadSpec, n_thetas: int = 256) -> DerivFi
         dth, rdr = dth[sel], rdr[sel]
         zs = r * np.exp(1j * thetas_out)
         columns.append((zs, dth, rdr / r, *_wirtinger_pair(rdr, dth, zs)))
-        flags.extend([_point_flag(n, r)] * len(zs))
+        flags.extend([_point_flag(a.alpha, n, r)] * len(zs))
     return DerivField(*(np.concatenate(col) for col in zip(*columns)), flags)
 
 

@@ -26,7 +26,12 @@ and its bins below m/2 are the kernel's half band (_band_rfft). From it
 _circle_multipliers forms each quantity's real multipliers on that half
 band; _circle_spectra mirrors them to the N bins of F, and _circle_power
 sums a circle's |spectrum|^2 on the half band itself, with no work of
-length N. Everything derived from a BoundaryData's samples (its
+length N. At alpha = 0 the kernel is the Poisson kernel, whose modes are
+exactly r^|k|: _circle_multipliers writes them in closed form on the same
+half band, with no grid kernel and no FFT of one, and _point_values sums
+those multipliers at each point's own radius and angle, so every alpha = 0
+answer is exact for F's samples (no trapezoid alias, no ResolutionWarning).
+Everything derived from a BoundaryData's samples (its
 resamples; boundary_derivative, the only code computing dF/dtheta; the
 spectrum fft(values), the only FFT of boundary samples, and its power
 folded onto the half band) is computed once and memoized on it.
@@ -304,7 +309,9 @@ def poisson_integral(a, F: BoundaryData, z, q: QuadSpec) -> complex:
 
     Evaluates at a scalar z or an array of points, summing over F's own N
     samples. For smooth F and fixed |z| < 1 the error decays faster than any
-    power of 1/N. Emits ResolutionWarning for each point with N < 8/(1-|z|).
+    power of 1/N. Emits ResolutionWarning for each point with N < 8/(1-|z|),
+    but at alpha = 0, where the sum is the Poisson kernel's exact power series
+    of the samples' spectrum (_point_values).
     """
     return _point_values(a, F, z, q, ("f",))[0]
 
@@ -358,10 +365,18 @@ def _point_values(a, F: BoundaryData, z, q: QuadSpec, quantities) -> list:
     kernel at |z| e^{it}, t = theta_j - arg z, each is a dot product with the samples:
     f = sum K F / N, df/dtheta = sum K dF/dt / N and r df/dr = J1 + J2 =
     sum (alpha (K - K2 / w) F - (2 / w) K1 dF/dt) / N, w = 1 - r^2, with the J2 kernels
-    K1 = r sin t K and K2 = ((1-r) + 2r sin^2(t/2)) K that _fused_spectrum transforms.
+    K1 = r sin t K and K2 = ((1-r) + 2r sin^2(t/2)) K that _circle_multipliers transforms.
     dF/dt enters less its trapezoid mean, as the mean of a periodic derivative is 0: samples
     of a closed-form derivative that jumps (example 4.2) have a mean of order 1/N. Each
     point, warned about on its own, is summed over its own kernel row of N values.
+
+    At alpha = 0 each point is instead the sum of its quantity's spectrum on the half
+    band of _circle_multipliers at its own radius (_band_point). Those are the Poisson
+    kernel's exact multipliers, K^ = N r^k, so f = (1/N^2) [sum_{k<L} K^_k X_k e^{ik theta}
+    + sum_{0<k<min(L,N/2)} K^_k X_{N-k} e^{-ik theta}], X = fft(F), is the power series of
+    the samples' spectrum, and df/dtheta and r df/dr are the matching sums over
+    fft(dF/dt) with B+-; r = 0 gives f = X_0 / N and df/dtheta = r df/dr = 0. Nothing
+    warns, and on the grid angles points and circles agree to rounding.
     """
     a = as_alpha(a)
     z = np.asarray(z, dtype=complex)
@@ -369,14 +384,19 @@ def _point_values(a, F: BoundaryData, z, q: QuadSpec, quantities) -> list:
     if np.any(r > q.r_max):
         raise ValueError(f"evaluation points must satisfy |z| <= r_max = {q.r_max}")
     n = F.n_samples
-    for rj in r[:, 0].tolist():
-        _check_resolution(n, rj)
+    harmonic = a.alpha == 0.0
+    if not harmonic:
+        for rj in r[:, 0].tolist():
+            _check_resolution(n, rj)
     angles = np.angle(z).reshape(-1, 1)
-    if any(name != "f" for name in quantities):
+    if not harmonic and any(name != "f" for name in quantities):
         dF = boundary_derivative(F).values
         dF = dF - dF.mean()
     out = np.empty((len(quantities), len(r)), dtype=complex)
     for j in range(len(r)):
+        if harmonic:
+            out[:, j] = _band_point(a, F, float(r[j, 0]), float(angles[j, 0]), q, quantities)
+            continue
         rj = r[j:j + 1]  # shape (1, 1): the point's kernel is one (1, N) row
         t = _uniform_thetas(n) - angles[j:j + 1]
         sin2 = np.sin(0.5 * t) ** 2
@@ -431,22 +451,40 @@ def _circle_multipliers(a: AlphaParam, F: BoundaryData, r: float, q: QuadSpec,
     values K, and one rfft of K1 + K2 gives both spectra: its real part is K2^, its
     imaginary part K1^/i. Every rfft is taken on the kernel's own m nodes (_band_rfft):
     where m < N the sums are the N-node trapezoid's to rounding, not bit for bit. M is None
-    for a derivative at r = 0, which _origin_spectrum gives.
+    for a derivative at r = 0, which _origin_spectrum gives; where every quantity is one,
+    no kernel is built.
+
+    At alpha = 0 the kernel is the Poisson kernel, whose modes are exactly r^|k|, and the
+    multipliers are written in closed form on the same L bins: K^ = N r^k, A = 0 and
+    B_odd = -r^k for k >= 1 (0 at k = 0), with no grid kernel and no FFT. They are the
+    exact multipliers, not the trapezoid's folded (r^k + r^(N-k)) / (1 - r^N), so the
+    circle is exact for F's samples and nothing warns.
 
     Refuses r outside [0, q.r_max] and, for dr, dz and dzbar, 0 < r < _POLAR_R_MIN; only a
-    circle of f warns about resolution, keyed on N.
+    circle of f at alpha != 0 warns about resolution, keyed on N.
     """
     if not 0.0 <= r <= q.r_max:
         raise ValueError(f"radius must lie in [0, r_max = {q.r_max}]")
     n = F.n_samples
-    if "f" in quantities:
+    harmonic = a.alpha == 0.0
+    if "f" in quantities and not harmonic:
         _check_resolution(n, r)
     if not set(quantities).isdisjoint(("dr", "dz", "dzbar")):
         _check_polar_radius(r)
+    if r == 0.0 and "f" not in quantities:
+        return [None] * len(quantities)
     stride = _kernel_stride(n, r, a.alpha)
-    kern = _grid_kernel(a, r, n, stride)
-    kern_hat = _band_rfft(kern, n).real
-    fused = None
+    if harmonic:
+        m = n // stride
+        mu = r ** np.arange(m // 2 if m < n else n // 2 + 1)  # each power formed on its own
+        kern_hat = n * mu
+        b_odd = -mu
+        b_odd[0] = 0.0
+        fused = (np.zeros(len(mu)), b_odd)
+    else:
+        kern = _grid_kernel(a, r, n, stride)
+        kern_hat = _band_rfft(kern, n).real
+        fused = None
     out = []
     for name in quantities:
         if name != "f" and r == 0.0:
@@ -494,7 +532,8 @@ def _circle_spectra(a, F: BoundaryData, r: float, q: QuadSpec, quantities) -> li
     r df/dr, and "dr", "dz", "dzbar".
 
     The one circle operator: it sums over F's own N samples, and one grid kernel and its
-    spectrum serve every quantity. Each S is the half-band multipliers of
+    spectrum serve every quantity (at alpha = 0, the closed-form modes r^|k|). Each S is
+    the half-band multipliers of
     _circle_multipliers mirrored to N bins and applied to fft(F) and fft(dF/dt), bin 0 of
     fft(dF/dt) taken as 0, as in _point_values; for df/dz and df/dzbar it is then rolled into
     the polar frame. At r = 0, where the polar frame degenerates, each derivative is the
@@ -550,13 +589,55 @@ def _circle_power(a, F: BoundaryData, r: float, q: QuadSpec, name: str) -> tuple
         power = (F if name == "f" else boundary_derivative(F))._power()
         lo = int(name == "dtheta")  # bin 0 of fft(dF/dt) is taken as 0
         return float(np.dot(mult[lo:] ** 2, power[lo:len(mult)])), d
+    low, high = _band_bins(F, name, mult)
+    return float(np.vdot(low, low).real + np.vdot(high, high).real), d
+
+
+def _band_bins(F: BoundaryData, name: str, mult) -> tuple:
+    """(low, high): the bins S_k, k < L, and S_{N-k}, 0 < k < min(L, N/2), of the spectrum
+    S of name (before the frame roll) from its half-band multipliers mult
+    (_circle_multipliers) and views of the memoized spectra of F and dF/dt, bin 0 of
+    fft(dF/dt) taken as 0: the same products as _circle_spectra's mirrored ones."""
+    n = F.n_samples
+    if name in ("f", "dtheta"):
+        x = (F if name == "f" else boundary_derivative(F))._spectrum()
+        top = min(len(mult), n // 2)
+        low = mult * x[:len(mult)]
+        if name == "dtheta":
+            low[0] = 0.0
+        return low, mult[1:top] * x[:-top:-1]
     a_hat, b_plus, b_minus = mult
     f_hat, g_hat = F._spectrum(), boundary_derivative(F)._spectrum()
     band = len(a_hat)
     top = min(band, n // 2)  # bins N-k for 0 < k < top: bin N/2 is in the low band
     low = a_hat * f_hat[:band] + 1j * b_plus * g_hat[:band]
     high = a_hat[1:top] * f_hat[:-top:-1] + 1j * b_minus[1:top] * g_hat[:-top:-1]
-    return float(np.vdot(low, low).real + np.vdot(high, high).real), d
+    return low, high
+
+
+def _band_point(a: AlphaParam, F: BoundaryData, r: float, theta: float, q: QuadSpec,
+                quantities) -> list:
+    """[value, ...] of each name in quantities at r e^{i theta}, summed from its spectrum S on
+    the half band of _circle_multipliers at radius r: (1/(N d)) [sum_{k<L} S_k e^{ik theta}
+    + sum_{0<k<min(L,N/2)} S_{N-k} e^{-ik theta}], with d as _divisor gives it. Where
+    L = N/2 + 1 the Nyquist bin enters as S_{N/2} cos(N theta/2), which agrees with _mirror's
+    (-1)^j on the grid. Each e^{ik theta} is formed on its own. A derivative at r = 0 is 0.
+    At a grid angle it is ifft(S)/d of _circle_spectra to rounding; _point_values reads it
+    at alpha = 0, where the multipliers are exact."""
+    n = F.n_samples
+    values = []
+    for name, mult in zip(quantities, _circle_multipliers(a, F, r, q, quantities)):
+        if mult is None:  # df/dtheta and r df/dr at the origin
+            values.append(0j)
+            continue
+        low, high = _band_bins(F, name, mult)
+        top = len(high) + 1
+        phase = np.exp(1j * (theta * np.arange(top)))
+        total = low[:top] @ phase + high @ phase[1:].conj()
+        if len(low) > top:
+            total += low[top] * np.cos(0.5 * n * theta)
+        values.append(total / (n * _divisor(name, n, r)))
+    return values
 
 
 def circle_poisson_values(a, F: BoundaryData, r: float, q: QuadSpec) -> np.ndarray:
@@ -565,8 +646,9 @@ def circle_poisson_values(a, F: BoundaryData, r: float, q: QuadSpec) -> np.ndarr
     Cyclic-convolution (FFT) evaluation of the trapezoid sums that poisson_integral
     would compute at z = r e^{i theta_j}: exactly those sums where the kernel needs
     every node, and within rounding (3e-14 of the kernel spectrum's largest bin) where
-    _circle_spectra takes its spectrum on fewer nodes. Returns an array aligned with
-    the boundary grid angles.
+    _circle_spectra takes its spectrum on fewer nodes. At alpha = 0 it is the power
+    series of the samples' spectrum, which poisson_integral sums too. Returns an array
+    aligned with the boundary grid angles.
     """
     return _invert(*_circle_spectra(a, F, r, q, ("f",))[0])
 

@@ -212,10 +212,27 @@ def _gamma_ratio(scale: float, nums: tuple, dens: tuple) -> float:
                             "overflows") from None
 
 
+def _refuse_rounded_pole(a: float, b: float, c: float, x: float) -> None:
+    """Refuse (ConvergenceError) where c - a or c - b rounds onto a pole of Gamma, a
+    non-positive integer, that it is not: the subtraction left a rounding error (the
+    error term of its TwoSum is not 0), so 1/Gamma of the true difference is not 0 but
+    of the order of that error times a factorial, and no weight that reads it is known."""
+    for name, p in (("c-a", a), ("c-b", b)):
+        d = c - p
+        if _is_nonpositive_integer(d):
+            back = d - c  # TwoSum of c and -p: d + error is c - p exactly
+            if (c - (d - back)) + (-p - back) != 0.0:
+                raise ConvergenceError(
+                    f"2F1({a}, {b}; {c}; {x}): {name} = {c!r} - {p!r} rounds onto the pole "
+                    f"{d!r} of Gamma without being one, so 1/Gamma({name}) is unknown")
+
+
 def _connection_1mx(a: float, b: float, c: float, x: float, tol: float) -> float:
     """2F1(a, b; c; x) from two series in 1 - x (A&S 15.3.6); c - a - b not an integer.
-    Refused where the two weighted series cancel past tol, either one alone or each other,
-    and where the value leaves the double range."""
+    Refused where c - a or c - b rounds onto a pole (_refuse_rounded_pole), where the two
+    weighted series cancel past tol, either one alone or each other, and where the value
+    leaves the double range."""
+    _refuse_rounded_pole(a, b, c, x)
     s = c - a - b
     y = 1.0 - x
     # each weight as (scale, num, dens): scale Gamma(num) / (Gamma(dens[0]) Gamma(dens[1]))
@@ -258,6 +275,7 @@ def _hyp2f1_cached(a: float, b: float, c: float, x: float, tol: float) -> float:
             raise ValueError(
                 f"2F1 diverges at x=1 when c-a-b={s!r} <= 0"
             )
+        _refuse_rounded_pole(a, b, c, x)
         if _is_nonpositive_integer(c - a) or _is_nonpositive_integer(c - b):
             return 0.0  # 1/Gamma(c-a) or 1/Gamma(c-b) vanishes in Gauss's sum
         return gauss_value(a, b, c)
@@ -289,7 +307,9 @@ def hyp2f1(a: float, b: float, c: float, x: float, tol: float = 1e-14) -> float:
     x >= 0 ConvergenceError refuses a value whose largest summed term times
     the machine epsilon exceeds tol times the value (a sum that cancels, such
     as a long terminating one), and, naming the logarithmic case, a series
-    with an integer c - a - b near x = 1 that exceeds the term cap; OverflowError
+    with an integer c - a - b near x = 1 that exceeds the term cap, and, on the
+    connection and Gauss-sum routes, a c - a or c - b that rounds onto a pole of Gamma
+    without being one (1/Gamma of it is then unknown, not 0); OverflowError
     refuses a value that leaves the double range there. The x < 0
     route is unchecked: 1.2e-13 worst relative error at tol 1e-14 over 3,000
     random arguments (a, b in [-5, 5], c in [0.1, 5]). A non-finite a, b, c

@@ -5,7 +5,9 @@ real-kernel integrals that stays finite as r -> 1. J2 is written out here as a
 trapezoid sum with kernel_K, the kernel written as the paper writes it, so the
 tests check the library's r df/dr against code that shares nothing with its
 operators but poisson_integral (in J1) and boundary_derivative. fd_check
-checks all four derivatives against central differences of f.
+checks all four derivatives against central differences of f. harmonic_sums
+is the alpha = 0 oracle: the Poisson kernel's modes are r^|k|, so f and its
+partials are power sums of the samples' spectrum, summed here in long double.
 """
 
 import numpy as np
@@ -83,3 +85,39 @@ def fd_check(a, F: BoundaryData, z: complex, h: float, q: QuadSpec) -> float:
     pairs = ((dtheta_f(a, F, z, q), dth_fd), (dr_f(a, F, z, q), dr_fd),
              *zip(dz_dzbar_f(a, F, z, q), fd_wirtinger))
     return max(abs(got - ref) / max(1.0, abs(got)) for got, ref in pairs)
+
+
+
+def harmonic_sums(F: BoundaryData, rho, theta) -> dict:
+    """The alpha = 0 extension of F's samples and its partials at the points rho e^{i theta}
+    (long-double arrays or scalars), as power sums summed in long double over the signed
+    frequencies -N/2 < k <= N/2 of X = fft(F) / N and G = fft(dF/dt) / N, G_0 taken as 0:
+
+        f = sum_k X_k rho^|k| w_k,    df/dtheta = sum_k G_k rho^|k| w_k,
+
+    with w_k = e^{ik theta}, but cos(N theta / 2) for the Nyquist bin k = N/2. r df/dr and
+    df/dr take G_k with the weights -i sign(k) rho^|k| and -i sign(k) rho^(|k|-1) (|k| X_k
+    when G_k = ik X_k), df/dz their terms k > 0 times e^{-i theta} and df/dzbar their terms
+    k < 0 times e^{i theta}. Returns {name: complex128 array}, one value per point."""
+    n = F.n_samples
+    X, G = ((np.fft.fft(H.values) / n).astype(np.clongdouble)
+            for H in (F, boundary_derivative(F)))
+    G[0] = 0.0
+    k = np.arange(-(n // 2) + 1, n // 2 + 1)
+    xk, gk, kl = X[k], G[k], k.astype(np.longdouble)
+    ak = np.abs(kl)
+    rho, theta = (np.atleast_1d(np.asarray(v, dtype=np.longdouble)).reshape(-1, 1)
+                  for v in (rho, theta))
+    waves = np.exp(1j * kl * theta)
+    waves[:, -1] = np.cos(0.5 * n * theta[:, 0])
+    powers = rho ** ak * waves
+    d_terms = -1j * np.sign(kl) * gk * rho ** np.maximum(ak - 1, 0) * waves  # 0 at k = 0
+    out = {
+        "f": (xk * powers).sum(axis=1),
+        "dtheta": (gk * powers).sum(axis=1),
+        "rdr": (-1j * np.sign(kl) * gk * powers).sum(axis=1),
+        "dr": d_terms.sum(axis=1),
+        "dz": (d_terms * (k > 0)).sum(axis=1) * np.exp(-1j * theta[:, 0]),
+        "dzbar": (d_terms * (k < 0)).sum(axis=1) * np.exp(1j * theta[:, 0]),
+    }
+    return {name: v.astype(complex) for name, v in out.items()}

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -226,6 +227,42 @@ class TestEval:
             FLAG_UNDER_RESOLVED}
         assert grid.flags[0] == FLAG_ORIGIN
         assert points.flags == [FLAG_UNDER_RESOLVED, FLAG_NONE, FLAG_ORIGIN]
+
+    def test_nothing_under_resolved_at_alpha_zero(self, tmp_path):
+        # The same fields at alpha = 0 are exact for the samples: no row is flagged.
+        boundary, grid_csv, points_csv = (str(tmp_path / name)
+                                          for name in ("phase.csv", "grid.csv", "points.csv"))
+        assert main(["example", "--id", "4.2", "--export", boundary,
+                     "--output", str(tmp_path / "example.json")]) == 0
+        argv = ["eval", "--alpha", "0", "--boundary", boundary, "--field"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", kernel.ResolutionWarning)
+            assert main(argv + ["--grid", "--output", grid_csv]) == 0
+            assert main(argv + ["--point", "0.999,1", "--point", "0.5,1", "--point", "0,3",
+                                "--output", points_csv]) == 0
+        grid, points = read_deriv_csv(grid_csv), read_deriv_csv(points_csv)
+        assert grid.flags[0] == FLAG_ORIGIN and set(grid.flags[1:]) == {FLAG_NONE}
+        assert points.flags == [FLAG_NONE, FLAG_NONE, FLAG_ORIGIN]
+
+    def test_constant_is_one_at_alpha_zero(self, capsys, tmp_path):
+        # F = 1 at 256 samples: the Poisson kernel's modes reproduce it exactly at r = 1 - 1/N,
+        # where the trapezoid's aliases read 2.16, and its Hardy norm converges to 1.
+        path = tmp_path / "one.csv"
+        path.write_text("theta,re,im\n" + "".join(f"{2.0 * math.pi * j / 256!r},1.0,0.0\n"
+                                                  for j in range(256)))
+        base = ["--alpha", "0", "--boundary", str(path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", kernel.ResolutionWarning)
+            code, out, err = run_cli(capsys, ["eval", *base, "--point", "0.99609375,0"])
+            assert (code, err) == (0, "")
+            assert json.loads(out)["values"] == [
+                {"im": 0.0, "r": 0.99609375, "re": 1.0, "theta": 0.0}]
+            code, out, err = run_cli(capsys, ["norm", *base, "--p", "2", "--quantity", "f",
+                                              "--kind", "hardy", "--r-max", "0.996",
+                                              "--cutoffs", "0.9,0.99,0.996"])
+            assert (code, err) == (0, "")
+            data = json.loads(out)
+            assert data["values"] == [1.0, 1.0, 1.0] and data["status"] == "converged"
 
     def test_origin_prints_r_and_theta_zero_on_both_paths(self, capsys, monomial_csv):
         # --point 0,3 is the origin, whatever its angle
@@ -685,10 +722,13 @@ class TestVerify:
         monkeypatch.setattr(kernel, "_grid_kernel", counting_grid_kernel)
         q = QuadSpec(angular_nodes=64, r_max=0.99, radial_grid=radial_grid(0.99, 6))
         records = cli._inequality_records(q)
-        # One circle-operator call, so one grid kernel, per (alpha, boundary, radius).
+        # One circle-operator call per (alpha, boundary, radius), so one grid kernel for each
+        # at alpha != 0 (whose f sweep for J1 reads it at r = 0 too) and none at alpha = 0,
+        # where the multipliers are closed forms.
         assert sum(built.values()) == 3 * 3 * len(q.radial_grid)
         assert set(built.values()) == {1}
-        assert len(grid_kernels) == sum(built.values())
+        assert len(grid_kernels) == sum(v for key, v in built.items() if key[0] != 0.0)
+        assert all(args[0].alpha != 0.0 for args in grid_kernels)
         # The one pass gives the records of the separate checks, in their order.
         want = certification_grid(q)
         for label, F in cli._bundled_boundaries(q.angular_nodes):

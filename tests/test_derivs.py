@@ -48,7 +48,7 @@ from diskpoisson.mappings import (
     phase_boundary,
 )
 from diskpoisson.norms import KernelQuantity
-from identities import J2, fd_check, kernel_K
+from identities import J2, fd_check, harmonic_sums, kernel_K
 
 
 def mix(thetas):
@@ -115,14 +115,21 @@ class TestRadialSplit:
         # f and r df/dr = alpha f + J2 are summed over the same nodes, the samples' own, at
         # an off-grid point: f written out with kernel_K, the reference kernel, and J2 the
         # reference's trapezoid sum.
+        # At alpha = 0 the sums are the Poisson kernel's exact ones instead, the power sums
+        # of the samples' spectrum.
         Fc = log_series_boundary(2048)
         F = BoundaryData.from_samples(Fc.thetas, Fc.values)
         n = F.n_samples
         for z in (0.99 * np.exp(0.123j), 0.6 * np.exp(-2.0j)):
-            f = np.sum(kernel_K(alpha, z * np.exp(-1j * _uniform_thetas(n))) * F.values) / n
+            if alpha == 0.0:
+                x, y = np.longdouble(z.real), np.longdouble(z.imag)
+                exact = harmonic_sums(F, np.sqrt(x * x + y * y), np.arctan2(y, x))
+                f, dr = exact["f"][0], exact["dr"][0]
+            else:
+                f = np.sum(kernel_K(alpha, z * np.exp(-1j * _uniform_thetas(n))) * F.values) / n
+                dr = (alpha * f + J2(alpha, F, z, q)) / abs(z)
             assert poisson_integral(alpha, F, z, q) == pytest.approx(f, rel=1e-12)
-            assert dr_f(alpha, F, z, q) == pytest.approx(
-                (alpha * f + J2(alpha, F, z, q)) / abs(z), rel=1e-11)
+            assert dr_f(alpha, F, z, q) == pytest.approx(dr, rel=1e-11)
 
     def test_origin_rejected(self, q, F_mix):
         with pytest.raises(ValueError, match="origin"):
@@ -281,6 +288,7 @@ class TestJ2Spectra:
 
 FUSED_ALPHAS = [-0.9, -0.5, 0.0, 0.7, 1.0, 2.0]
 FUSED_RADII = (0.3, 0.9, 0.99, 0.9999, 1.0 - 1e-6)
+PARTIALS = ("dr", "dz", "dzbar")
 
 
 class TestFusedCircles:
@@ -298,13 +306,20 @@ class TestFusedCircles:
         F = boundaries[data]
         q = QuadSpec(angular_nodes=2048, r_max=1.0 - 1e-6)
         for r in FUSED_RADII:
-            dth, rdr, dz, dzbar = unfused_circle(alpha, F, r, q)
-            got_dth, got_rdr = circle_derivs(alpha, F, r, q)
-            for got, want in ((got_dth, dth), (got_rdr, rdr),
-                              (KernelQuantity(alpha, F, "dr").circle_values(r, q), rdr / r),
-                              (KernelQuantity(alpha, F, "dz").circle_values(r, q), dz),
-                              (KernelQuantity(alpha, F, "dzbar").circle_values(r, q), dzbar)):
-                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            got = list(circle_derivs(alpha, F, r, q))
+            got += [KernelQuantity(alpha, F, name).circle_values(r, q) for name in PARTIALS]
+            if alpha == 0.0:  # the Poisson kernel's modes r^|k|: power sums of the spectrum
+                step = 32
+                ld = np.longdouble
+                thetas = 2 * np.arctan2(ld(0), ld(-1)) * np.arange(0, 2048, step).astype(ld) / 2048
+                exact = harmonic_sums(F, ld(r), thetas)
+                got = [g[::step] for g in got]
+                wants = [exact[name] for name in ("dtheta", "rdr", "dr", "dz", "dzbar")]
+            else:
+                dth, rdr, dz, dzbar = unfused_circle(alpha, F, r, q)
+                wants = [dth, rdr, rdr / r, dz, dzbar]
+            for g, want in zip(got, wants):
+                assert np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_one_inverse_fft_and_one_grid_kernel_per_circle(self, monkeypatch, boundaries):
         F = boundaries["sampled"]
@@ -424,7 +439,7 @@ class TestWarningAttribution:
     def test_resolution_warning_through_kernel_quantity(self):
         F = BoundaryData.from_function(mix, 64, deriv=dmix)
         q = QuadSpec(angular_nodes=64, r_max=0.99)
-        assert self.caught(lambda: KernelQuantity(0.0, F, "f").circle_values(0.95, q)) == {__file__}
+        assert self.caught(lambda: KernelQuantity(0.5, F, "f").circle_values(0.95, q)) == {__file__}
 
     def test_alias_warning_through_circle_derivs(self):
         thetas = 2.0 * np.pi * np.arange(32) / 32

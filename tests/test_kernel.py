@@ -31,11 +31,11 @@ from diskpoisson.kernel import (
     read_boundary_csv,
     write_boundary_csv,
 )
-from diskpoisson.derivs import deriv_field
+from diskpoisson.derivs import deriv_field, dr_f, dz_dzbar_f
 from diskpoisson.norms import KernelQuantity, hardy_norm
 from diskpoisson.regimes import check_angular_derivative_bound
 from diskpoisson.specfun import hyp2f1
-from identities import kernel_K
+from identities import harmonic_sums, kernel_K
 
 # mpmath, 40 digits: gamma(1+a/2)^2 / gamma(1+a).
 C_ALPHA_CASES = [
@@ -144,8 +144,12 @@ class TestKernelSpectrum:
         monkeypatch.setattr(kernel, "_mirror", recording)
         q = QuadSpec(angular_nodes=n, r_max=1.0 - 1e-6)
         F = BoundaryData.from_samples(_uniform_thetas(n), np.eye(1, n)[0])
+        k = np.arange(n)
         for r in SPECTRUM_RADII:
-            want = np.fft.fft(kernel_K(alpha, r * np.exp(1j * F.thetas)))
+            if alpha == 0.0:  # the Poisson kernel's modes, r^|k|, not the trapezoid's folds
+                want = n * r ** np.minimum(k, n - k)
+            else:
+                want = np.fft.fft(kernel_K(alpha, r * np.exp(1j * F.thetas)))
             mirrored.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", ResolutionWarning)
@@ -195,7 +199,8 @@ def random_boundary(n):
 
 def assert_band_matches_all_nodes(alpha, F, r):
     """The f spectrum, and the one rfft of the J2 kernels, taken on the kernel's own nodes,
-    agree with their transforms on all N nodes to 1e-13 of the largest bin."""
+    agree with their transforms on all N nodes to 1e-13 of the largest bin; at alpha = 0
+    the f spectrum agrees so with the Poisson kernel's modes N r^|k| instead."""
     n, a = F.n_samples, as_alpha(alpha)
     s = kernel._kernel_stride(n, r, alpha)
     assert n % s == 0 and (n // s) % 2 == 0
@@ -204,7 +209,11 @@ def assert_band_matches_all_nodes(alpha, F, r):
         warnings.simplefilter("ignore", ResolutionWarning)
         (got, d), = _circle_spectra(a, F, r, q, ("f",))
     kern = _grid_kernel(a, r, n)
-    want = kernel._mirror(np.fft.rfft(kern).real, n) * F._spectrum()
+    if alpha == 0.0:
+        k = np.arange(n)
+        want = n * r ** np.minimum(k, n - k) * F._spectrum()
+    else:
+        want = kernel._mirror(np.fft.rfft(kern).real, n) * F._spectrum()
     assert d == n
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (alpha, r, s)
     j2 = ((1.0 - r) + 2.0 * r * _half_angle_sin2(n) + r * kernel._grid_sin(n)) * kern
@@ -231,14 +240,17 @@ class TestKernelBand:
     @pytest.mark.parametrize("n, alpha, r", [(81920, 100.0, 0.99), (2048, 0.0, 0.999)])
     def test_every_node_needed_is_bit_for_bit(self, n, alpha, r):
         # (m/2)(1-r) < 72 + 4 max(alpha, 0) at the first halving, so m = N, the transform
-        # of all N nodes.
+        # of all N nodes; at alpha = 0, the modes N r^k on all N/2 + 1 bins.
         assert kernel._kernel_stride(n, r, alpha) == 1
         a, F = as_alpha(alpha), random_boundary(n)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ResolutionWarning)
             (got, _), = _circle_spectra(a, F, r, QuadSpec(angular_nodes=n), ("f",))
-        want = kernel._mirror(np.fft.rfft(_grid_kernel(a, r, n)).real, n) * F._spectrum()
-        assert np.array_equal(got, want)
+        if alpha == 0.0:
+            half = n * r ** np.arange(n // 2 + 1)
+        else:
+            half = np.fft.rfft(_grid_kernel(a, r, n)).real
+        assert np.array_equal(got, kernel._mirror(half, n) * F._spectrum())
 
     def test_no_table_cached_per_kernel_grid(self):
         n = 81920
@@ -428,9 +440,14 @@ class TestIntegralOperator:
         thetas = 2.0 * np.pi * np.arange(64) / 64
         F = BoundaryData.from_samples(thetas, np.exp(1j * thetas))
         with pytest.warns(ResolutionWarning):
-            poisson_integral(0.0, F, 0.995 + 0.0j, q)
+            poisson_integral(0.5, F, 0.995 + 0.0j, q)
         with pytest.warns(ResolutionWarning):
-            circle_poisson_values(0.0, F, 0.995, q)
+            circle_poisson_values(0.5, F, 0.995, q)
+        with warnings.catch_warnings():  # at alpha = 0 both are exact for the samples
+            warnings.simplefilter("error", ResolutionWarning)
+            assert poisson_integral(0.0, F, 0.995 + 0.0j, q) == pytest.approx(0.995, rel=1e-15)
+            circle = circle_poisson_values(0.0, F, 0.995, q)
+            assert np.max(np.abs(circle - 0.995 * np.exp(1j * thetas))) <= 1e-15
 
     def test_circle_sweep_matches_pointwise(self):
         q = QuadSpec()
@@ -530,6 +547,113 @@ class TestOwnSamples:
             for H in (F, G):
                 assert hardy_norm(KernelQuantity(0.5, H, "f"), 2.0, q).n_nodes == 1024
                 assert check_angular_derivative_bound(0.5, H, 2.0, q).params["nodes"] == 1024
+
+
+HARMONIC_RADII = (0.0, 0.5, 0.99, 0.999, 0.9999, 1.0 - 1e-6)
+HARMONIC_QUANTITIES = ("f", "dtheta", "rdr", "dr", "dz", "dzbar")
+
+
+def decaying_boundary(n):
+    """Sampled data whose spectrum decays like 0.995^|k|, with energy in the Nyquist bin."""
+    rng = np.random.default_rng(n)
+    k = np.fft.fftfreq(n, 1.0 / n)
+    spec = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 0.995 ** np.abs(k)
+    spec[n // 2] = 0.5
+    return BoundaryData.from_samples(_uniform_thetas(n), np.fft.ifft(spec))
+
+
+def point_quantities(F, z, q):
+    """The six quantities at the point z: the pointwise operator's three, df/dr and the
+    Wirtinger pair from derivs (df/dr is direction-dependent at the origin, so None)."""
+    f, dth, rdr = _point_values(0.0, F, z, q, ("f", "dtheta", "rdr"))
+    dz, dzbar = dz_dzbar_f(0.0, F, z, q)
+    return {"f": f, "dtheta": dth, "rdr": rdr, "dr": dr_f(0.0, F, z, q) if z != 0.0 else None,
+            "dz": dz, "dzbar": dzbar}
+
+
+class TestHarmonic:
+    """At alpha = 0 the kernel's modes are r^|k|: the multipliers are closed forms, and every
+    circle and point is the power sum of the samples' spectrum."""
+
+    @pytest.mark.parametrize("n", [16, 1000, 2048])
+    def test_multipliers_are_the_poisson_modes(self, n):
+        F = random_boundary(n)
+        q = QuadSpec(angular_nodes=n, r_max=1.0 - 1e-6)
+        for r in HARMONIC_RADII[1:]:
+            m = n // kernel._kernel_stride(n, r, 0.0)
+            powers = r ** np.arange(m // 2 if m < n else n // 2 + 1)
+            kern_hat, (a_hat, b_plus, b_minus) = kernel._circle_multipliers(
+                as_alpha(0.0), F, r, q, ("f", "rdr"))
+            b_odd = -powers
+            b_odd[0] = 0.0
+            assert np.array_equal(kern_hat, n * powers)
+            assert np.array_equal(a_hat, np.zeros(len(powers)))
+            assert np.array_equal(b_plus, b_odd) and np.array_equal(b_minus, -b_odd)
+
+    @pytest.mark.filterwarnings("ignore:top-frequency energy")  # the Nyquist bin, on purpose
+    @pytest.mark.parametrize("n", [16, 1000, 2048])
+    def test_circles_and_points_are_the_power_sums(self, n):
+        # Against harmonic_sums, summed in long double from the signed frequencies: each
+        # circle on a subset of its grid angles, each point on and off the grid, both
+        # within 1e-13 of the circle's largest value.
+        F = decaying_boundary(n)
+        q = QuadSpec(angular_nodes=n, r_max=1.0 - 1e-6)
+        idx = np.arange(0, n, max(1, n // 64))
+        ld = np.longdouble
+        grid = 2 * np.arctan2(ld(0), ld(-1)) * idx.astype(ld) / n  # 2 pi j / N in long double
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResolutionWarning)
+            for r in HARMONIC_RADII:
+                want = harmonic_sums(F, ld(r), grid)
+                scales = {name: np.max(np.abs(v)) for name, v in want.items()}
+                spectra = _circle_spectra(0.0, F, r, q, HARMONIC_QUANTITIES)
+                for name, pair in zip(HARMONIC_QUANTITIES, spectra):
+                    got = kernel._invert(*pair)[idx]
+                    assert np.max(np.abs(got - want[name])) <= 1e-13 * scales[name], (name, r)
+                for theta in (F.thetas[idx[1 % len(idx)]], 0.123, 2.0, -1.7):
+                    z = r * np.exp(1j * theta)
+                    if abs(z) > r:  # stay within r_max
+                        z *= np.nextafter(1.0, 0.0)
+                    x, y = ld(z.real), ld(z.imag)
+                    want = harmonic_sums(F, np.sqrt(x * x + y * y), np.arctan2(y, x))
+                    got = point_quantities(F, z, q)
+                    for name in HARMONIC_QUANTITIES:
+                        if got[name] is None:
+                            continue
+                        assert abs(got[name] - want[name][0]) <= 1e-13 * scales[name], (
+                            name, r, theta)
+
+    @pytest.mark.filterwarnings("ignore:top-frequency energy")
+    @pytest.mark.parametrize("n", [1000, 2052])
+    def test_points_on_the_grid_are_the_circle(self, n):
+        # At the quarter turns r e^{i theta_j} rounds to a point whose angle is theta_j to
+        # rounding; the Nyquist bin enters as (-1)^j on both paths (j = 513 at N = 2052).
+        F = decaying_boundary(n)
+        q = QuadSpec(angular_nodes=n, r_max=1.0 - 1e-6)
+        idx = np.arange(0, n, n // 4)
+        for r in (0.5, 0.99, 0.9999, 1.0 - 1e-6):
+            circles = [kernel._invert(*pair)
+                       for pair in _circle_spectra(0.0, F, r, q, POINT_QUANTITIES)]
+            points = _point_values(0.0, F, r * np.exp(1j * F.thetas[idx]), q, POINT_QUANTITIES)
+            for circle, got in zip(circles, points):
+                assert np.max(np.abs(circle[idx] - got)) <= 1e-13 * np.max(np.abs(circle))
+
+    @pytest.mark.filterwarnings("ignore:top-frequency energy")
+    def test_no_grid_kernel_and_no_transform(self, monkeypatch):
+        F = decaying_boundary(2048)
+        q = QuadSpec(angular_nodes=2048, r_max=0.9999)
+        boundary_derivative(F)._spectrum()  # the memoized spectra
+        F._spectrum()
+        calls = []
+        for name in ("fft", "rfft", "irfft"):
+            def recording(*args, _name=name, **kwargs):
+                calls.append(_name)
+            monkeypatch.setattr(np.fft, name, recording)
+        monkeypatch.setattr(kernel, "_grid_kernel", lambda *args: calls.append("grid_kernel"))
+        for r in (0.0, 0.5, 0.999):
+            _circle_spectra(0.0, F, r, q, HARMONIC_QUANTITIES)
+            _point_values(0.0, F, r * np.exp(0.3j), q, POINT_QUANTITIES)
+        assert calls == []
 
 
 class TestBoundaryDerivative:

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from diskpoisson import kernel
-from diskpoisson.kernel import BoundaryData, QuadSpec, ResolutionWarning, _uniform_thetas
+from diskpoisson.kernel import (BoundaryData, QuadSpec, ResolutionWarning, _uniform_thetas,
+                                radial_grid)
 from diskpoisson.mappings import HypMonomial, phase_boundary
 from diskpoisson.norms import (
     QUANTITIES,
@@ -210,7 +211,8 @@ class TestParsevalMeans:
         # At p = 2 a circle of a boundary with memoized spectra transforms nothing of
         # length N: one rfft of the kernel on its m < N nodes, and one more of the J2
         # kernels on the same nodes for a partial off the origin; no inverse transform, and
-        # no spectrum mirrored to N bins.
+        # no spectrum mirrored to N bins. A derivative at the origin reads no kernel, so
+        # none is transformed there.
         n, alpha = 8192, 0.7
         F = random_sampled(n)
         q = QuadSpec(angular_nodes=n, r_max=0.9, radial_grid=[0.0, 0.3, 0.5, 0.7, 0.8, 0.9])
@@ -232,9 +234,33 @@ class TestParsevalMeans:
         assert got == want
         per_circle = 1 if quantity in ("f", "dtheta") else 2
         sizes = [n // kernel._kernel_stride(n, r, alpha) for r in q.radial_grid
-                 for _ in range(per_circle if r > 0.0 else 1)]
+                 for _ in range(per_circle if r > 0.0 else int(quantity == "f"))]
         assert max(sizes) < n
         assert calls == [("rfft", m) for m in sizes]
+
+    @pytest.mark.parametrize("quantity", QUANTITIES)
+    def test_harmonic_probe_builds_no_kernel(self, monkeypatch, quantity):
+        # At alpha = 0 the multipliers are the Poisson kernel's modes r^|k| in closed form: a
+        # p = 2 probe evaluates no grid kernel and transforms nothing.
+        n = 8192
+        F = random_sampled(n)
+        q = QuadSpec(angular_nodes=n, r_max=0.999, radial_grid=radial_grid(0.999, 24))
+        cutoffs = (0.9, 0.99, 0.999)
+        f = KernelQuantity(0.0, F, quantity)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the derivative's top-band energy
+            want = divergence_probe(f, 2.0, cutoffs, q=q)  # the memoized spectra and powers
+        calls = []
+        for name in ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft", "fftn", "ifftn"):
+            def recording(x, *args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+                calls.append((_name, len(x)))
+                return _fn(x, *args, **kwargs)
+            monkeypatch.setattr(np.fft, name, recording)
+        monkeypatch.setattr(kernel, "_grid_kernel", lambda *args: calls.append(("_grid_kernel",)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # nothing warns: the sums are exact for the samples
+            assert divergence_probe(f, 2.0, cutoffs, q=q) == want
+        assert calls == []
 
     def test_warnings_equal_the_values_path(self):
         F = HypMonomial(-0.5, 1).boundary(2048)

@@ -355,6 +355,22 @@ class TestNearOne:
         with pytest.raises(ConvergenceError, match="logarithmic"):
             hyp2f1(0.25, 0.75, 1.0, 0.9999)
 
+    @pytest.mark.parametrize("x", [0.9998978914564902, 1.0])
+    def test_difference_rounding_onto_a_pole_refused_by_name(self, x):
+        # c - b = 19.7 - 89.7 rounds to -70.0 exactly, but for these doubles it is -70 plus
+        # about 1e-14, so 1/Gamma(c - b) is about 70! times that, not 0: mpmath gives
+        # -6.64e-82 at the first x, and 1.5e-257 (0.0 at x = 1) was answered before.
+        with pytest.raises(ConvergenceError, match=re.escape(
+                "c-b = 19.7 - 89.7 rounds onto the pole -70.0 of Gamma")):
+            hyp2f1(-139.83, 89.7, 19.7, x)
+
+    def test_exact_difference_on_a_pole_is_a_zero_weight(self):
+        # c - b = 0.5 - 70.5 is -70 exactly: 1/Gamma(c - b) = 0 drops the first weight,
+        # and Gauss's sum at x = 1 is 0. want is mpmath's.
+        assert hyp2f1(-139.83, 70.5, 0.5, 0.9999) == pytest.approx(5.85084657944891e-238,
+                                                                   rel=1e-13)
+        assert hyp2f1(-139.83, 70.5, 0.5, 1.0) == 0.0
+
     # The parameters (and so the test ids) carry the pins of the earlier
     # three-quiet-terms stopping rule, up to 4.6e-12 off; the routed values
     # are pinned in _ROUTED_BITS and must be no farther from mpmath.

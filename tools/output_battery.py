@@ -39,7 +39,12 @@ CSV, a radius the polar frame cannot divide by; and eval --alpha 0 --point 0.5,0
 on each malformed boundary CSV of MALFORMED (a 16-sample grid of F = 1 with a
 short row, a non-numeric cell, a blank line, a trailing comma, no rows under
 the header, a quoted cell, or a number written 1_0), so that refusals are
-compared by exit code and stderr.
+compared by exit code and stderr; and, on F = 1 at 256 samples (ONE), eval
+--alpha 0 --point 0.99609375,0 and norm --alpha 0 --p 2 --quantity f --kind
+hardy --r-max 0.996, at r = 1 - 1/256, where the trapezoid kernel aliases and
+the Poisson kernel's exact modes give 1. (norm --example 4.3 --alpha 0
+--quantity dz --kind hardy --r-max 0.9999, whose verdict the aliases make, is
+one of the norm --example lines above.)
 """
 
 from __future__ import annotations
@@ -69,6 +74,8 @@ MALFORMED = {  # file name: the rows under the header theta,re,im
     "quoted-cell.csv": _GRID[:3] + [_GRID[3].replace("1.0", '"1.0"')] + _GRID[4:],
     "underscore.csv": _GRID[:3] + [_GRID[3].replace("1.0", "1_0")] + _GRID[4:],
 }
+ONE = "one-256.csv"  # F = 1 at 256 samples, well formed
+WRITTEN = {**MALFORMED, ONE: [f"{2.0 * math.pi * j / 256!r},1.0,0.0" for j in range(256)]}
 
 NUMBER = re.compile(rb"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 
@@ -112,6 +119,10 @@ def commands(csv_dir: str):
     for name in MALFORMED:
         yield ["eval", "--alpha", "0", "--boundary", os.path.join(csv_dir, name),
                "--point", "0.5,0"]
+    one = ["--alpha", "0", "--boundary", os.path.join(csv_dir, ONE)]
+    yield ["eval", *one, "--point", "0.99609375,0"]
+    yield ["norm", *one, "--p", "2", "--quantity", "f", "--kind", "hardy", "--r-max", "0.996",
+           "--cutoffs", "0.9,0.99,0.996"]
     for example, alpha in EXAMPLE_ALPHAS:
         for quantity in QUANTITIES:
             for kind in KINDS:
@@ -163,7 +174,7 @@ def main(argv: list) -> int:
         old_dir, new_dir = os.path.join(tmp, "old"), os.path.join(tmp, "new")
         os.mkdir(old_dir)
         os.mkdir(new_dir)
-        for name, rows in MALFORMED.items():
+        for name, rows in WRITTEN.items():
             with open(os.path.join(old_dir, name), "w", newline="") as fh:
                 fh.write("\n".join(["theta,re,im", *rows]) + "\n")
         tally = {}
