@@ -139,6 +139,19 @@ def _parse_cutoffs(raw: str, r_max: float) -> tuple:
     return cut
 
 
+def _default_cutoffs(r_max: float) -> tuple:
+    """The cutoffs of norm without --cutoffs: 0.9, 0.99, 0.999 up to the default r-max,
+    and below r-max = 0.999 the nested 1 - 100w, 1 - 10w, r-max (w = 1 - r-max) that a
+    norm's status probes (norms._norm), refused where 1 - 100w <= 0."""
+    if r_max >= 0.999:
+        return (0.9, 0.99, 0.999)
+    w = 1.0 - r_max
+    _require(1.0 - 100.0 * w > 0.0,
+             f"r-max = {r_max} leaves no default cutoffs 1 - 100w, 1 - 10w, r-max "
+             "(w = 1 - r-max) in (0, r-max]; give them with --cutoffs")
+    return (1.0 - 100.0 * w, 1.0 - 10.0 * w, r_max)
+
+
 def _parse_points(raw_points: Sequence[str], r_max: float) -> np.ndarray:
     pts = []
     for raw in raw_points:
@@ -481,9 +494,6 @@ def _cmd_report(ns: argparse.Namespace) -> int:
 # -- argument parsing ----------------------------------------------------
 
 
-_DEFAULT_CUTOFFS = "0.9,0.99,0.999"
-
-
 def _add_common(sp, handler, *shared) -> None:
     sp.set_defaults(handler=handler)
     if "--nodes" in shared:
@@ -521,8 +531,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float, required=True, help="norm order; 'inf' allowed")
     sp.add_argument("--quantity", choices=QUANTITIES, default="f")
     sp.add_argument("--kind", choices=("hardy", "bergman"), default="hardy")
-    sp.add_argument("--cutoffs", default=_DEFAULT_CUTOFFS,
-                    help="at least 3 strictly increasing radii in (0, r-max]")
+    sp.add_argument("--cutoffs", default=None,
+                    help="at least 3 strictly increasing radii in (0, r-max] (default "
+                         "0.9,0.99,0.999; below r-max 0.999, 1-100w,1-10w,r-max with "
+                         "w = 1 - r-max)")
     sp.add_argument("--boundary", default=None, help="CSV with header theta,re,im")
     sp.add_argument("--example", default=None, help="bundled example id or alias")
     sp.add_argument("--n", type=int, default=1)
@@ -594,7 +606,8 @@ def _check_args(ns: argparse.Namespace) -> None:
     if "p" in ns:
         _require(ns.p >= 1.0, f"p must satisfy 1 <= p <= inf, got {ns.p}")
     if "cutoffs" in ns:
-        ns.cutoffs = _parse_cutoffs(ns.cutoffs or _DEFAULT_CUTOFFS, ns.r_max)
+        ns.cutoffs = (_parse_cutoffs(ns.cutoffs, ns.r_max) if ns.cutoffs
+                      else _default_cutoffs(ns.r_max))
     if "samples" in reads:
         _check_count("samples", ns.samples)
     if "n_trunc" in reads and ns.n_trunc is not None:

@@ -24,13 +24,17 @@ not cancel near t = 0 as r -> 1. That FFT is taken on every s-th node,
 the fewest that hold the kernel's modes at that radius (_kernel_stride),
 and its bins below m/2 are the kernel's half band (_band_rfft). From it
 _circle_multipliers forms each quantity's real multipliers on that half
-band; _circle_spectra mirrors them to the N bins of F, and _circle_power
-sums a circle's |spectrum|^2 on the half band itself, with no work of
-length N. At alpha = 0 the kernel is the Poisson kernel, whose modes are
-exactly r^|k|: _circle_multipliers writes them in closed form on the same
-half band, with no grid kernel and no FFT of one, and _point_values sums
-those multipliers at each point's own radius and angle, so every alpha = 0
-answer is exact for F's samples (no trapezoid alias, no ResolutionWarning).
+band, and _band_spectrum, the one place they meet the spectra of F and
+dF/dtheta, writes each quantity's spectrum on those bins of one N-bin array
+(at r = 0, the operator's limit). _circle_spectra rolls that array into the
+polar frame, _circle_power sums its |spectrum|^2 on the half band (for f and
+df/dtheta from the folded power, with no work of length N), and _band_point
+sums it at one angle. At alpha = 0 the kernel is the Poisson kernel, whose
+modes are exactly r^|k|: _circle_multipliers writes them in closed form on
+the same half band, with no grid kernel and no FFT of one, and _point_values
+sums those multipliers at each point's own radius and angle, so every
+alpha = 0 answer is exact for F's samples (no trapezoid alias, no
+ResolutionWarning).
 Everything derived from a BoundaryData's samples (its
 resamples; boundary_derivative, the only code computing dF/dtheta; the
 spectrum fft(values), the only FFT of boundary samples, and its power
@@ -128,18 +132,6 @@ def _grid_sin(n: int) -> np.ndarray:
 def _half_angle_sin2(n: int) -> np.ndarray:
     """sin^2(theta_j / 2) on the grid _uniform_thetas(n), shared and read-only like it."""
     return _read_only(np.sin(0.5 * _uniform_thetas(n)) ** 2)
-
-
-def _mirror(plus: np.ndarray, n: int, minus: Optional[np.ndarray] = None) -> np.ndarray:
-    """All n bins of a spectrum from its half band of L <= n/2 + 1 bins: bin k < L is
-    plus[k], bin n-k (0 < k < min(L, n/2)) is minus[k], or plus[k] when minus is None (an
-    even spectrum), and the bins between are 0. For a real, even k of even length n,
-    fft(k) is _mirror(rfft(k).real, n): one real FFT gives the whole spectrum."""
-    out = np.zeros(n, dtype=plus.dtype)
-    out[:len(plus)] = plus
-    k = min(len(plus), n // 2)
-    out[:-k:-1] = (plus if minus is None else minus)[1:k]
-    return out
 
 
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
@@ -451,8 +443,8 @@ def _circle_multipliers(a: AlphaParam, F: BoundaryData, r: float, q: QuadSpec,
     values K, and one rfft of K1 + K2 gives both spectra: its real part is K2^, its
     imaginary part K1^/i. Every rfft is taken on the kernel's own m nodes (_band_rfft):
     where m < N the sums are the N-node trapezoid's to rounding, not bit for bit. M is None
-    for a derivative at r = 0, which _origin_spectrum gives; where every quantity is one,
-    no kernel is built.
+    for a derivative at r = 0, whose spectrum _band_spectrum writes from fft(F) alone; where
+    every quantity is one, no kernel is built.
 
     At alpha = 0 the kernel is the Poisson kernel, whose modes are exactly r^|k|, and the
     multipliers are written in closed form on the same L bins: K^ = N r^k, A = 0 and
@@ -512,20 +504,6 @@ def _circle_multipliers(a: AlphaParam, F: BoundaryData, r: float, q: QuadSpec,
     return out
 
 
-def _origin_spectrum(a: AlphaParam, F: BoundaryData, name: str) -> tuple:
-    """(S, 1) of a derivative on the circle r = 0, the operator's limit there: of the kernel's
-    modes only m = +-1 have a first derivative at the origin, each lam = c_a (1 + a/2), so
-    df/dz = lam fft(F)[1] / N and df/dzbar = lam fft(F)[N-1] / N on the whole circle,
-    df/dr = df/dz e^{i theta} + df/dzbar e^{-i theta}, and df/dtheta = r df/dr = 0."""
-    dz, dzbar = a.c_alpha * (1.0 + 0.5 * a.alpha) * F._spectrum()[[1, -1]]  # N times each
-    spec = np.zeros(F.n_samples, dtype=complex)
-    if name == "dr":
-        spec[1], spec[-1] = dz, dzbar
-    elif name in ("dz", "dzbar"):
-        spec[0] = dz if name == "dz" else dzbar
-    return spec, 1.0
-
-
 def _circle_spectra(a, F: BoundaryData, r: float, q: QuadSpec, quantities) -> list:
     """[(S, d), ...], one pair per name in quantities, with ifft(S) / d that quantity at
     every grid angle of the circle |z| = r: "f" the extension, "dtheta" df/dtheta, "rdr"
@@ -533,110 +511,109 @@ def _circle_spectra(a, F: BoundaryData, r: float, q: QuadSpec, quantities) -> li
 
     The one circle operator: it sums over F's own N samples, and one grid kernel and its
     spectrum serve every quantity (at alpha = 0, the closed-form modes r^|k|). Each S is
-    the half-band multipliers of
-    _circle_multipliers mirrored to N bins and applied to fft(F) and fft(dF/dt), bin 0 of
-    fft(dF/dt) taken as 0, as in _point_values; for df/dz and df/dzbar it is then rolled into
-    the polar frame. At r = 0, where the polar frame degenerates, each derivative is the
-    limit _origin_spectrum gives. The kernel's spectrum is one rfft on every s-th node, the
-    fewest that hold it (_kernel_stride): where s > 1 the spectrum is the N-node one to its
-    rounding (3e-14 of its largest bin), not bit for bit; at s = 1 it is the N-node one.
-    Refusals and warnings are _circle_multipliers'.
+    _band_spectrum's, rolled into the polar frame for df/dz and df/dzbar; at r = 0, where
+    that frame degenerates, each derivative is the operator's limit there. The kernel's
+    spectrum is one rfft on every s-th node, the fewest that hold it (_kernel_stride): where
+    s > 1 the spectrum is the N-node one to its rounding (3e-14 of its largest bin), not bit
+    for bit; at s = 1 it is the N-node one. Refusals and warnings are _circle_multipliers'.
     """
     a = as_alpha(a)
-    n = F.n_samples
-    kern_hat = None  # the kernel spectrum on N bins, mirrored once for f and df/dtheta
     out = []
     for name, mult in zip(quantities, _circle_multipliers(a, F, r, q, quantities)):
-        if mult is None:
-            out.append(_origin_spectrum(a, F, name))
-            continue
-        if name in ("f", "dtheta"):
-            if kern_hat is None:
-                kern_hat = _mirror(mult, n)
-            if name == "f":
-                out.append((kern_hat * F._spectrum(), n))
-            else:
-                spec = kern_hat * boundary_derivative(F)._spectrum()
-                spec[0] = 0.0
-                out.append((spec, n))
-            continue
-        a_hat, b_plus, b_minus = mult
-        spec = (_mirror(a_hat, n) * F._spectrum()
-                + 1j * _mirror(b_plus, n, b_minus) * boundary_derivative(F)._spectrum())
-        s = _FRAME_SIGN[name]
-        out.append((np.roll(spec, s) if s else spec, _divisor(name, n, r)))
+        spec, d, _ = _band_spectrum(a, F, r, name, mult)
+        s = _FRAME_SIGN.get(name, 0)
+        out.append((np.roll(spec, s) if s else spec, d))
     return out
+
+
+def _band_spectrum(a: AlphaParam, F: BoundaryData, r: float, name: str, mult) -> tuple:
+    """(S, d, L): the spectrum S of name on the circle |z| = r before the frame roll
+    (_FRAME_SIGN), one array of N bins, with the divisor d of ifft(S) / d (_divisor) and
+    the half band L it fills: bins k < L and N-k, 0 < k < min(L, N/2), the rest 0. The one
+    place where multipliers meet fft(F) and fft(dF/dt): each product is written into S
+    from mult, the half-band multipliers of _circle_multipliers, and views of the memoized
+    spectra, bin 0 of fft(dF/dt) taken as 0 (_point_values).
+
+    At r = 0, where mult of a derivative is None, S is the operator's limit there, with
+    d = 1 and L = 2: of the kernel's modes only m = +-1 have a first derivative at the
+    origin, each lam = c_a (1 + a/2), so bin 1 holds lam fft(F)[1] (for df/dr and df/dz) and
+    bin N-1 lam fft(F)[N-1] (for df/dr and df/dzbar), and df/dtheta = r df/dr = 0."""
+    n = F.n_samples
+    spec = np.zeros(n, dtype=complex)
+    if mult is None:
+        dz, dzbar = a.c_alpha * (1.0 + 0.5 * a.alpha) * F._spectrum()[[1, -1]]  # N times each
+        if name in ("dr", "dz"):
+            spec[1] = dz
+        if name in ("dr", "dzbar"):
+            spec[-1] = dzbar
+        return spec, 1.0, 2
+    band = len(mult) if name in ("f", "dtheta") else len(mult[0])
+    top = min(band, n // 2)  # bins N-k for 0 < k < top: bin N/2 is in the low band
+    low, high = spec[:band], spec[:-top:-1]
+    if name in ("f", "dtheta"):
+        x = (F if name == "f" else boundary_derivative(F))._spectrum()
+        np.multiply(mult, x[:band], out=low)
+        np.multiply(mult[1:top], x[:-top:-1], out=high)
+        if name == "dtheta":
+            spec[0] = 0.0
+    else:
+        a_hat, b_plus, b_minus = mult
+        f_hat, g_hat = F._spectrum(), boundary_derivative(F)._spectrum()
+        np.multiply(a_hat, f_hat[:band], out=low)
+        low += 1j * b_plus * g_hat[:band]
+        np.multiply(a_hat[1:top], f_hat[:-top:-1], out=high)
+        high += 1j * b_minus[1:top] * g_hat[:-top:-1]
+    return spec, _divisor(name, n, r), band
+
+
+def _halves(spec: np.ndarray, band: int) -> tuple:
+    """(low, high) of _band_spectrum's S: the bins S_k, k < band, and S_{N-k},
+    0 < k < min(band, N/2), in k order. high is a contiguous copy: np.vdot and @ round a
+    reversed view's sum differently."""
+    return spec[:band], spec[:-min(band, len(spec) // 2):-1].copy()
 
 
 def _circle_power(a, F: BoundaryData, r: float, q: QuadSpec, name: str) -> tuple:
     """(sum over m of |S_m|^2, d) for the pair (S, d) _circle_spectra gives name on |z| = r,
     summed on the half band of _circle_multipliers: the sum over k < L of
-    |S_k|^2 + |S_{N-k}|^2, bins 0 and N/2 counted once. For f and df/dtheta that is
-    K^_k^2 times the folded power of fft(F) or fft(dF/dt) (BoundaryData._power); for the
-    partials each bin is the same product as in S, read from views of the memoized spectra.
-    The frame roll moves bins, not the sum, so it is not taken: no work is of length N.
-    The origin, r = 0, sums _origin_spectrum. Refusals and warnings are
-    _circle_multipliers'.
+    |S_k|^2 + |S_{N-k}|^2, bins 0 and N/2 counted once. For f, and df/dtheta off the
+    origin, that is K^_k^2 times the folded power of fft(F) or fft(dF/dt)
+    (BoundaryData._power), with no work of length N; for the partials and the origin it is
+    the sum of _band_spectrum's two halves. The frame roll moves bins, not the sum, so it
+    is not taken. Refusals and warnings are _circle_multipliers'.
     """
     a = as_alpha(a)
     n = F.n_samples
     mult, = _circle_multipliers(a, F, r, q, (name,))
-    if mult is None:
-        spec, d = _origin_spectrum(a, F, name)
-        return float(np.vdot(spec, spec).real), d
-    d = _divisor(name, n, r)
-    if name in ("f", "dtheta"):
+    if isinstance(mult, np.ndarray):  # the kernel spectrum K^ of f or df/dtheta
         power = (F if name == "f" else boundary_derivative(F))._power()
         lo = int(name == "dtheta")  # bin 0 of fft(dF/dt) is taken as 0
-        return float(np.dot(mult[lo:] ** 2, power[lo:len(mult)])), d
-    low, high = _band_bins(F, name, mult)
+        return float(np.dot(mult[lo:] ** 2, power[lo:len(mult)])), _divisor(name, n, r)
+    spec, d, band = _band_spectrum(a, F, r, name, mult)
+    low, high = _halves(spec, band)
     return float(np.vdot(low, low).real + np.vdot(high, high).real), d
-
-
-def _band_bins(F: BoundaryData, name: str, mult) -> tuple:
-    """(low, high): the bins S_k, k < L, and S_{N-k}, 0 < k < min(L, N/2), of the spectrum
-    S of name (before the frame roll) from its half-band multipliers mult
-    (_circle_multipliers) and views of the memoized spectra of F and dF/dt, bin 0 of
-    fft(dF/dt) taken as 0: the same products as _circle_spectra's mirrored ones."""
-    n = F.n_samples
-    if name in ("f", "dtheta"):
-        x = (F if name == "f" else boundary_derivative(F))._spectrum()
-        top = min(len(mult), n // 2)
-        low = mult * x[:len(mult)]
-        if name == "dtheta":
-            low[0] = 0.0
-        return low, mult[1:top] * x[:-top:-1]
-    a_hat, b_plus, b_minus = mult
-    f_hat, g_hat = F._spectrum(), boundary_derivative(F)._spectrum()
-    band = len(a_hat)
-    top = min(band, n // 2)  # bins N-k for 0 < k < top: bin N/2 is in the low band
-    low = a_hat * f_hat[:band] + 1j * b_plus * g_hat[:band]
-    high = a_hat[1:top] * f_hat[:-top:-1] + 1j * b_minus[1:top] * g_hat[:-top:-1]
-    return low, high
 
 
 def _band_point(a: AlphaParam, F: BoundaryData, r: float, theta: float, q: QuadSpec,
                 quantities) -> list:
     """[value, ...] of each name in quantities at r e^{i theta}, summed from its spectrum S on
-    the half band of _circle_multipliers at radius r: (1/(N d)) [sum_{k<L} S_k e^{ik theta}
-    + sum_{0<k<min(L,N/2)} S_{N-k} e^{-ik theta}], with d as _divisor gives it. Where
-    L = N/2 + 1 the Nyquist bin enters as S_{N/2} cos(N theta/2), which agrees with _mirror's
-    (-1)^j on the grid. Each e^{ik theta} is formed on its own. A derivative at r = 0 is 0.
-    At a grid angle it is ifft(S)/d of _circle_spectra to rounding; _point_values reads it
-    at alpha = 0, where the multipliers are exact."""
+    the half band (_band_spectrum) at radius r: (1/(N d)) [sum_{k<L} S_k e^{ik theta}
+    + sum_{0<k<min(L,N/2)} S_{N-k} e^{-ik theta}]. Where L = N/2 + 1 the Nyquist bin enters
+    as S_{N/2} cos(N theta/2), which agrees with the (-1)^j of ifft(S) on the grid. Each
+    e^{ik theta} is formed on its own. df/dtheta and r df/dr at r = 0 sum to 0. At a grid
+    angle it is ifft(S)/d of _circle_spectra to rounding; _point_values reads it at
+    alpha = 0, where the multipliers are exact."""
     n = F.n_samples
     values = []
     for name, mult in zip(quantities, _circle_multipliers(a, F, r, q, quantities)):
-        if mult is None:  # df/dtheta and r df/dr at the origin
-            values.append(0j)
-            continue
-        low, high = _band_bins(F, name, mult)
+        spec, d, band = _band_spectrum(a, F, r, name, mult)
+        low, high = _halves(spec, band)
         top = len(high) + 1
         phase = np.exp(1j * (theta * np.arange(top)))
         total = low[:top] @ phase + high @ phase[1:].conj()
-        if len(low) > top:
+        if band > top:
             total += low[top] * np.cos(0.5 * n * theta)
-        values.append(total / (n * _divisor(name, n, r)))
+        values.append(total / (n * d))
     return values
 
 

@@ -13,10 +13,12 @@ operator kernel._circle_spectra, whose inverse FFT, divided by d, gives its
 N values. For p = 2 the circle's mean comes from the spectrum by Parseval,
 sqrt(sum |S_m|^2) / (N |d|), and that sum is taken on the kernel's half
 band (kernel._circle_power): over the L bins k where the kernel's spectrum
-lives, L = m/2 for a kernel on m < N nodes, each |S_k|^2 + |S_{N-k}|^2 is
-formed from the real multipliers of the circle and the memoized spectra of
-F and dF/dtheta, with no inverse FFT and no work of length N. Every other
-p and plain callables take the mean of the values.
+lives, L = m/2 for a kernel on m < N nodes, the sum of |S_k|^2 + |S_{N-k}|^2,
+with no inverse FFT. For f and df/dtheta it is the kernel spectrum squared
+times the memoized folded power of F or dF/dtheta, with no work of length N;
+for the partials, and at r = 0, it reads the two half bands of the spectrum
+kernel._band_spectrum writes. Every other p and plain callables take the
+mean of the values.
 
 divergence_probe sharpens that: it evaluates the norm at nested cutoff
 radii, flags divergence when the values grow monotonically with a last-pair
@@ -141,9 +143,8 @@ def _circle_mean(f, r: float, p: float, q: QuadSpec) -> float:
 
     A KernelQuantity circle has the N values ifft(S) / d, so by Parseval
     its L^2 mean is sqrt(sum |S_m|^2) / (N |d|). kernel._circle_power sums
-    |S_k|^2 + |S_{N-k}|^2 over the L bins k of the kernel's half band,
-    from real multipliers and the memoized spectra of F and dF/dtheta: no
-    inverse FFT, and no work of length N where the kernel needs fewer nodes.
+    |S_k|^2 + |S_{N-k}|^2 over the L bins k of the kernel's half band, with
+    no inverse FFT.
     """
     if isinstance(f, KernelQuantity):
         if p != 2.0:

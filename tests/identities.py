@@ -8,6 +8,8 @@ operators but poisson_integral (in J1) and boundary_derivative. fd_check
 checks all four derivatives against central differences of f. harmonic_sums
 is the alpha = 0 oracle: the Poisson kernel's modes are r^|k|, so f and its
 partials are power sums of the samples' spectrum, summed here in long double.
+mirror spreads a half band of spectrum bins over all N, the oracle the tests
+hold the circle operator's spectra to.
 """
 
 import numpy as np
@@ -38,6 +40,18 @@ def kernel_K(a, z) -> float:
     out = (a.c_alpha * ((1.0 - rho) * (1.0 + rho)) ** (a.alpha + 1.0)
            / np.abs(1.0 - z) ** (a.alpha + 2.0))
     return float(out) if out.ndim == 0 else out
+
+
+def mirror(plus: np.ndarray, n: int, minus=None) -> np.ndarray:
+    """All n bins of a spectrum from its half band of L <= n/2 + 1 bins: bin k < L is
+    plus[k], bin n-k (0 < k < min(L, n/2)) is minus[k], or plus[k] when minus is None (an
+    even spectrum), and the bins between are 0. For a real, even k of even length n,
+    fft(k) is mirror(rfft(k).real, n): one real FFT gives the whole spectrum."""
+    out = np.zeros(n, dtype=plus.dtype)
+    out[:len(plus)] = plus
+    k = min(len(plus), n // 2)
+    out[:-k:-1] = (plus if minus is None else minus)[1:k]
+    return out
 
 
 def J1(a, F: BoundaryData, z, q: QuadSpec) -> complex:

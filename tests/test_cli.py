@@ -528,6 +528,14 @@ class TestArgumentChecks:
         assert err == (f"error: cutoffs must be strictly increasing in (0, r-max = {r_max}], "
                        f"got {cutoffs!r}\n")
 
+    @pytest.mark.parametrize("r_max", ["0.5", "0.99"])
+    def test_no_default_cutoffs_below_r_max_0_99(self, capsys, r_max):
+        # Without --cutoffs they are 1 - 100w, 1 - 10w, r-max (w = 1 - r-max): the first is
+        # not positive here (-8.9e-16 at 0.99), so the refusal asks for --cutoffs.
+        err = self.refused(capsys, NORM_41 + ["--r-max", r_max])
+        assert err.startswith(f"error: r-max = {r_max} leaves no default cutoffs ")
+        assert err.endswith("; give them with --cutoffs\n")
+
     @pytest.mark.parametrize("argv,name", [
         (NORM_41 + ["--nodes", str((1 << 17) + 2)], "nodes"),
         (NORM_41 + ["--samples", str(1 << 40)], "samples"),
@@ -622,6 +630,17 @@ class TestNorm:
         assert data["diverging"] is True
         assert data["status"] == "diverging"
         assert data["exponent"] == pytest.approx(-0.5, abs=0.05)
+
+    def test_default_cutoffs_follow_r_max(self, capsys):
+        # Without --cutoffs and below r-max = 0.999 they are the nested 1 - 100w, 1 - 10w,
+        # r-max (w = 1 - r-max) that a norm's status probes; at the default r-max they stay
+        # 0.9, 0.99, 0.999 (test_probe_json_schema).
+        code, out, err = run_cli(capsys, ["norm", "--example", "4.3", "--alpha", "0", "--p",
+                                          "2", "--quantity", "f", "--kind", "hardy",
+                                          "--r-max", "0.996"])
+        assert (code, err) == (0, "")
+        w = 1.0 - 0.996
+        assert json.loads(out)["cutoffs"] == [1.0 - 100.0 * w, 1.0 - 10.0 * w, 0.996]
 
     @pytest.mark.xfail(strict=True, reason=(
         "the trapezoid kernel sweep at the default nodes is off by 0.21 at r = 0.999; "

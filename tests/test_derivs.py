@@ -32,7 +32,6 @@ from diskpoisson.kernel import (
     QuadSpec,
     ResolutionWarning,
     _grid_kernel,
-    _mirror,
     _uniform_thetas,
     as_alpha,
     boundary_derivative,
@@ -48,7 +47,7 @@ from diskpoisson.mappings import (
     phase_boundary,
 )
 from diskpoisson.norms import KernelQuantity
-from identities import J2, fd_check, harmonic_sums, kernel_K
+from identities import J2, fd_check, harmonic_sums, kernel_K, mirror
 
 
 def mix(thetas):
@@ -280,8 +279,8 @@ class TestJ2Spectra:
         for r in (0.0, 0.5, 0.99, 0.999, 1.0 - 1e-6):
             k1, k2 = j2_kernels(alpha, r, n)
             half = np.fft.rfft(k1 + k2)
-            for got, k in ((1j * _mirror(half.imag, n, -half.imag), k1),
-                           (_mirror(half.real, n), k2)):
+            for got, k in ((1j * mirror(half.imag, n, -half.imag), k1),
+                           (mirror(half.real, n), k2)):
                 want = np.fft.fft(k)
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 

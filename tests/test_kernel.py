@@ -35,7 +35,7 @@ from diskpoisson.derivs import deriv_field, dr_f, dz_dzbar_f
 from diskpoisson.norms import KernelQuantity, hardy_norm
 from diskpoisson.regimes import check_angular_derivative_bound
 from diskpoisson.specfun import hyp2f1
-from identities import harmonic_sums, kernel_K
+from identities import harmonic_sums, kernel_K, mirror
 
 # mpmath, 40 digits: gamma(1+a/2)^2 / gamma(1+a).
 C_ALPHA_CASES = [
@@ -131,34 +131,24 @@ class TestKernelSpectrum:
 
     @pytest.mark.parametrize("n", SPECTRUM_NODES)
     @pytest.mark.parametrize("alpha", SPECTRUM_ALPHAS)
-    def test_matches_complex_fft_of_kernel_K(self, n, alpha, monkeypatch):
-        # An f circle mirrors one half-spectrum, the kernel's; a unit impulse at
-        # theta = 0 has fft(F) = 1 in every bin, so the f spectrum equals it.
-        mirrored = []
-        mirror = kernel._mirror
-
-        def recording(*args, **kwargs):
-            mirrored.append(mirror(*args, **kwargs))
-            return mirrored[-1]
-
-        monkeypatch.setattr(kernel, "_mirror", recording)
+    def test_matches_complex_fft_of_kernel_K(self, n, alpha):
+        # A unit impulse at theta = 0 has fft(F) = 1 in every bin, so the f spectrum is the
+        # kernel's own: real, as one rfft of a real, even kernel gives it.
         q = QuadSpec(angular_nodes=n, r_max=1.0 - 1e-6)
         F = BoundaryData.from_samples(_uniform_thetas(n), np.eye(1, n)[0])
+        assert np.array_equal(F._spectrum(), np.ones(n, dtype=complex))
         k = np.arange(n)
         for r in SPECTRUM_RADII:
             if alpha == 0.0:  # the Poisson kernel's modes, r^|k|, not the trapezoid's folds
                 want = n * r ** np.minimum(k, n - k)
             else:
                 want = np.fft.fft(kernel_K(alpha, r * np.exp(1j * F.thetas)))
-            mirrored.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", ResolutionWarning)
                 (got, d), = _circle_spectra(alpha, F, r, q, ("f",))
-            kern_hat, = mirrored
-            assert kern_hat.dtype == float  # real: one rfft, mirrored
             assert d == n
-            assert np.array_equal(got, kern_hat)
-            assert np.max(np.abs(kern_hat - want)) <= 1e-12 * np.max(np.abs(want))
+            assert np.all(got.imag == 0.0)
+            assert np.max(np.abs(got.real - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.7, 2.0])
     @pytest.mark.parametrize("r", [0.999, 0.9999])
@@ -213,7 +203,7 @@ def assert_band_matches_all_nodes(alpha, F, r):
         k = np.arange(n)
         want = n * r ** np.minimum(k, n - k) * F._spectrum()
     else:
-        want = kernel._mirror(np.fft.rfft(kern).real, n) * F._spectrum()
+        want = mirror(np.fft.rfft(kern).real, n) * F._spectrum()
     assert d == n
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (alpha, r, s)
     j2 = ((1.0 - r) + 2.0 * r * _half_angle_sin2(n) + r * kernel._grid_sin(n)) * kern
@@ -250,7 +240,7 @@ class TestKernelBand:
             half = n * r ** np.arange(n // 2 + 1)
         else:
             half = np.fft.rfft(_grid_kernel(a, r, n)).real
-        assert np.array_equal(got, kernel._mirror(half, n) * F._spectrum())
+        assert np.array_equal(got, mirror(half, n) * F._spectrum())
 
     def test_no_table_cached_per_kernel_grid(self):
         n = 81920
@@ -268,6 +258,25 @@ class TestKernelBand:
         for table, info in zip(tables, before):
             now = table.cache_info()
             assert (now.misses, now.currsize) == (info.misses, info.currsize), table
+
+
+class TestOrigin:
+    """At r = 0 a derivative's spectrum is the operator's limit, read like any other."""
+
+    @pytest.mark.parametrize("n", [16, 1000, 2048, 2052])
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.7])
+    def test_power_and_points_read_the_origin_spectrum(self, n, alpha):
+        # The p = 2 power is the sum over the bins of |S_m|^2 = Re^2 + Im^2, bit for bit,
+        # and df/dtheta and r df/dr at the origin are 0.
+        a, F = as_alpha(alpha), random_boundary(n)
+        q = QuadSpec(angular_nodes=n)
+        for name in ("dr", "dz", "dzbar"):
+            (spec, d), = _circle_spectra(a, F, 0.0, q, (name,))
+            want = float(np.sum(spec.real ** 2 + spec.imag ** 2))
+            assert kernel._circle_power(a, F, 0.0, q, name) == (want, d), name
+        for theta in (0.0, 0.3, 2.0, -1.7):
+            _, dth, rdr = kernel._band_point(a, F, 0.0, theta, q, ("f", "dtheta", "rdr"))
+            assert dth == 0.0 and rdr == 0.0, theta
 
 
 class TestBoundaryData:

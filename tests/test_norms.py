@@ -210,9 +210,8 @@ class TestParsevalMeans:
     def test_only_kernel_node_rffts_at_banded_radii(self, monkeypatch, quantity):
         # At p = 2 a circle of a boundary with memoized spectra transforms nothing of
         # length N: one rfft of the kernel on its m < N nodes, and one more of the J2
-        # kernels on the same nodes for a partial off the origin; no inverse transform, and
-        # no spectrum mirrored to N bins. A derivative at the origin reads no kernel, so
-        # none is transformed there.
+        # kernels on the same nodes for a partial off the origin, and no inverse transform.
+        # A derivative at the origin reads no kernel, so none is transformed there.
         n, alpha = 8192, 0.7
         F = random_sampled(n)
         q = QuadSpec(angular_nodes=n, r_max=0.9, radial_grid=[0.0, 0.3, 0.5, 0.7, 0.8, 0.9])
@@ -227,7 +226,6 @@ class TestParsevalMeans:
                 calls.append((_name, len(x)))
                 return _fn(x, *args, **kwargs)
             monkeypatch.setattr(np.fft, name, recording)
-        monkeypatch.setattr(kernel, "_mirror", lambda *args: calls.append(("_mirror",)))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             got = divergence_probe(f, 2.0, cutoffs, q=q)

@@ -44,7 +44,10 @@ compared by exit code and stderr; and, on F = 1 at 256 samples (ONE), eval
 hardy --r-max 0.996, at r = 1 - 1/256, where the trapezoid kernel aliases and
 the Poisson kernel's exact modes give 1. (norm --example 4.3 --alpha 0
 --quantity dz --kind hardy --r-max 0.9999, whose verdict the aliases make, is
-one of the norm --example lines above.)
+one of the norm --example lines above.) Then norm --example 4.3 --alpha 0 --p 2
+--quantity f --kind hardy with --r-max 0.996 and with --r-max 0.5, both without
+--cutoffs, so the default cutoffs below the default r-max are compared by exit
+code and output.
 """
 
 from __future__ import annotations
@@ -123,6 +126,9 @@ def commands(csv_dir: str):
     yield ["eval", *one, "--point", "0.99609375,0"]
     yield ["norm", *one, "--p", "2", "--quantity", "f", "--kind", "hardy", "--r-max", "0.996",
            "--cutoffs", "0.9,0.99,0.996"]
+    for r_max in ("0.996", "0.5"):  # no --cutoffs: the default ones follow --r-max
+        yield ["norm", "--example", "4.3", "--alpha", "0", "--p", "2", "--quantity", "f",
+               "--kind", "hardy", "--r-max", r_max]
     for example, alpha in EXAMPLE_ALPHAS:
         for quantity in QUANTITIES:
             for kind in KINDS:
