@@ -56,6 +56,7 @@ from .norms import (
     QUANTITIES,
     _finite_means,
     _growth_report,
+    _jsonable,
     _mean_p,
     _plan_probe,
     divergence_probe,
@@ -83,28 +84,6 @@ class UsageError(Exception):
 
 def _quad(ns: argparse.Namespace) -> QuadSpec:
     return QuadSpec(angular_nodes=ns.nodes, r_max=ns.r_max)
-
-
-def _jsonable(obj):
-    """Recursively coerce to strict-JSON values; infinities become 'inf'."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        if math.isnan(f):
-            return "nan"
-        if math.isinf(f):
-            return "inf" if f > 0 else "-inf"
-        return f
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
 
 
 def _emit(write, output: Optional[str]) -> None:

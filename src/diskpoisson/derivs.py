@@ -36,6 +36,7 @@ import numpy as np
 from .kernel import (
     BoundaryData,
     QuadSpec,
+    _band_point,
     _check_polar_radius,
     _circle_spectra,
     _distance_sq,
@@ -95,8 +96,8 @@ def dz_dzbar_f(a, F: BoundaryData, z: complex, q: QuadSpec) -> tuple[complex, co
     """
     z = complex(z)
     if z == 0.0:
-        dz, dzbar = _circle_spectra(a, F, 0.0, q, ("dz", "dzbar"))
-        return complex(_invert(*dz)[0]), complex(_invert(*dzbar)[0])
+        dz, dzbar = _band_point(as_alpha(a), F, 0.0, 0.0, q, ("dz", "dzbar"))
+        return complex(dz), complex(dzbar)
     _check_polar_radius(abs(z))
     dth, rdr = _point_values(a, F, z, q, ("dtheta", "rdr"))
     return _wirtinger_pair(rdr, dth, z)

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .derivs import DerivField
-from .norms import dfield_norms
+from .norms import _jsonable, dfield_norms
 
 __all__ = ["EllipticReport", "min_kprime", "ellipticity_report"]
 
@@ -62,7 +62,7 @@ class EllipticReport:
         return [row["min_kprime"] for row in self.rows if row["K"] == K]
 
     def to_json(self, **kwargs) -> str:
-        return json.dumps(asdict(self), **kwargs)
+        return json.dumps(_jsonable(asdict(self)), **kwargs)
 
 
 def ellipticity_report(fields: Sequence[DerivField], K_list: Sequence[float]) -> EllipticReport:

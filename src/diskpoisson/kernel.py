@@ -373,7 +373,7 @@ def _point_values(a, F: BoundaryData, z, q: QuadSpec, quantities) -> list:
     a = as_alpha(a)
     z = np.asarray(z, dtype=complex)
     r = np.abs(z).reshape(-1, 1)
-    if np.any(r > q.r_max):
+    if not np.all(r <= q.r_max):  # NaN fails too
         raise ValueError(f"evaluation points must satisfy |z| <= r_max = {q.r_max}")
     n = F.n_samples
     harmonic = a.alpha == 0.0

@@ -254,6 +254,28 @@ def dfield_norms(dz: np.ndarray, dzbar: np.ndarray):
     return adz + adzbar, np.abs(adz - adzbar), adz**2 - adzbar**2
 
 
+def _jsonable(obj):
+    """Recursively coerce to strict-JSON values; infinities become 'inf'."""
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        f = float(obj)
+        if math.isnan(f):
+            return "nan"
+        if math.isinf(f):
+            return "inf" if f > 0 else "-inf"
+        return f
+    if isinstance(obj, np.ndarray):
+        return [_jsonable(v) for v in obj.tolist()]
+    return obj
+
+
 @dataclass(frozen=True)
 class GrowthReport:
     """Norm values at nested cutoff radii with a divergence verdict."""
@@ -268,7 +290,7 @@ class GrowthReport:
     status: str
 
     def to_json(self, **kwargs) -> str:
-        return json.dumps(asdict(self), **kwargs)
+        return json.dumps(_jsonable(asdict(self)), **kwargs)
 
 
 def _increment_exponent(cutoffs: np.ndarray, values: np.ndarray) -> Optional[float]:

@@ -83,10 +83,12 @@ def classify(alpha: float, p: float) -> RegimeClass:
     """Assign (alpha, p) to its regime Pi1, Pi2, or Pi3.
 
     p may be math.inf; the infinite case is branched on symbolically so no
-    arithmetic is ever done with it.
+    arithmetic is ever done with it. A non-finite alpha is refused.
     """
     alpha = float(alpha)
     p = float(p)
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     if alpha <= -1.0:
         raise ValueError(f"alpha must exceed -1, got {alpha!r}")
     if not (p >= 1.0):

@@ -159,11 +159,6 @@ def _negative_x(a: float, b: float, c: float, x: float, tol: float) -> float:
     return best
 
 
-def _rgamma(x: float) -> float:
-    """1/Gamma(x), zero at the poles."""
-    return 0.0 if _is_nonpositive_integer(x) else 1.0 / gamma(x)
-
-
 # Steps of the recurrence _gamma_frexp takes beyond the range of gamma. Each
 # rounds once; over 1,500 arguments out to |x| = 400 the result stayed within
 # 2.0e-15 of mpmath.
@@ -193,7 +188,9 @@ def _gamma_ratio(scale: float, nums: tuple, dens: tuple) -> float:
     """scale prod Gamma(nums) / prod Gamma(dens), zero at a pole of a Gamma in dens.
 
     Formed from _gamma_frexp parts, so a ratio in the double range is a double
-    even where a Gamma in it is not; a ratio past the range is refused by name.
+    even where a Gamma in it is not, or where a partial product of its factors
+    would leave the range; a ratio past the range is refused by name. It forms
+    both weights of the connection formula (_connection_1mx).
     """
     if any(map(_is_nonpositive_integer, dens)):
         return 0.0
@@ -229,29 +226,18 @@ def _refuse_rounded_pole(a: float, b: float, c: float, x: float) -> None:
 
 def _connection_1mx(a: float, b: float, c: float, x: float, tol: float) -> float:
     """2F1(a, b; c; x) from two series in 1 - x (A&S 15.3.6); c - a - b not an integer.
-    Refused where c - a or c - b rounds onto a pole (_refuse_rounded_pole), where the two
-    weighted series cancel past tol, either one alone or each other, and where the value
-    leaves the double range."""
+    Each weight, Gamma(c) in it, is one _gamma_ratio. Refused where c - a or c - b rounds
+    onto a pole (_refuse_rounded_pole), where the two weighted series cancel past tol,
+    either one alone or each other, and where a weight or the value leaves the double range."""
     _refuse_rounded_pole(a, b, c, x)
     s = c - a - b
     y = 1.0 - x
-    # each weight as (scale, num, dens): scale Gamma(num) / (Gamma(dens[0]) Gamma(dens[1]))
-    parts = ((1.0, s, (c - a, c - b)), (y ** s, -s, (a, b)))
-    try:  # each Gamma a normal double
-        g = gamma(c)
-        w = [scale * gamma(num) * _rgamma(dens[0]) * _rgamma(dens[1])
-             for scale, num, dens in parts]
-    except OverflowError:  # one is not: each weight as one ratio, Gamma(c) in it
-        g = 1.0
-        w = [_gamma_ratio(scale, (c, num), dens) for scale, num, dens in parts]
-    else:  # a weight of 0 or inf with no pole in dens: a product of its factors left the
-        # double range, the weight need not have; that weight as one ratio, 0 at a pole
-        w = [_gamma_ratio(scale, (num,), dens) if wi == 0.0 or not math.isfinite(wi) else wi
-             for wi, (scale, num, dens) in zip(w, parts)]
+    w0 = _gamma_ratio(1.0, (c, s), (c - a, c - b))
+    w1 = _gamma_ratio(y ** s, (c, -s), (a, b))
     sum1, peak1 = _series_sum(a, b, 1.0 - s, y, tol)
     sum2, peak2 = _series_sum(c - a, c - b, 1.0 + s, y, tol)
-    return _refuse_cancellation(a, b, c, x, g * (w[0] * sum1 + w[1] * sum2),
-                                abs(g) * (abs(w[0]) * peak1 + abs(w[1]) * peak2), tol)
+    return _refuse_cancellation(a, b, c, x, w0 * sum1 + w1 * sum2,
+                                abs(w0) * peak1 + abs(w1) * peak2, tol)
 
 
 @functools.lru_cache(maxsize=200000)

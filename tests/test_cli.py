@@ -24,7 +24,7 @@ from diskpoisson.derivs import (
 from diskpoisson.kernel import QuadSpec, circle_poisson_values, radial_grid, read_boundary_csv
 from diskpoisson.kernel import _ANGULAR_CAP
 from diskpoisson.mappings import HypMonomial
-from diskpoisson.norms import divergence_probe
+from diskpoisson.norms import KernelQuantity, divergence_probe
 from diskpoisson.regimes import (
     certification_grid,
     check_angular_derivative_bound,
@@ -630,6 +630,21 @@ class TestNorm:
         assert data["diverging"] is True
         assert data["status"] == "diverging"
         assert data["exponent"] == pytest.approx(-0.5, abs=0.05)
+
+    def test_report_json_is_the_cli_row(self, capsys, monomial_csv):
+        # p = inf is written "inf", as strict JSON has no Infinity, by one encoder.
+        code, out, _ = run_cli(capsys, ["norm", "--alpha", "0", "--p", "inf", "--quantity",
+                                        "dr", "--kind", "hardy", "--boundary", monomial_csv])
+        assert code == 0
+        F = read_boundary_csv(monomial_csv)
+        rep = divergence_probe(KernelQuantity(0.0, F, "dr"), math.inf, (0.9, 0.99, 0.999),
+                               "hardy", QuadSpec(), "dr", 0.0)
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+        data = json.loads(rep.to_json(), parse_constant=refuse)
+        assert data["p"] == "inf"
+        assert dict(data, kind="hardy", boundary="boundary.csv") == json.loads(out)
 
     def test_default_cutoffs_follow_r_max(self, capsys):
         # Without --cutoffs and below r-max = 0.999 they are the nested 1 - 100w, 1 - 10w,

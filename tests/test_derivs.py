@@ -162,6 +162,21 @@ class TestWirtinger:
         dz0, dzbar0 = dz_dzbar_f(alpha, HypMonomial(alpha, 1).boundary(2048), 0.0, q)
         assert abs(dz0 - 1.0) <= 1e-14 and abs(dzbar0) <= 1e-14
 
+    @pytest.mark.parametrize("n", [16, 1000, 2048, 2052])
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.7])
+    def test_origin_pair_reads_two_bins(self, q, monkeypatch, n, alpha):
+        # The limit is c_a (1 + a/2) fft(F)[+-1] / N, read with no inverse FFT.
+        rng = np.random.default_rng(n)
+        F = BoundaryData(_uniform_thetas(n), rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        spec = np.fft.fft(F.values)
+        lam = as_alpha(alpha).c_alpha * (1.0 + 0.5 * alpha)
+
+        def no_ifft(*args, **kwargs):
+            raise AssertionError("np.fft.ifft called")
+        monkeypatch.setattr(np.fft, "ifft", no_ifft)
+        dz0, dzbar0 = dz_dzbar_f(alpha, F, 0.0, q)
+        assert (dz0, dzbar0) == (complex(lam * spec[1] / n), complex(lam * spec[-1] / n))
+
     def test_polar_frame_holds_at_its_smallest_radius(self, q, tmp_path):
         # The frame divides an absolute rounding error by z: about 1e-9 relative
         # at |z| = 1e-8, the smallest nonzero radius it takes.

@@ -31,7 +31,7 @@ from diskpoisson.kernel import (
     read_boundary_csv,
     write_boundary_csv,
 )
-from diskpoisson.derivs import deriv_field, dr_f, dz_dzbar_f
+from diskpoisson.derivs import deriv_field, dr_f, dtheta_f, dz_dzbar_f
 from diskpoisson.norms import KernelQuantity, hardy_norm
 from diskpoisson.regimes import check_angular_derivative_bound
 from diskpoisson.specfun import hyp2f1
@@ -443,6 +443,19 @@ class TestIntegralOperator:
         F = BoundaryData.from_function(harmonic_mix, 2048)
         with pytest.raises(ValueError, match="r_max"):
             poisson_integral(0.0, F, 0.95 + 0.0j, q)
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.7])
+    def test_rejects_nan_points_at_every_alpha(self, alpha):
+        # |nan| > r_max is False; every pointwise function refuses with one message.
+        q = QuadSpec()
+        F = BoundaryData.from_function(harmonic_mix, 2048)
+        point = complex(math.nan, 0.0)
+        for fn in (poisson_integral, dtheta_f, dr_f, dz_dzbar_f):
+            with pytest.raises(ValueError, match="evaluation points must satisfy"):
+                fn(alpha, F, point, q)
+        for fn in (poisson_integral, dtheta_f):
+            with pytest.raises(ValueError, match="evaluation points must satisfy"):
+                fn(alpha, F, np.array([0.5 + 0.0j, point]), q)
 
     def test_under_resolution_warns(self):
         q = QuadSpec(angular_nodes=64)

@@ -73,6 +73,11 @@ class TestClassify:
         with pytest.raises(ValueError, match="p must"):
             classify(0.5, math.nan)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_refused_in_the_cli_words(self, alpha):
+        with pytest.raises(ValueError, match=f"^alpha must be finite, got {alpha}$"):
+            classify(alpha, 2.0)
+
     def test_prediction_content(self):
         assert "hardy_all_partials_bounded" in classify(1.0, 2.0).predictions
         assert "bergman_bounded" in classify(-0.5, 1.5).predictions

@@ -30,9 +30,12 @@ alpha -0.5, 0 and 0.7, eval --grid, eval --grid --field, eval --point (4
 points), eval --point --field and norm --boundary (5 quantities x hardy,
 bergman); the same norm --boundary lines on 4.2 exported at 1000 samples, a
 node count that is not a power of two, from a boundary with a corner, so its
-Nyquist bin holds energy; and norm --example of 4.1 (alpha -0.5), 4.2 (0.7) and
-4.3 (0), each quantity and kind, with --nodes 8192 and with --r-max 0.9999, for
-f and dzbar (hardy) built at --samples 1024 and swept at --nodes 4096, where
+Nyquist bin holds energy, and eval --point 0,0 --point 0.5,0.7 --field on that
+CSV, so the origin's limit is compared at that count too; regime at (alpha, p)
+= (-0.5, 2), (0, 1), (0, inf) and (0.5, 3); and norm --example of 4.1 (alpha
+-0.5), 4.2 (0.7) and 4.3 (0), each quantity and kind, with --nodes 8192 and
+with --r-max 0.9999, for f and dzbar (hardy) built at --samples 1024 and swept
+at --nodes 4096, where
 4.3's n_trunc follows --samples, and for f (hardy) swept at --nodes 81920 with
 --r-max 0.9999; eval --point 1e-200,2 --field at alpha 0.5 on the 4.1
 CSV, a radius the polar frame cannot divide by; and eval --alpha 0 --point 0.5,0
@@ -63,9 +66,10 @@ QUANTITIES = ("f", "dtheta", "dr", "dz", "dzbar")
 KINDS = ("hardy", "bergman")
 ALPHAS = ("-0.5", "0", "0.7")
 EXPORTS = (("4.1", 2048), ("4.2", 2048), ("4.2", 8192), ("4.3", 2048), ("4.3", 8192))
-NORM_EXPORT = ("4.2", 1000)  # read by norm --boundary only: 64 --grid-thetas do not divide it
+NORM_EXPORT = ("4.2", 1000)  # no eval --grid on it: 64 --grid-thetas do not divide it
 POINTS = ("0,0", "0.5,0.7", "0.9,2", "0.999,1")
 EXAMPLE_ALPHAS = (("4.1", "-0.5"), ("4.2", "0.7"), ("4.3", "0"))
+REGIMES = (("-0.5", "2"), ("0", "1"), ("0", "inf"), ("0.5", "3"))  # (alpha, p)
 
 _GRID = [f"{2.0 * math.pi * j / 16!r},1.0,0.0" for j in range(16)]  # F = 1 at 16 samples
 MALFORMED = {  # file name: the rows under the header theta,re,im
@@ -117,6 +121,9 @@ def commands(csv_dir: str):
         for quantity in QUANTITIES:
             for kind in KINDS:
                 yield ["norm", *base, "--p", "2", "--quantity", quantity, "--kind", kind]
+        yield ["eval", *base, "--point", "0,0", "--point", "0.5,0.7", "--field"]
+    for alpha, p in REGIMES:
+        yield ["regime", "--alpha", alpha, "--p", p]
     yield ["eval", "--alpha", "0.5", "--boundary", os.path.join(csv_dir, csv_name("4.1", 2048)),
            "--point", "1e-200,2", "--field"]
     for name in MALFORMED:
